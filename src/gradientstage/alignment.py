@@ -76,13 +76,16 @@ class FlowParams:
 FlowEstimator = Callable[[Image, Image, FlowParams], FlowField]
 
 
-def _bilinear(values: np.ndarray, xq: np.ndarray, yq: np.ndarray):
-    """Sample values at (xq, yq); returns (samples, inside-domain mask).
+def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np.ndarray):
+    """Bilinear samples of an HxW or HxWxC grid at (xq, yq), with validity.
 
-    Fractional offsets are taken against the clipped base index so that
-    integer query points reproduce grid values exactly.
+    A sample is valid iff it lies inside the frame and the bilinearly
+    sampled mask exceeds 1 - 1e-12, so any masked grid point carrying more
+    than rounding-level weight invalidates it; mask=None means every grid
+    point is valid. Fractional offsets are taken against the clipped base
+    index so that integer query points reproduce grid values exactly.
     """
-    h, w = values.shape
+    h, w = values.shape[:2]
     inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
     x0 = np.clip(np.floor(xq).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xq, int)
     y0 = np.clip(np.floor(yq).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yq, int)
@@ -90,34 +93,38 @@ def _bilinear(values: np.ndarray, xq: np.ndarray, yq: np.ndarray):
     fy = yq - y0
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    out = (
-        values[y0, x0] * (1 - fx) * (1 - fy)
-        + values[y0, x1] * fx * (1 - fy)
-        + values[y1, x0] * (1 - fx) * fy
-        + values[y1, x1] * fx * fy
-    )
-    return out, inside
+
+    def interp(grid):
+        # channels share the stencil; the per-element order of operations
+        # is the same for every channel count
+        cx, cy = (fx, fy) if grid.ndim == 2 else (fx[..., None], fy[..., None])
+        return (
+            grid[y0, x0] * (1 - cx) * (1 - cy)
+            + grid[y0, x1] * cx * (1 - cy)
+            + grid[y1, x0] * (1 - cx) * cy
+            + grid[y1, x1] * cx * cy
+        )
+
+    valid = inside if mask is None else inside & (interp(mask.astype(float)) > 1.0 - 1e-12)
+    return interp(values), valid
 
 
-def _warp_array(values: np.ndarray, flow: FlowField):
-    h, w = values.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    out, inside = _bilinear(values, xx + flow.u, yy + flow.v)
-    return out, inside & flow.mask
+def _displaced_grid(u: np.ndarray, v: np.ndarray):
+    """Query coordinates p + (u, v) for every pixel p."""
+    yy, xx = np.mgrid[0 : u.shape[0], 0 : u.shape[1]]
+    return xx + u, yy + v
 
 
 def warp_image(img: Image, flow: FlowField) -> Image:
     """Bilinear resampling at p + flow(p); samples landing outside the
-    source become invalid (no extrapolation). Exactly-zero flow is an
-    identity."""
+    source or drawing on its invalid pixels become invalid (no
+    extrapolation). Exactly-zero flow is an identity."""
     if img.shape != flow.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {flow.shape}")
     if not flow.vectors.any():
         return Image(img.samples, img.mask & flow.mask)
-    # also require the sampled neighborhood to be valid in the source
-    src_valid, _ = _warp_array(img.mask.astype(float), flow)
-    out, inside = _warp_array(img.samples, flow)
-    mask = inside & (src_valid > 1.0 - 1e-12)
+    out, valid = resample(img.samples, img.mask, *_displaced_grid(flow.u, flow.v))
+    mask = valid & flow.mask
     return Image(np.where(mask, np.maximum(out, 0.0), 0.0), mask)
 
 
@@ -135,15 +142,8 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
             np.where(flow.mask, nm.magnitude, 0.0),
             nm.mask & flow.mask,
         )
-    src_valid, _ = _warp_array(nm.mask.astype(float), flow)
-    comps = []
-    inside = None
-    for c in range(3):
-        out, ins = _warp_array(nm.normals[:, :, c], flow)
-        comps.append(out)
-        inside = ins
-    mask = inside & (src_valid > 1.0 - 1e-12)
-    vec = np.stack(comps, axis=2)
+    vec, valid = resample(nm.normals, nm.mask, *_displaced_grid(flow.u, flow.v))
+    mask = valid & flow.mask
     return NormalMap.from_components(np.where(mask[..., None], vec, 0.0), mask)
 
 
@@ -170,8 +170,7 @@ _AVG_KERNEL = np.array(
 
 def _hs_single_level(src, tgt, u, v, params: FlowParams):
     for _ in range(params.warps):
-        flow = FlowField(np.stack([u, v], axis=2), np.ones(u.shape, bool))
-        warped, inside = _warp_array(src, flow)
+        warped, inside = resample(src, None, *_displaced_grid(u, v))
         warped = np.where(inside, warped, tgt)
         ix = 0.5 * (np.gradient(warped, axis=1) + np.gradient(tgt, axis=1))
         iy = 0.5 * (np.gradient(warped, axis=0) + np.gradient(tgt, axis=0))

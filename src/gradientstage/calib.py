@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .alignment import resample
 from .core import Image, unit
 
 
@@ -475,8 +476,6 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
 
 def warp_by_homography(img: Image, h: Homography) -> Image:
     """Resample an image through H (inverse mapping, bilinear)."""
-    from .alignment import _bilinear
-
     hh, ww = img.shape
     yy, xx = np.mgrid[0:hh, 0:ww].astype(float)
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
@@ -484,7 +483,5 @@ def warp_by_homography(img: Image, h: Homography) -> Image:
     mapped = inv.apply(pts)
     xs = mapped[:, 0].reshape(hh, ww)
     ys = mapped[:, 1].reshape(hh, ww)
-    vals, inside = _bilinear(img.samples, xs, ys)
-    src_valid, _ = _bilinear(img.mask.astype(float), xs, ys)
-    mask = inside & (src_valid > 1.0 - 1e-12)
+    vals, mask = resample(img.samples, img.mask, xs, ys)
     return Image(np.where(mask, np.maximum(vals, 0.0), 0.0), mask)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, calib, photometric, qp, sequencer, stage, stimulus
-from .core import Condition, GradientImageSet, Image, NormalMap, angular_error_map, histogram
+from .core import Condition, GradientImageSet, Image, angular_error_map, histogram
 from . import pfm
 
 
@@ -98,47 +98,37 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_method(spec_str: str):
-    parts = spec_str.split(":")
-    name = parts[0]
-    if name == "ma":
-        return ("ma", None, False)
-    if name == "wilson":
-        return ("wilson", None, False)
-    if name == "specular":
-        return ("specular", None, False)
+METHOD_HELP = "ma | wilson | specular | minimal[:<base>[:dual]]"
+
+# recovery method -> (conditions read, estimator); the estimators look up
+# photometric's functions at call time, so wrapping them there takes effect
+_XYZC = [Condition.X, Condition.Y, Condition.Z, Condition.C]
+_METHODS = {
+    "ma": (_XYZC, lambda s: photometric.recover_ma(s)),
+    "wilson": ([*photometric.GRADIENTS, *photometric.COMPLEMENTS], lambda s: photometric.recover_wilson(s)),
+    "specular": (_XYZC, lambda s: photometric.recover_specular(s)[1]),
+}
+
+
+def _method(spec_str: str):
+    """(conditions read, estimator) for a method spec; see METHOD_HELP."""
+    name, *suffix = spec_str.split(":")
     if name == "minimal":
-        base = Condition(parts[1]) if len(parts) > 1 else Condition.X
-        dual = len(parts) > 2 and parts[2] == "dual"
-        return ("minimal", base, dual)
-    raise UsageError(f"unknown method: {spec_str}")
-
-
-def _recover_with(method_spec: str, imgset: GradientImageSet) -> NormalMap:
-    method, base, dual = _parse_method(method_spec)
-    if method == "ma":
-        return photometric.recover_ma(imgset)
-    if method == "wilson":
-        return photometric.recover_wilson(imgset)
-    if method == "specular":
-        return photometric.recover_specular(imgset)[1]
-    return photometric.recover_minimal(imgset, base, dual)
-
-
-def _conditions_for_method(method_spec: str):
-    method, base, dual = _parse_method(method_spec)
-    if method in ("ma", "specular"):
-        return [Condition.X, Condition.Y, Condition.Z, Condition.C]
-    if method == "wilson":
-        return [*photometric.GRADIENTS, *photometric.COMPLEMENTS]
-    if dual:
-        return [*photometric.COMPLEMENTS, base]
-    return [*photometric.GRADIENTS, base.complement]
+        base = Condition(suffix[0]) if suffix else Condition.X
+        dual = suffix[1:2] == ["dual"]
+        if dual:
+            conditions = [*photometric.COMPLEMENTS, base]
+        else:
+            conditions = [*photometric.GRADIENTS, base.complement]
+        return conditions, lambda s: photometric.recover_minimal(s, base, dual)
+    if name not in _METHODS:
+        raise UsageError(f"unknown method: {spec_str}")
+    return _METHODS[name]
 
 
 def _cmd_recover(args) -> int:
-    imgset = _load_set(args.indir, args.prefix, _conditions_for_method(args.method))
-    nm = _recover_with(args.method, imgset)
+    conditions, recover = _method(args.method)
+    nm = recover(_load_set(args.indir, args.prefix, conditions))
     out = Path(args.out)
     pfm.write_normal_map(out, nm)
     pfm.write_image(out.with_name(out.stem + "_mag.pfm"), Image(nm.magnitude, nm.mask))
@@ -147,9 +137,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_correct(args) -> int:
+    _, recover = _method(args.init)
     conditions = [*photometric.GRADIENTS, *photometric.COMPLEMENTS, Condition.C]
     imgset = _load_set(args.indir, args.prefix, conditions)
-    init = _recover_with(args.init, imgset)
+    init = recover(imgset)
     corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
     out = Path(args.out)
     pfm.write_normal_map(out, corrected)
@@ -161,11 +152,19 @@ def _cmd_correct(args) -> int:
     return 0
 
 
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_xy_csv(path, expected_cols: int):
     rows = []
     with open(path, "r", encoding="ascii") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    start = 1 if lines and not lines[0].split(",")[0].lstrip("-").replace(".", "", 1).isdigit() else 0
+    start = 1 if lines and not any(map(_parses_as_float, lines[0].split(","))) else 0  # header
     for ln in lines[start:]:
         cells = [float(x) for x in ln.split(",")]
         if len(cells) != expected_cols:
@@ -318,7 +317,6 @@ def _cmd_report(args) -> int:
 def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     parser = _Parser(prog="gradientstage", description=__doc__)
     parser.add_argument("--config", help="JSON file of flag defaults")
-    parser.add_argument("--threads", type=int, default=None, help="row-parallelism hint (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
     all_parsers = []
 
@@ -343,7 +341,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     all_parsers.append(p)
 
     p = sub.add_parser("recover", help="recover normals from a gradient image set")
-    p.add_argument("--method", default="wilson", help="ma | wilson | minimal:<base>[:dual] | specular")
+    p.add_argument("--method", default="wilson", help=METHOD_HELP)
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--prefix", default="grad")
     p.add_argument("--out", required=True)
@@ -353,7 +351,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p = sub.add_parser("correct", help="QP-correct a recovered normal map")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--prefix", default="grad")
-    p.add_argument("--init", default="wilson", help="ma | wilson | minimal[:base[:dual]]")
+    p.add_argument("--init", default="wilson", help=METHOD_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--delta-out", default=None)
     p.add_argument("--deltabar-out", default=None)
@@ -450,8 +448,6 @@ def run(argv=None) -> int:
                     action.required = False
             known = {a.dest for a in p._actions}
             p.set_defaults(**{k: v for k, v in config.items() if k in known})
-    if os.environ.get("GRADIENTSTAGE_THREADS") and "--threads" not in argv:
-        argv = ["--threads", os.environ["GRADIENTSTAGE_THREADS"]] + argv
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

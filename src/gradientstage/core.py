@@ -112,10 +112,6 @@ class Image:
         object.__setattr__(self, "samples", _freeze(s))
         object.__setattr__(self, "mask", _freeze(m))
 
-    @classmethod
-    def from_array(cls, samples, mask=None) -> "Image":
-        return cls(np.asarray(samples, dtype=float), mask)
-
     @property
     def width(self) -> int:
         return self.samples.shape[1]

@@ -45,10 +45,6 @@ class QpSystem:
     b: np.ndarray
     mask: np.ndarray
 
-    @property
-    def a(self) -> np.ndarray:
-        return A_MATRIX
-
 
 def build_qp_system(imgset: GradientImageSet) -> QpSystem:
     """Normalized radiance combinations for every pixel.

@@ -169,17 +169,6 @@ def validate_sequence(seq: CaptureSequence) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class SequencePlanReport:
-    tracking_frame_count: int
-    total_images: int
-    method: str
-
-
-def plan_report(n: int, method: str) -> SequencePlanReport:
-    return SequencePlanReport(n, image_count(n, method), method)
-
-
 def tracking_frame_normal(
     window: list[tuple[Condition, Image]],
     flow_first: FlowField,

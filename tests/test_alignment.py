@@ -12,6 +12,7 @@ from gradientstage.alignment import (
     flow_estimate,
     half_flow,
     joint_photometric_align,
+    resample,
     warp_image,
     warp_normals,
 )
@@ -30,6 +31,107 @@ def constant_flow(shape, u, v):
     vec[..., 0] = u
     vec[..., 1] = v
     return FlowField(vec, np.ones(shape, bool))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+GRID_SHAPES = st.tuples(st.integers(1, 7), st.integers(1, 7))
+
+
+def random_grid(shape, seed, channels=None):
+    """Values of mixed magnitude (HxW, or HxWxC with channels) and a mask."""
+    rng = np.random.default_rng(seed)
+    full = shape if channels is None else shape + (channels,)
+    return rng.normal(size=full) * 10.0 ** rng.integers(-3, 4), rng.random(shape) > 0.3
+
+
+class TestResample:
+    @given(GRID_SHAPES, SEEDS, st.sampled_from([None, 1, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_queries_reproduce_grid(self, shape, seed, channels):
+        values, mask = random_grid(shape, seed, channels)
+        rng = np.random.default_rng(seed)
+        yq, xq = rng.integers(0, shape[0], 20), rng.integers(0, shape[1], 20)
+        out, valid = resample(values, mask, xq.astype(float), yq.astype(float))
+        np.testing.assert_array_equal(out, values[yq, xq])
+        np.testing.assert_array_equal(valid, mask[yq, xq])
+
+    @given(GRID_SHAPES, SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scalar_reference_bitwise(self, shape, seed):
+        """Outputs keep the summation order of this per-query reference, so
+        warps stay bit-identical when the vectorization changes."""
+        h, w = shape
+        values, mask = random_grid(shape, seed)
+        rng = np.random.default_rng(seed)
+        xq, yq = rng.uniform(-1.0, w, 30), rng.uniform(-1.0, h, 30)
+        out, valid = resample(values, mask, xq, yq)
+        for k, (x, y) in enumerate(zip(xq, yq)):
+            x0 = min(max(int(np.floor(x)), 0), max(w - 2, 0))
+            y0 = min(max(int(np.floor(y)), 0), max(h - 2, 0))
+            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+            fx, fy = x - x0, y - y0
+
+            def interp(g):
+                return (
+                    g[y0, x0] * (1 - fx) * (1 - fy)
+                    + g[y0, x1] * fx * (1 - fy)
+                    + g[y1, x0] * (1 - fx) * fy
+                    + g[y1, x1] * fx * fy
+                )
+
+            inside = 0 <= x <= w - 1 and 0 <= y <= h - 1
+            assert out[k] == interp(values)
+            assert valid[k] == (inside and interp(mask.astype(float)) > 1.0 - 1e-12)
+
+    @given(GRID_SHAPES, SEEDS, st.integers(1, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_channels_equal_separate_calls_bitwise(self, shape, seed, channels):
+        values, mask = random_grid(shape, seed, channels)
+        rng = np.random.default_rng(seed)
+        xq = rng.uniform(-2.0, shape[1] + 1.0, (5, 6))
+        yq = rng.uniform(-2.0, shape[0] + 1.0, (5, 6))
+        out, valid = resample(values, mask, xq, yq)
+        for c in range(channels):
+            out_c, valid_c = resample(values[..., c], mask, xq, yq)
+            np.testing.assert_array_equal(out[..., c], out_c)
+            np.testing.assert_array_equal(valid, valid_c)
+
+    @given(GRID_SHAPES, SEEDS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_iff_no_masked_point_carries_weight(self, shape, seed, data):
+        values, mask = random_grid(shape, seed)
+
+        def coord(n):
+            """A grid coordinate or one strictly between two; the indices it weighs."""
+            base = data.draw(st.integers(0, n - 1))
+            if base == n - 1 or data.draw(st.booleans()):
+                return float(base), [base]
+            return base + data.draw(st.floats(1e-3, 1 - 1e-3)), [base, base + 1]
+
+        (x, cols), (y, rows) = coord(shape[1]), coord(shape[0])
+        _, valid = resample(values, mask, np.array([x]), np.array([y]))
+        assert valid[0] == mask[np.ix_(rows, cols)].all()
+
+    @given(
+        GRID_SHAPES,
+        SEEDS,
+        st.sampled_from("lrtb"),
+        st.floats(1e-9, 1.5) | st.floats(1.5, 1e6),  # how far beyond the edge
+        st.floats(0, 1),  # where along the edge
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_outside_frame_invalid(self, shape, seed, side, beyond, t):
+        h, w = shape
+        values, _ = random_grid(shape, seed)
+        x, y = {
+            "l": (-beyond, t * (h - 1)),
+            "r": (w - 1 + beyond, t * (h - 1)),
+            "t": (t * (w - 1), -beyond),
+            "b": (t * (w - 1), h - 1 + beyond),
+        }[side]
+        for mask in (None, np.ones(shape, bool)):
+            _, valid = resample(values, mask, np.array([x]), np.array([y]))
+            assert not valid[0]
 
 
 class TestWarpImage:

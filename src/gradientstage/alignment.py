@@ -59,9 +59,10 @@ class FlowField:
 class FlowParams:
     """Coarse-to-fine variational estimator settings.
 
-    alpha is the smoothness weight of the quadratic regularizer;
-    iterations counts Jacobi sweeps per warp; warps re-linearizes the data
-    term within each pyramid level.
+    alpha is the smoothness weight of the quadratic regularizer and must be
+    finite and positive, or flat regions divide by zero; iterations counts
+    Jacobi sweeps per warp of the 3x3 averaging stencil with replicated
+    borders; warps re-linearizes the data term within each pyramid level.
     """
 
     levels: int = 4
@@ -71,6 +72,13 @@ class FlowParams:
     min_level_size: int = 24
     # displacements below this are numerical noise; snapped to exact zero
     zero_threshold: float = 1e-9
+
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"flow alpha must be finite and positive, got {self.alpha}")
+        for name in ("levels", "warps", "min_level_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"flow {name} must be at least 1, got {getattr(self, name)}")
 
 
 FlowEstimator = Callable[[Image, Image, FlowParams], FlowField]
@@ -163,27 +171,81 @@ def complement_residual(g: Image, gbar: Image, c: Image) -> float:
     return float(np.abs(diff[mask]).sum())
 
 
-_AVG_KERNEL = np.array(
-    [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]]
-)
+def _jacobi(ix, iy, it, denom, sweeps):
+    """Jacobi sweeps of the linearized Horn-Schunck system for the increment
+    (du, dv), started from zero.
+
+    Each sweep averages (du, dv) under the 3x3 stencil
+    ([1,2,1]^T [1,2,1] - 4 delta) / 12 with replicated borders, then
+    subtracts (ix, iy) * t with t = (ix du_avg + iy dv_avg + it) / denom.
+    With ends = up + down and half = ends / 2 + mid (half the vertical
+    [1,2,1] pass), the centre-corrected horizontal pass is
+    (half_left + half_right + ends_centre) / 6.
+
+    Both components live in one edge-padded buffer viewed flat, so every
+    stencil tap is a contiguous slice; copying the edge into the pad ring
+    after each sweep reproduces ndimage's mode="nearest". Pad-column lanes
+    of the flat run carry finite junk that the ring copy overwrites.
+    """
+    h, w = ix.shape
+    wp = w + 2
+    n = h * wp  # padded rows 1..h, every column
+    m = n - 2  # flat run from pixel (0, 0) to pixel (h-1, w-1)
+    pad = np.zeros((2, h + 2, wp))
+    flat = pad.reshape(2, -1)
+
+    def lanes(a):
+        """Per-pixel values in the layout of the flat run; zero on pad lanes."""
+        out = np.zeros((h, wp))
+        out[:, 1:-1] = a
+        return out.ravel()[1:-1]
+
+    coef = np.stack([lanes(ix / denom), lanes(iy / denom)])
+    c = lanes(it / denom)
+    grad = np.stack([lanes(ix), lanes(iy)])
+    ends = np.zeros((2, n))
+    half = np.zeros((2, n))
+    avg = np.zeros((2, m))
+    scratch = np.zeros((2, m))
+    t = np.zeros(m)
+    up, mid, down = flat[:, :n], flat[:, wp : wp + n], flat[:, 2 * wp :]
+    left, right, ends_c = half[:, :m], half[:, 2:], ends[:, 1 : m + 1]
+    centre = flat[:, wp + 1 : wp + 1 + m]
+    t_u, t_v = scratch  # the two terms of t
+    ring = [
+        (pad[:, 1:-1, 0], pad[:, 1:-1, 1]),
+        (pad[:, 1:-1, -1], pad[:, 1:-1, -2]),
+        (pad[:, 0], pad[:, 1]),
+        (pad[:, -1], pad[:, -2]),
+    ]
+    for _ in range(sweeps):
+        np.add(up, down, out=ends)
+        np.multiply(ends, 0.5, out=half)
+        half += mid
+        np.add(left, right, out=avg)
+        avg += ends_c
+        avg /= 6.0
+        np.multiply(coef, avg, out=scratch)
+        np.add(t_u, t_v, out=t)
+        t += c
+        np.multiply(grad, t, out=scratch)
+        np.subtract(avg, scratch, out=centre)
+        for dst, src in ring:
+            dst[...] = src
+    return pad[0, 1:-1, 1:-1].copy(), pad[1, 1:-1, 1:-1].copy()
 
 
 def _hs_single_level(src, tgt, u, v, params: FlowParams):
+    tgt_x = np.gradient(tgt, axis=1)
+    tgt_y = np.gradient(tgt, axis=0)
     for _ in range(params.warps):
         warped, inside = resample(src, None, *_displaced_grid(u, v))
         warped = np.where(inside, warped, tgt)
-        ix = 0.5 * (np.gradient(warped, axis=1) + np.gradient(tgt, axis=1))
-        iy = 0.5 * (np.gradient(warped, axis=0) + np.gradient(tgt, axis=0))
+        ix = 0.5 * (np.gradient(warped, axis=1) + tgt_x)
+        iy = 0.5 * (np.gradient(warped, axis=0) + tgt_y)
         it = warped - tgt
         denom = params.alpha**2 + ix**2 + iy**2
-        du = np.zeros_like(u)
-        dv = np.zeros_like(v)
-        for _ in range(params.iterations):
-            du_a = ndimage.convolve(du, _AVG_KERNEL, mode="nearest")
-            dv_a = ndimage.convolve(dv, _AVG_KERNEL, mode="nearest")
-            t = (ix * du_a + iy * dv_a + it) / denom
-            du = du_a - ix * t
-            dv = dv_a - iy * t
+        du, dv = _jacobi(ix, iy, it, denom, params.iterations)
         u = u + du
         v = v + dv
     return u, v

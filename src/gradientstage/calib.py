@@ -477,11 +477,14 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
 def warp_by_homography(img: Image, h: Homography) -> Image:
     """Resample an image through H (inverse mapping, bilinear)."""
     hh, ww = img.shape
-    yy, xx = np.mgrid[0:hh, 0:ww].astype(float)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    inv = Homography(np.linalg.inv(h.h))
-    mapped = inv.apply(pts)
-    xs = mapped[:, 0].reshape(hh, ww)
-    ys = mapped[:, 1].reshape(hh, ww)
+    inv = Homography(np.linalg.inv(h.h)).h
+    # the inverse map on a (1, W) vector of x and an (H, 1) vector of y, so
+    # only the mapped coordinates are full-size; den is dropped before resample
+    x = np.arange(ww, dtype=float)[None, :]
+    y = np.arange(hh, dtype=float)[:, None]
+    xs, ys, den = (r[0] * x + r[1] * y + r[2] for r in inv)
+    xs /= den
+    ys /= den
+    del den
     vals, mask = resample(img.samples, img.mask, xs, ys)
     return Image(np.where(mask, np.maximum(vals, 0.0), 0.0), mask)

@@ -113,15 +113,15 @@ _METHODS = {
 def _method(spec_str: str):
     """(conditions read, estimator) for a method spec; see METHOD_HELP."""
     name, *suffix = spec_str.split(":")
-    if name == "minimal":
+    if name == "minimal" and suffix[1:] in ([], ["dual"]):
         base = Condition(suffix[0]) if suffix else Condition.X
-        dual = suffix[1:2] == ["dual"]
+        dual = bool(suffix[1:])
         if dual:
             conditions = [*photometric.COMPLEMENTS, base]
         else:
             conditions = [*photometric.GRADIENTS, base.complement]
         return conditions, lambda s: photometric.recover_minimal(s, base, dual)
-    if name not in _METHODS:
+    if suffix or name not in _METHODS:
         raise UsageError(f"unknown method: {spec_str}")
     return _METHODS[name]
 

@@ -255,13 +255,10 @@ def histogram(values: Image, bin_width: float) -> list[tuple[float, int]]:
     vals = values.samples[values.mask]
     if vals.size == 0:
         return []
-    idx = np.floor(vals / bin_width).astype(int)
-    out = []
-    for i in range(idx.min(), idx.max() + 1):
-        count = int(np.sum(idx == i))
-        if count:
-            out.append(((i + 0.5) * bin_width, count))
-    return out
+    # np.unique, not np.bincount: bincount allocates the whole index range,
+    # which a tiny bin width makes huge
+    bins, counts = np.unique(np.floor(vals / bin_width).astype(int), return_counts=True)
+    return [((i + 0.5) * bin_width, n) for i, n in zip(bins.tolist(), counts.tolist())]
 
 
 def mean_angular_error(a: NormalMap, b: NormalMap) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import textured_radiance_scene
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -15,6 +15,7 @@ from gradientstage.alignment import (
     resample,
     warp_image,
     warp_normals,
+    _jacobi,
 )
 from gradientstage.core import Image, NormalMap
 
@@ -132,6 +133,65 @@ class TestResample:
         for mask in (None, np.ones(shape, bool)):
             _, valid = resample(values, mask, np.array([x]), np.array([y]))
             assert not valid[0]
+
+
+_AVG_KERNEL = np.array(
+    [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]]
+)
+
+
+def jacobi_reference(ix, iy, it, denom, sweeps):
+    """The Horn-Schunck Jacobi loop as ndimage convolutions."""
+    du = np.zeros_like(ix)
+    dv = np.zeros_like(iy)
+    for _ in range(sweeps):
+        du_a = ndimage.convolve(du, _AVG_KERNEL, mode="nearest")
+        dv_a = ndimage.convolve(dv, _AVG_KERNEL, mode="nearest")
+        t = (ix * du_a + iy * dv_a + it) / denom
+        du = du_a - ix * t
+        dv = dv_a - iy * t
+    return du, dv
+
+
+class TestJacobi:
+    @given(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        SEEDS,
+        st.integers(0, 5),
+        st.floats(0.01, 1.0),
+    )
+    @example((1, 1), 0, 5, 0.01)
+    @example((1, 9), 1, 5, 0.5)
+    @example((9, 1), 2, 5, 1.0)
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_convolution_reference(self, shape, seed, sweeps, alpha):
+        rng = np.random.default_rng(seed)
+        ix, iy, it = rng.normal(size=(3,) + shape)
+        denom = alpha**2 + ix**2 + iy**2
+        got = _jacobi(ix, iy, it, denom, sweeps)
+        ref = jacobi_reference(ix, iy, it, denom, sweeps)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(1.0, np.abs(r)))
+
+
+class TestFlowParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", 0.0),
+            ("alpha", -0.1),
+            ("alpha", np.nan),
+            ("alpha", np.inf),
+            ("levels", 0),
+            ("warps", 0),
+            ("min_level_size", 0),
+        ],
+    )
+    def test_rejects_degenerate_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FlowParams(**{field: value})
 
 
 class TestWarpImage:

@@ -6,7 +6,7 @@ from conftest import forward_highlight_point, project_point, project_sphere_limb
 
 from gradientstage import pfm
 from gradientstage.cli import run
-from gradientstage.core import NormalMap, mean_angular_error
+from gradientstage.core import Image, NormalMap, mean_angular_error
 from gradientstage.stage import generate_icosphere_directions
 
 
@@ -76,6 +76,10 @@ def test_recover_methods_agree_on_ideal_data(tmp_path):
         (["recover", "--method", "bogus"], 1),
         (["correct", "--init", "bogus"], 1),
         (["recover", "--method", "minimal:q"], 2),
+        (["recover", "--method", "minimal:x:duall"], 1),
+        (["recover", "--method", "minimal:x:dual:extra"], 1),
+        (["recover", "--method", "ma:zzz"], 1),
+        (["correct", "--init", "wilson:dual"], 1),
     ],
 )
 def test_bad_method_spec_exit_codes(tmp_path, capsys, argv, code):
@@ -231,6 +235,23 @@ def test_align_subcommand(tmp_path, capsys):
     assert lines[0] == "iteration,residual"
     residuals = [float(line.split(",")[1]) for line in lines[1:]]
     assert residuals[-1] <= residuals[0]
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.1", "nan", "inf"])
+def test_align_rejects_degenerate_alpha(tmp_path, capsys, alpha):
+    from conftest import textured_radiance_scene
+
+    frames = []
+    for name, img in zip(["g", "gb", "c"], textured_radiance_scene(40, 48, shift=(1, 1))):
+        vals = img.samples.copy()
+        vals[:, :10] = 0.5  # a flat strip: zero image gradient there
+        frames.append(tmp_path / f"{name}.pfm")
+        pfm.write_image(frames[-1], Image(vals))
+    out = tmp_path / "flows"
+    argv = ["align", "--frames", *map(str, frames), "--alpha", alpha, "--out", str(out)]
+    assert run(argv) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sequence_process_static(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradientstage.core import (
@@ -119,6 +119,20 @@ class TestAngularErrorMap:
         assert angular_error_map(a, b).mask.tolist() == [[True, False]]
 
 
+def histogram_reference(values, bin_width):
+    """The per-bin scan: one pass over the valid pixels for every bin."""
+    vals = values.samples[values.mask]
+    if vals.size == 0:
+        return []
+    idx = np.floor(vals / bin_width).astype(int)
+    out = []
+    for i in range(idx.min(), idx.max() + 1):
+        count = int(np.sum(idx == i))
+        if count:
+            out.append(((i + 0.5) * bin_width, count))
+    return out
+
+
 class TestHistogram:
     def test_constant_image_single_bin(self):
         img = Image(np.full((5, 5), 3.0), None)
@@ -146,4 +160,23 @@ class TestHistogram:
         mask = rng.random((1, n)) > 0.3
         img = Image(np.where(mask, vals, 0.0), mask)
         bins = histogram(img, width)
+        assert sum(c for _, c in bins) == int(mask.sum())
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        st.floats(min_value=1e-3, max_value=50),
+        st.floats(min_value=0.0, max_value=5.0),  # at most 5000 bins for the reference scan
+    )
+    @settings(deadline=None)
+    def test_matches_per_bin_reference(self, seed, shape, width, scale):
+        rng = np.random.default_rng(seed)
+        vals = rng.random(shape) * scale
+        vals[rng.random(shape) < 0.2] = scale  # repeated values share a bin
+        mask = rng.random(shape) > 0.3
+        img = Image(np.where(mask, vals, 0.0), mask)
+        bins = histogram(img, width)
+        ref = histogram_reference(img, width)
+        assert bins == ref
+        assert [tuple(map(type, b)) for b in bins] == [tuple(map(type, b)) for b in ref]
         assert sum(c for _, c in bins) == int(mask.sum())

@@ -10,12 +10,15 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage
 
-from .core import DARK_EPS, Image, NormalMap
+from .core import DARK_EPS, Image, NormalMap, _filled, _mask
 
 
 @dataclass(frozen=True)
 class FlowField:
-    """Per-pixel 2-vector displacements (u, v) in pixels, plus validity."""
+    """Per-pixel 2-vector displacements (u, v) in pixels, plus validity.
+
+    Invalid pixels hold the vector (0, 0).
+    """
 
     vectors: np.ndarray
     mask: np.ndarray
@@ -24,13 +27,9 @@ class FlowField:
         vec = np.asarray(self.vectors, dtype=float)
         if vec.ndim != 3 or vec.shape[2] != 2:
             raise ValueError("flow vectors must be HxWx2")
-        m = self.mask
-        if m is None:
-            m = np.ones(vec.shape[:2], dtype=bool)
-        m = np.asarray(m, dtype=bool)
-        if m.shape != vec.shape[:2]:
-            raise ValueError("mask shape must match flow grid")
-        if m.any() and not np.all(np.isfinite(vec[m])):
+        m = _mask(self.mask, vec.shape[:2])
+        vec = _filled(vec, m, 0.0)
+        if not np.isfinite(vec).all():
             raise ValueError("valid flow vectors must be finite")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "mask", m)
@@ -132,8 +131,7 @@ def warp_image(img: Image, flow: FlowField) -> Image:
     if not flow.vectors.any():
         return Image(img.samples, img.mask & flow.mask)
     out, valid = resample(img.samples, img.mask, *_displaced_grid(flow.u, flow.v))
-    mask = valid & flow.mask
-    return Image(np.where(mask, np.maximum(out, 0.0), 0.0), mask)
+    return Image(np.maximum(out, 0.0), valid & flow.mask)
 
 
 def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
@@ -145,14 +143,9 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
     if nm.shape != flow.shape:
         raise ValueError(f"dimension mismatch: {nm.shape} vs {flow.shape}")
     if not flow.vectors.any():
-        return NormalMap(
-            nm.normals,
-            np.where(flow.mask, nm.magnitude, 0.0),
-            nm.mask & flow.mask,
-        )
+        return NormalMap(nm.normals, nm.magnitude, nm.mask & flow.mask)
     vec, valid = resample(nm.normals, nm.mask, *_displaced_grid(flow.u, flow.v))
-    mask = valid & flow.mask
-    return NormalMap.from_components(np.where(mask[..., None], vec, 0.0), mask)
+    return NormalMap.from_components(vec, valid & flow.mask)
 
 
 def half_flow(flow: FlowField) -> FlowField:
@@ -321,9 +314,11 @@ def joint_photometric_align(
     residuals: list[float] = []
     best = (u, v)
     best_res = np.inf
+    # each frame is warped once per new flow: g_w and the next gbar_w serve
+    # both the residual and the following estimate
+    gbar_w = warp_image(gbar, v)
     for _ in range(iterations):
         try:
-            gbar_w = warp_image(gbar, v)
             target_u = _constraint_target(c, gbar_w, gbar)
             u = est(g, target_u, params)
             g_w = warp_image(g, u)
@@ -333,7 +328,8 @@ def joint_photometric_align(
             warnings.warn(f"flow estimator failed; returning best flows so far ({exc})")
             u, v = best
             break
-        res = complement_residual(warp_image(g, u), warp_image(gbar, v), c)
+        gbar_w = warp_image(gbar, v)
+        res = complement_residual(g_w, gbar_w, c)
         residuals.append(res)
         if res < best_res:
             best_res = res

@@ -144,7 +144,7 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
-    vals = np.where(img.mask, img.samples, 0.0)
+    vals = img.samples  # 0 at invalid pixels
     peak = vals.max()
     binary = vals >= threshold * peak if peak > 0 else np.zeros_like(vals, bool)
     if not binary.any():
@@ -469,8 +469,8 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
     mask = i0.mask & i1.mask
     diff = i0.samples - i1.samples
     clamp_mask = mask & (diff < 0)
-    specular = Image(np.where(mask, np.maximum(diff, 0.0), 0.0), mask)
-    diffuse = Image(np.where(mask, 2.0 * i1.samples, 0.0), mask)
+    specular = Image(np.maximum(diff, 0.0), mask)
+    diffuse = Image(2.0 * i1.samples, mask)
     return SeparationResult(specular, diffuse, int(clamp_mask.sum()), clamp_mask)
 
 
@@ -487,4 +487,4 @@ def warp_by_homography(img: Image, h: Homography) -> Image:
     ys /= den
     del den
     vals, mask = resample(img.samples, img.mask, xs, ys)
-    return Image(np.where(mask, np.maximum(vals, 0.0), 0.0), mask)
+    return Image(np.maximum(vals, 0.0), mask)

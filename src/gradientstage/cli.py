@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
             )
         if args.pixel_noise > 0:
             noisy = img.samples * (1.0 + args.pixel_noise * rng.standard_normal(img.shape))
-            img = Image(np.where(img.mask, np.maximum(noisy, 0.0), 0.0), img.mask)
+            img = Image(np.maximum(noisy, 0.0), img.mask)
         pfm.write_image(_set_path(out, args.prefix, cond), img)
     pfm.write_normal_map(out / "gt_normals.pfm", scene.true_normals)
     print(f"wrote {len(conditions)} condition images to {out}")
@@ -187,9 +187,8 @@ def _cmd_calibrate_lights(args) -> int:
         if not args.images:
             raise UsageError("calibrate lights needs --highlights or --images")
         highlights = []
-        for i, name in enumerate(sorted(os.listdir(args.images))):
-            if not name.endswith(".pfm"):
-                continue
+        names = sorted(name for name in os.listdir(args.images) if name.endswith(".pfm"))
+        for i, name in enumerate(names):
             img = pfm.read_image(Path(args.images) / name)
             highlights.append((i, calib.detect_highlight_centroid(img, args.threshold, args.morph_radius)))
     lights = []
@@ -297,7 +296,7 @@ def _cmd_stimulus(args) -> int:
     texture = stimulus.texture_only(texture_img)
     combo = stimulus.combined(shape_img, texture)
     for name, img in [("shape", shape_img), ("texture", texture), ("combined", combo)]:
-        pfm.write_png(out / f"{name}.png", np.where(img.mask, img.samples, 0.0))
+        pfm.write_png(out / f"{name}.png", img.samples)
         pfm.write_image(out / f"{name}.pfm", img)
     print(f"stimulus images -> {out}")
     return 0

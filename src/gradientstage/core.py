@@ -79,18 +79,51 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+# The invalid-pixel rule shared by Image, NormalMap and FlowField: each
+# constructor takes private read-only copies of its arrays with canonical
+# values at invalid pixels, so its checks run over the whole grid and
+# callers never mask before constructing.
+
+
+def _mask(mask, shape) -> np.ndarray:
+    """Private read-only copy of a validity mask; None means all valid."""
+    m = np.ones(shape, dtype=bool) if mask is None else np.array(mask, dtype=bool)
+    if m.shape != shape:
+        raise ValueError(f"mask shape {m.shape} must match the grid {shape}")
+    m.setflags(write=False)
+    return m
+
+
+def _filled(values: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
+    """Private read-only copy of a grid with `fill` at every invalid pixel."""
+    v = np.where(mask if values.ndim == 2 else mask[..., None], values, fill)
+    v.setflags(write=False)
+    return v
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """Per-pixel Euclidean length of an HxWxC grid.
+
+    Sums the squares in np.linalg.norm's order, so the result is bitwise
+    equal to np.linalg.norm(v, axis=2), without its HxWxC temporary.
+    """
+    sq = v[..., 0] * v[..., 0]
+    for c in range(1, v.shape[2]):
+        sq += v[..., c] * v[..., c]
+    return np.sqrt(sq, out=sq)
+
+
+def _finite_nonnegative(a: np.ndarray) -> bool:
+    # min propagates NaN, which fails the comparison
+    return bool(a.min() >= 0 and a.max() < np.inf)
 
 
 @dataclass(frozen=True)
 class Image:
     """2D grid of linear radiance samples with a per-pixel validity mask.
 
-    Valid samples are finite and non-negative; no gamma anywhere in the
-    math path.
+    Valid samples are finite and non-negative; invalid samples are 0. No
+    gamma anywhere in the math path.
     """
 
     samples: np.ndarray
@@ -100,25 +133,12 @@ class Image:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.size == 0:
             raise ValueError("samples must be a non-empty 2D array")
-        m = self.mask
-        if m is None:
-            m = np.ones(s.shape, dtype=bool)
-        m = np.asarray(m, dtype=bool)
-        if m.shape != s.shape:
-            raise ValueError("mask shape must match samples")
-        vals = s[m]
-        if vals.size and (not np.all(np.isfinite(vals)) or np.any(vals < 0)):
+        m = _mask(self.mask, s.shape)
+        s = _filled(s, m, 0.0)
+        if not _finite_nonnegative(s):
             raise ValueError("valid radiance samples must be finite and >= 0")
-        object.__setattr__(self, "samples", _freeze(s))
-        object.__setattr__(self, "mask", _freeze(m))
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
+        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "mask", m)
 
     @property
     def shape(self):
@@ -130,7 +150,8 @@ class NormalMap:
     """Per-pixel unit normals plus the pre-normalization vector length.
 
     The magnitude channel carries the normalizing constant (lobe-size
-    proxy) recorded before the final unit-length step.
+    proxy) recorded before the final unit-length step. Invalid pixels hold
+    the normal (0, 0, 1) with magnitude 0.
     """
 
     normals: np.ndarray
@@ -143,23 +164,20 @@ class NormalMap:
             raise ValueError("normals must be an HxWx3 array")
         mag = self.magnitude
         if mag is None:
-            mag = np.linalg.norm(n, axis=2)
+            mag = _length(n)
         mag = np.asarray(mag, dtype=float)
-        m = self.mask
-        if m is None:
-            m = np.ones(n.shape[:2], dtype=bool)
-        m = np.asarray(m, dtype=bool)
-        if mag.shape != n.shape[:2] or m.shape != n.shape[:2]:
-            raise ValueError("magnitude/mask shape must match normals grid")
-        if m.any():
-            lens = np.linalg.norm(n[m], axis=1)
-            if np.any(np.abs(lens - 1.0) > UNIT_TOL):
-                raise ValueError("valid normals must have unit length within 1e-6")
-            if np.any(~np.isfinite(mag[m])) or np.any(mag[m] < 0):
-                raise ValueError("magnitude must be finite and >= 0 at valid pixels")
-        object.__setattr__(self, "normals", _freeze(n))
-        object.__setattr__(self, "magnitude", _freeze(mag))
-        object.__setattr__(self, "mask", _freeze(m))
+        if mag.shape != n.shape[:2]:
+            raise ValueError("magnitude shape must match normals grid")
+        m = _mask(self.mask, n.shape[:2])
+        n = _filled(n, m, (0.0, 0.0, 1.0))
+        mag = _filled(mag, m, 0.0)
+        if np.any(np.abs(_length(n) - 1.0) > UNIT_TOL):
+            raise ValueError("valid normals must have unit length within 1e-6")
+        if not _finite_nonnegative(mag):
+            raise ValueError("magnitude must be finite and >= 0 at valid pixels")
+        object.__setattr__(self, "normals", n)
+        object.__setattr__(self, "magnitude", mag)
+        object.__setattr__(self, "mask", m)
 
     @classmethod
     def from_components(cls, vectors, mask=None) -> "NormalMap":
@@ -169,22 +187,11 @@ class NormalMap:
         with near-zero length are masked invalid.
         """
         v = np.asarray(vectors, dtype=float)
-        length = np.linalg.norm(v, axis=2)
+        length = _length(v)
         ok = np.isfinite(length) & (length > DARK_EPS)
         if mask is not None:
             ok &= np.asarray(mask, dtype=bool)
-        safe = np.where(ok, length, 1.0)
-        n = v / safe[..., None]
-        n[~ok] = (0.0, 0.0, 1.0)
-        return cls(n, np.where(ok, length, 0.0), ok)
-
-    @property
-    def width(self) -> int:
-        return self.normals.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.normals.shape[0]
+        return cls(v / np.where(ok, length, 1.0)[..., None], length, ok)
 
     @property
     def shape(self):
@@ -240,8 +247,7 @@ def angular_error_map(a: NormalMap, b: NormalMap) -> Image:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     chord = np.linalg.norm(a.normals - b.normals, axis=2)
     deg = 2.0 * np.degrees(np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
-    mask = a.mask & b.mask
-    return Image(np.where(mask, deg, 0.0), mask)
+    return Image(deg, a.mask & b.mask)
 
 
 def histogram(values: Image, bin_width: float) -> list[tuple[float, int]]:
@@ -250,11 +256,14 @@ def histogram(values: Image, bin_width: float) -> list[tuple[float, int]]:
     Returns (bin_center, count) pairs; counts sum to the number of valid
     pixels.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     vals = values.samples[values.mask]
     if vals.size == 0:
         return []
+    # valid samples are >= 0, so the largest bin index comes from the max
+    if float(vals.max()) / bin_width >= 2.0**63:
+        raise ValueError(f"bin width {bin_width} puts bin indices beyond int64")
     # np.unique, not np.bincount: bincount allocates the whole index range,
     # which a tiny bin width makes huge
     bins, counts = np.unique(np.floor(vals / bin_width).astype(int), return_counts=True)

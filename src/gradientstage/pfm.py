@@ -5,6 +5,7 @@ Invalid pixels are stored as NaN and recovered as invalid on read.
 """
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -40,10 +41,12 @@ def read_pfm_array(path) -> np.ndarray:
         height = int(_read_token(f))
         scale = float(_read_token(f))
         endian = "<" if scale < 0 else ">"
+        if width < 1 or height < 1:
+            raise ValueError(f"PFM size {width}x{height} is not positive")
         count = width * height * channels
+        if count * 4 > os.fstat(f.fileno()).st_size - f.tell():
+            raise ValueError(f"truncated PFM payload: {width}x{height}x{channels} floats claimed")
         data = np.frombuffer(f.read(count * 4), dtype=endian + "f4", count=count)
-        if data.size != count:
-            raise ValueError("truncated PFM payload")
     arr = data.reshape(height, width, channels).astype(float)
     arr = np.flipud(arr)
     if abs(scale) != 1.0:
@@ -78,8 +81,7 @@ def read_image(path) -> Image:
     arr = read_pfm_array(path)
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 1-channel PFM radiance image")
-    mask = np.isfinite(arr) & (arr >= 0)
-    return Image(np.where(mask, arr, 0.0), mask)
+    return Image(arr, np.isfinite(arr) & (arr >= 0))
 
 
 def write_normal_map(path, nm: NormalMap, visualization: bool = False) -> None:
@@ -100,16 +102,11 @@ def read_normal_map(path, magnitude_path=None) -> NormalMap:
     if arr.ndim != 3:
         raise ValueError(f"{path}: expected a 3-channel PFM normal map")
     mask = np.all(np.isfinite(arr), axis=2)
-    mag = None
-    if magnitude_path is not None:
-        mag_img = read_image(magnitude_path)
-        mag = mag_img.samples
-        mask &= mag_img.mask
-    arr = np.where(mask[..., None], arr, 0.0)
-    nm = NormalMap.from_components(arr, mask)
-    if mag is not None:
-        nm = NormalMap(nm.normals, np.where(nm.mask, mag, 0.0), nm.mask)
-    return nm
+    if magnitude_path is None:
+        return NormalMap.from_components(arr, mask)
+    mag = read_image(magnitude_path)
+    nm = NormalMap.from_components(arr, mask & mag.mask)
+    return NormalMap(nm.normals, mag.samples, nm.mask)
 
 
 def write_float3(path, data: np.ndarray, mask=None) -> None:
@@ -177,4 +174,4 @@ def read_flow(path):
     if arr.ndim != 3:
         raise ValueError(f"{path}: expected a 3-channel flow PFM")
     mask = (arr[:, :, 2] > 0.5) & np.all(np.isfinite(arr[:, :, :2]), axis=2)
-    return FlowField(np.where(mask[..., None], arr[:, :, :2], 0.0), mask)
+    return FlowField(arr[:, :, :2], mask)

@@ -153,5 +153,5 @@ def magnitude_stats(nm: NormalMap, bin_width: float = 0.01) -> MagnitudeStats:
     if not nm.mask.any():
         raise ValueError("normal map has no valid pixels")
     vals = nm.magnitude[nm.mask]
-    hist = histogram(Image(np.where(nm.mask, nm.magnitude, 0.0), nm.mask), bin_width)
+    hist = histogram(Image(nm.magnitude, nm.mask), bin_width)
     return MagnitudeStats(float(vals.min()), float(vals.max()), float(vals.mean()), hist)

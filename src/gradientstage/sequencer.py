@@ -235,8 +235,7 @@ def intermediate_warped_normal(
     va = np.where(a.mask[..., None], a.normals, 0.0)
     vb = np.where(b.mask[..., None], b.normals, 0.0)
     blend = w_prev * va + w_next * vb
-    mask = a.mask | b.mask
-    return NormalMap.from_components(np.where(mask[..., None], blend, 0.0), mask)
+    return NormalMap.from_components(blend, a.mask | b.mask)
 
 
 @dataclass

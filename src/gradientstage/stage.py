@@ -97,18 +97,14 @@ def select_hemisphere(directions: np.ndarray, axis, count: int) -> np.ndarray:
 class LedRecord:
     id: int
     direction: np.ndarray
-    intensity: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.intensity <= 1.0:
-            raise ValueError("LED intensity must lie in [0, 1]")
         object.__setattr__(self, "direction", unit(self.direction))
 
 
 @dataclass(frozen=True)
 class LightStage:
     leds: tuple[LedRecord, ...]
-    stage_radius: float = 790.0
     quantization_levels: int = 4096
 
     def __post_init__(self):
@@ -120,11 +116,11 @@ class LightStage:
         object.__setattr__(self, "leds", leds)
 
     @classmethod
-    def from_directions(cls, directions, stage_radius=790.0, quantization_levels=4096):
+    def from_directions(cls, directions, quantization_levels=4096):
         leds = tuple(
             LedRecord(i, d) for i, d in enumerate(np.asarray(directions, dtype=float))
         )
-        return cls(leds, stage_radius, quantization_levels)
+        return cls(leds, quantization_levels)
 
     @property
     def directions(self) -> np.ndarray:
@@ -138,10 +134,10 @@ class LightStage:
         return json.dumps(recs, indent=1)
 
     @classmethod
-    def from_json(cls, text: str, stage_radius=790.0, quantization_levels=4096):
+    def from_json(cls, text: str, quantization_levels=4096):
         recs = json.loads(text)
         leds = tuple(LedRecord(r["id"], (r["x"], r["y"], r["z"])) for r in recs)
-        return cls(leds, stage_radius, quantization_levels)
+        return cls(leds, quantization_levels)
 
 
 def gradient_intensity(direction, condition) -> float:
@@ -240,7 +236,7 @@ def render_lambert_analytic(scene: SceneSpec, condition) -> Image:
     k = np.pi * scene.albedo * scene.occlusion / 2.0
     mask = scene.true_normals.mask
     if condition is Condition.C:
-        return Image(np.where(mask, k, 0.0), mask)
+        return Image(k, mask)
     axis = condition.axis
     n_a = scene.true_normals.normals[:, :, axis]
     d_a = scene.distortion[:, :, axis]
@@ -249,7 +245,7 @@ def render_lambert_analytic(scene: SceneSpec, condition) -> Image:
     else:
         term = d_a + n_a / 3.0 + 0.5
     r = k * term
-    return Image(np.where(mask & (r >= 0), r, 0.0), mask & (r >= 0))
+    return Image(r, mask & (r >= 0))
 
 
 def render_lambert_discrete(
@@ -289,8 +285,7 @@ def render_lambert_discrete(
         else:
             cos = cos * vis
     r = (4.0 * np.pi / n_led) * (scene.albedo / 2.0) * (cos @ p)
-    mask = nm.mask & (r >= 0)
-    return Image(np.where(mask, r, 0.0), mask)
+    return Image(r, nm.mask & (r >= 0))
 
 
 def render_specular_analytic(scene: SpecularSceneSpec, condition) -> Image:
@@ -305,7 +300,7 @@ def render_specular_analytic(scene: SpecularSceneSpec, condition) -> Image:
         if condition.is_complement:
             u_a = -u_a
         r = (s / 2.0) * (u_a + 1.0)
-    return Image(np.where(mask, np.maximum(r, 0.0), 0.0), mask)
+    return Image(np.maximum(r, 0.0), mask)
 
 
 def render_set(
@@ -333,10 +328,8 @@ def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -
     x = np.arange(width) - (width - 1) / 2.0
     nx = np.tile(x / radius_px, (height, 1))
     inside = np.abs(nx) <= 1.0
-    nx = np.where(inside, nx, 0.0)
     nz = np.sqrt(np.maximum(1.0 - nx**2, 0.0))
-    normals = np.stack([nx, np.zeros_like(nx), np.where(inside, nz, 1.0)], axis=2)
-    nm = NormalMap(normals, np.ones_like(nx), inside)
+    nm = NormalMap(np.stack([nx, np.zeros_like(nx), nz], axis=2), np.ones_like(nx), inside)
     return SceneSpec(nm, albedo, 1.0, np.zeros(6))
 
 
@@ -350,9 +343,5 @@ def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> 
     r2 = nx**2 + ny**2
     inside = r2 <= 1.0
     nz = np.sqrt(np.maximum(1.0 - r2, 0.0))
-    normals = np.stack(
-        [np.where(inside, nx, 0.0), np.where(inside, ny, 0.0), np.where(inside, nz, 1.0)],
-        axis=2,
-    )
-    nm = NormalMap(normals, np.ones_like(nx), inside)
+    nm = NormalMap(np.stack([nx, ny, nz], axis=2), np.ones_like(nx), inside)
     return SceneSpec(nm, albedo, 1.0, np.zeros(6))

@@ -25,7 +25,7 @@ def shape_only(nm: NormalMap, l1=DEFAULT_LIGHT_1, l2=DEFAULT_LIGHT_2) -> Image:
     shade1 = np.maximum(0.0, nm.normals @ l1)
     shade2 = np.maximum(0.0, nm.normals @ l2)
     vals = 0.5 * (shade1 + shade2)
-    return Image(np.where(nm.mask, vals, 0.0), nm.mask)
+    return Image(vals, nm.mask)
 
 
 def texture_only(diffuse_c: Image) -> Image:
@@ -37,13 +37,12 @@ def texture_only(diffuse_c: Image) -> Image:
     peak = vals.max() if vals.size else 0.0
     if peak < DARK_EPS:
         raise ValueError("texture image is all zero")
-    return Image(np.where(diffuse_c.mask, diffuse_c.samples / peak, 0.0), diffuse_c.mask)
+    return Image(diffuse_c.samples / peak, diffuse_c.mask)
 
 
 def combined(shape: Image, texture: Image) -> Image:
     """Per-pixel product of shape and texture, clamped to [0, 1]."""
     if shape.shape != texture.shape:
         raise ValueError(f"dimension mismatch: {shape.shape} vs {texture.shape}")
-    mask = shape.mask & texture.mask
     vals = np.clip(shape.samples * texture.samples, 0.0, 1.0)
-    return Image(np.where(mask, vals, 0.0), mask)
+    return Image(vals, shape.mask & texture.mask)

@@ -139,9 +139,9 @@ def test_calibrate_lights_closure(tmp_path, capsys):
         assert np.degrees(np.arccos(np.clip(v @ truth, -1, 1))) < 0.5
 
 
-def test_calibrate_lights_from_images(tmp_path):
-    from gradientstage.core import Image
-
+def calibrate_lights_from_images(tmp_path, names, stray=()):
+    """Run `calibrate lights --images` on two synthetic highlight PFMs saved
+    under `names`, next to empty non-PFM files named in `stray`."""
     k = np.diag([2000.0, 2000.0, 1.0])
     center = np.array([0.0, 0.0, 890.0])
     (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
@@ -150,12 +150,14 @@ def test_calibrate_lights_from_images(tmp_path):
         f.write("x,y\n" + "\n".join(f"{x},{y}" for x, y in limb))
     imgdir = tmp_path / "imgs"
     imgdir.mkdir()
+    for name in stray:
+        (imgdir / name).write_text("rig notes\n")
     # ball projects to an 86 px disk around the principal point (0, 0):
     # keep the synthetic highlights inside it
     yy, xx = np.mgrid[0:200, 0:200]
-    for i, (cx, cy) in enumerate([(30.0, 20.0), (50.0, 60.0)]):
+    for name, (cx, cy) in zip(names, [(30.0, 20.0), (50.0, 60.0)]):
         spot = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 18.0)
-        pfm.write_image(imgdir / f"led_{i:02d}.pfm", Image(spot))
+        pfm.write_image(imgdir / name, Image(spot))
     out = tmp_path / "lights.json"
     code = run(
         [
@@ -164,8 +166,22 @@ def test_calibrate_lights_from_images(tmp_path):
             "--images", str(imgdir), "--out", str(out),
         ]
     )
+    return code, json.loads(out.read_text()) if code == 0 else None
+
+
+def test_calibrate_lights_from_images(tmp_path):
+    code, lights = calibrate_lights_from_images(tmp_path, ["led_00.pfm", "led_01.pfm"])
     assert code == 0
-    assert len(json.loads(out.read_text())) == 2
+    assert len(lights) == 2
+
+
+def test_calibrate_lights_images_ignore_stray_files(tmp_path):
+    """LED ids count the .pfm files only; a stray file sorted first shifts nothing."""
+    code, lights = calibrate_lights_from_images(
+        tmp_path, ["shot_00.pfm", "shot_01.pfm"], stray=["notes.txt"]
+    )
+    assert code == 0
+    assert [rec["id"] for rec in lights] == [0, 1]
 
 
 @pytest.mark.parametrize("first", ["1e2,5,102,4", "+100,5,102,4"])
@@ -298,6 +314,26 @@ def test_report_subcommand(tmp_path, capsys):
     out = tmp_path / "hist.csv"
     assert run(["report", "--a", str(tmp_path / "a.pfm"), "--b", str(tmp_path / "b.pfm"), "--out", str(out)]) == 0
     assert out.read_text().startswith("bin_center,count\n")
+
+
+@pytest.mark.parametrize("width", ["nan", "inf", "0", "1e-310"])
+def test_report_rejects_bad_bin_width(tmp_path, capsys, width):
+    from gradientstage.stage import make_cylinder_scene, make_sphere_scene
+
+    # different maps, so some errors are positive and 1e-310 overflows the bin index
+    a, b = str(tmp_path / "a.pfm"), str(tmp_path / "b.pfm")
+    pfm.write_normal_map(a, make_sphere_scene(8, 8, 3).true_normals)
+    pfm.write_normal_map(b, make_cylinder_scene(8, 8, 3).true_normals)
+    assert run(["report", "--a", a, "--b", b, "--bin-width", width, "--out", str(tmp_path / "h.csv")]) == 2
+    assert "bin width" in capsys.readouterr().err
+
+
+def test_report_rejects_huge_pfm_header(tmp_path, capsys):
+    path = tmp_path / "huge.pfm"
+    path.write_bytes(b"PF\n3000000000 3000000000\n-1.0\n" + bytes(48))
+    code = run(["report", "--a", str(path), "--b", str(path), "--out", str(tmp_path / "h.csv")])
+    assert code == 2
+    assert "PFM" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gradientstage.alignment import FlowField
 from gradientstage.core import (
+    UNIT_TOL,
     Condition,
     GradientImageSet,
     Image,
     NormalMap,
+    _length,
     angular_error_map,
     histogram,
 )
@@ -153,6 +157,16 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(Image(np.ones((2, 2)), None), 0.0)
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 1e-310, 1e-19])
+    def test_rejects_non_finite_or_overflowing_width(self, width):
+        # 1 / 1e-19 = 1e19 bins exceeds int64; the cast used to wrap
+        with pytest.raises(ValueError, match="bin width"):
+            histogram(Image(np.array([[0.5, 1.0]])), width)
+
+    def test_smallest_width_that_fits_int64(self):
+        [(center, count)] = histogram(Image(np.array([[1.0]])), 1e-18)
+        assert count == 1 and center == pytest.approx(1.0)
+
     @given(st.integers(min_value=1, max_value=400), st.floats(min_value=0.05, max_value=10))
     def test_counts_sum_to_valid_pixels(self, n, width):
         rng = np.random.default_rng(n)
@@ -180,3 +194,149 @@ class TestHistogram:
         assert bins == ref
         assert [tuple(map(type, b)) for b in bins] == [tuple(map(type, b)) for b in ref]
         assert sum(c for _, c in bins) == int(mask.sum())
+
+
+# The invalid-pixel rule. The references are the former constructor checks,
+# which gathered the valid pixels with a boolean index before testing them.
+
+
+def image_accepts_reference(samples, mask):
+    vals = samples[mask]
+    return not (vals.size and (not np.all(np.isfinite(vals)) or np.any(vals < 0)))
+
+
+def normal_map_accepts_reference(normals, magnitude, mask):
+    if magnitude is None:
+        magnitude = np.linalg.norm(normals, axis=2)
+    if mask.any():
+        lens = np.linalg.norm(normals[mask], axis=1)
+        if np.any(np.abs(lens - 1.0) > UNIT_TOL):
+            return False
+        if np.any(~np.isfinite(magnitude[mask])) or np.any(magnitude[mask] < 0):
+            return False
+    return True
+
+
+def flow_accepts_reference(vectors, mask):
+    return not (mask.any() and not np.all(np.isfinite(vectors[mask])))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf])
+FLOATS = st.one_of(st.floats(-4.0, 4.0), SPECIAL)
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+# per-pixel normal length: unit, inside and outside the 1e-6 tolerance,
+# short, zero and non-finite; weighted towards unit so that whole small
+# grids are often accepted
+NORMAL_SCALES = [1.0] * 4 + [1.0 + 5e-7, 1.0 - 9e-7, 1.0 + 1.5e-6, 1.0 - 1.1e-6, 0.5, 0.0, np.nan, np.inf]
+MAGNITUDES = st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 4.0), FLOATS)
+
+
+def grid(draw, shape, elements=FLOATS):
+    return draw(hnp.arrays(float, shape, elements=elements))
+
+
+def construct(cls, *args):
+    try:
+        return cls(*args)
+    except ValueError:
+        return None
+
+
+def assert_private(obj, caller_arrays):
+    """The caller's arrays stay writable and share no memory with obj."""
+    for a in caller_arrays:
+        assert a.flags.writeable
+        for field in vars(obj).values():
+            assert not np.shares_memory(field, a)
+            assert not field.flags.writeable
+
+
+class TestInvalidPixelRule:
+    @given(st.data(), SHAPES, st.booleans())
+    def test_image(self, data, shape, no_mask):
+        samples = grid(data.draw, shape)
+        mask = np.ones(shape, bool) if no_mask else data.draw(hnp.arrays(bool, shape))
+        before = samples.copy()
+        img = construct(Image, samples, None if no_mask else mask)
+        assert (img is not None) == image_accepts_reference(samples, mask)
+        if img is None:
+            return
+        assert img.mask.tolist() == mask.tolist()
+        assert img.samples[~mask].tobytes() == np.zeros((~mask).sum()).tobytes()  # +0.0
+        assert img.samples[mask].tobytes() == before[mask].tobytes()
+        assert_private(img, [samples] if no_mask else [samples, mask])
+
+    @given(st.data(), st.tuples(st.integers(1, 3), st.integers(1, 3)), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_normal_map(self, data, shape, no_magnitude, seed):
+        dirs = np.random.default_rng(seed).normal(size=shape + (3,))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        scale = grid(data.draw, shape, st.sampled_from(NORMAL_SCALES))
+        normals = dirs * scale[..., None]
+        magnitude = None if no_magnitude else grid(data.draw, shape, MAGNITUDES)
+        mask = data.draw(hnp.arrays(bool, shape))
+        before = normals.copy(), None if no_magnitude else magnitude.copy()
+        nm = construct(NormalMap, normals, magnitude, mask)
+        assert (nm is not None) == normal_map_accepts_reference(normals, magnitude, mask)
+        if nm is None:
+            return
+        assert nm.mask.tolist() == mask.tolist()
+        assert nm.normals[~mask].tobytes() == np.tile([0.0, 0.0, 1.0], ((~mask).sum(), 1)).tobytes()
+        assert nm.magnitude[~mask].tobytes() == np.zeros((~mask).sum()).tobytes()
+        assert nm.normals[mask].tobytes() == before[0][mask].tobytes()
+        if not no_magnitude:
+            assert nm.magnitude[mask].tobytes() == before[1][mask].tobytes()
+        assert_private(nm, [normals, mask] if no_magnitude else [normals, magnitude, mask])
+
+    @given(st.data(), SHAPES)
+    def test_flow_field(self, data, shape):
+        vectors = grid(data.draw, shape + (2,))
+        mask = data.draw(hnp.arrays(bool, shape))
+        before = vectors.copy()
+        flow = construct(FlowField, vectors, mask)
+        assert (flow is not None) == flow_accepts_reference(vectors, mask)
+        if flow is None:
+            return
+        assert flow.mask.tolist() == mask.tolist()
+        assert flow.vectors[~mask].tobytes() == np.zeros(((~mask).sum(), 2)).tobytes()
+        assert flow.vectors[mask].tobytes() == before[mask].tobytes()
+        assert_private(flow, [vectors, mask])
+
+    def test_every_single_pixel_value_matches_reference(self):
+        values = [1.5, -1.5, 0.0, -0.0, 5e-324, -5e-324, 1e308, np.nan, np.inf, -np.inf]
+        for valid in (True, False):
+            mask = np.array([[valid]])
+            for x in values:
+                samples = np.array([[x]])
+                assert (construct(Image, samples, mask) is not None) == image_accepts_reference(
+                    samples, mask
+                )
+                for y in values:
+                    vec = np.array([[[x, y]]])
+                    assert (construct(FlowField, vec, mask) is not None) == flow_accepts_reference(
+                        vec, mask
+                    )
+            for scale in NORMAL_SCALES:
+                normals = np.array([[[0.48, 0.6, 0.64]]]) * scale  # unit, no zero to meet inf
+                for mag in [None, *values]:
+                    magnitude = None if mag is None else np.array([[mag]])
+                    accepted = construct(NormalMap, normals, magnitude, mask) is not None
+                    assert accepted == normal_map_accepts_reference(normals, magnitude, mask)
+
+    @given(st.data(), SHAPES, st.integers(1, 4))
+    def test_length_is_bitwise_linalg_norm(self, data, shape, channels):
+        v = grid(data.draw, shape + (channels,), st.one_of(st.floats(-1e200, 1e200), FLOATS))
+        with np.errstate(over="ignore"):
+            assert _length(v).tobytes() == np.linalg.norm(v, axis=2).tobytes()
+
+    def test_caller_array_stays_writable(self):
+        a = np.ones((2, 2))
+        Image(a)
+        a[0, 0] = 2.0
+
+    def test_view_of_mutated_base_does_not_change_image(self):
+        base = np.ones((4, 4))
+        img = Image(base[1:3])  # a contiguous view
+        base[...] = 5.0
+        assert np.all(img.samples == 1.0)

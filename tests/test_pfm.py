@@ -81,3 +81,16 @@ def test_rejects_non_pfm(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n....")
     with pytest.raises(ValueError):
         pfm.read_pfm_array(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"Pf\n0 5\n-1.0\n", b"Pf\n5 0\n-1.0\n", b"PF\n-2 3\n-1.0\n",
+     b"PF\n3000000000 3000000000\n-1.0\n", b"Pf\n4 4\n-1.0\n"],
+)
+def test_rejects_bad_size_before_reading(tmp_path, header):
+    # each payload is 60 bytes: short of every header's claim (4x4 needs 64)
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(header + bytes(60))
+    with pytest.raises(ValueError, match="PFM"):
+        pfm.read_pfm_array(path)

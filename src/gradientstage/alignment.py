@@ -12,6 +12,11 @@ from scipy import ndimage
 
 from .core import DARK_EPS, Image, NormalMap, _filled, _mask
 
+# flow displacements below this are numerical noise; snapped to exact zero
+ZERO_FLOW = 1e-9
+# joint alignment stops once an iteration cuts the residual by less than this
+MIN_IMPROVEMENT = 1e-3
+
 
 @dataclass(frozen=True)
 class FlowField:
@@ -69,8 +74,6 @@ class FlowParams:
     iterations: int = 100
     warps: int = 3
     min_level_size: int = 24
-    # displacements below this are numerical noise; snapped to exact zero
-    zero_threshold: float = 1e-9
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
@@ -281,7 +284,7 @@ def flow_estimate(src: Image, tgt: Image, params: FlowParams | None = None) -> F
                 v = v[: pa.shape[0], : pa.shape[1]]
         u, v = _hs_single_level(pa, pb, u, v, params)
     vec = np.stack([u, v], axis=2)
-    vec[np.abs(vec) < params.zero_threshold] = 0.0
+    vec[np.abs(vec) < ZERO_FLOW] = 0.0
     return FlowField(vec, src.mask & tgt.mask)
 
 
@@ -292,7 +295,6 @@ def joint_photometric_align(
     iterations: int = 10,
     params: FlowParams | None = None,
     estimator: FlowEstimator | None = None,
-    min_improvement: float = 1e-3,
 ) -> tuple[FlowField, FlowField, list[float]]:
     """Alternating alignment of a gradient/complement pair to the constant
     frame using the complement constraint as the brightness surrogate.
@@ -301,7 +303,7 @@ def joint_photometric_align(
     then v (flow of gbar toward c - warp(g, u)); the returned residual list
     records the complement-constraint violation after every iteration.
     Stops early once the relative residual improvement drops below
-    min_improvement. Estimator failures return the best flows found so far.
+    MIN_IMPROVEMENT. Estimator failures return the best flows found so far.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -335,7 +337,7 @@ def joint_photometric_align(
             best_res = res
             best = (u, v)
         if len(residuals) >= 2 and residuals[-2] > 0:
-            if (residuals[-2] - residuals[-1]) / residuals[-2] < min_improvement:
+            if (residuals[-2] - residuals[-1]) / residuals[-2] < MIN_IMPROVEMENT:
                 break
     u, v = best
     return u, v, residuals

@@ -403,13 +403,17 @@ def _sampson_residual_vector(hv: np.ndarray, src: np.ndarray, dst: np.ndarray) -
     return (inv_sqrt @ eps[..., None])[..., 0].ravel()
 
 
-def refine_sampson(
-    h0: Homography, src, dst, max_iter: int = 30, diverge_limit: int = 5
-) -> Homography:
+# Levenberg-Marquardt iterations of refine_sampson, and the run of
+# non-improving steps after which it gives up
+SAMPSON_MAX_ITER = 30
+SAMPSON_DIVERGE_LIMIT = 5
+
+
+def refine_sampson(h0: Homography, src, dst) -> Homography:
     """Levenberg-Marquardt refinement of the Sampson error.
 
     Guaranteed not to return anything worse than the input: the best
-    iterate is tracked, and a run of `diverge_limit` consecutive
+    iterate is tracked, and a run of SAMPSON_DIVERGE_LIMIT consecutive
     non-improving steps aborts with a warning.
     """
     src = np.atleast_2d(np.asarray(src, dtype=float))
@@ -419,7 +423,7 @@ def refine_sampson(
     best_cost = sampson_error(h0, src, dst)
     lam = 1e-3
     bad_streak = 0
-    for _ in range(max_iter):
+    for _ in range(SAMPSON_MAX_ITER):
         r = _sampson_residual_vector(hv, src, dst)
         jac = np.empty((r.size, 9))
         for k in range(9):
@@ -444,7 +448,7 @@ def refine_sampson(
         else:
             lam *= 10.0
             bad_streak += 1
-            if bad_streak >= diverge_limit:
+            if bad_streak >= SAMPSON_DIVERGE_LIMIT:
                 warnings.warn("Sampson refinement stalled; returning best iterate")
                 break
     return Homography(best.reshape(3, 3))

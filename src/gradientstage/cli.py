@@ -102,11 +102,10 @@ METHOD_HELP = "ma | wilson | specular | minimal[:<base>[:dual]]"
 
 # recovery method -> (conditions read, estimator); the estimators look up
 # photometric's functions at call time, so wrapping them there takes effect
-_XYZC = [Condition.X, Condition.Y, Condition.Z, Condition.C]
 _METHODS = {
-    "ma": (_XYZC, lambda s: photometric.recover_ma(s)),
-    "wilson": ([*photometric.GRADIENTS, *photometric.COMPLEMENTS], lambda s: photometric.recover_wilson(s)),
-    "specular": (_XYZC, lambda s: photometric.recover_specular(s)[1]),
+    "ma": (photometric.RATIO_SET, lambda s: photometric.recover_ma(s)),
+    "wilson": (photometric.DIFFERENCE_SET, lambda s: photometric.recover_wilson(s)),
+    "specular": (photometric.RATIO_SET, lambda s: photometric.recover_specular(s)[1]),
 }
 
 
@@ -116,11 +115,7 @@ def _method(spec_str: str):
     if name == "minimal" and suffix[1:] in ([], ["dual"]):
         base = Condition(suffix[0]) if suffix else Condition.X
         dual = bool(suffix[1:])
-        if dual:
-            conditions = [*photometric.COMPLEMENTS, base]
-        else:
-            conditions = [*photometric.GRADIENTS, base.complement]
-        return conditions, lambda s: photometric.recover_minimal(s, base, dual)
+        return photometric.minimal_set(base, dual), lambda s: photometric.recover_minimal(s, base, dual)
     if suffix or name not in _METHODS:
         raise UsageError(f"unknown method: {spec_str}")
     return _METHODS[name]
@@ -138,8 +133,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_correct(args) -> int:
     _, recover = _method(args.init)
-    conditions = [*photometric.GRADIENTS, *photometric.COMPLEMENTS, Condition.C]
-    imgset = _load_set(args.indir, args.prefix, conditions)
+    imgset = _load_set(args.indir, args.prefix, Condition)  # the QP reads all seven
     init = recover(imgset)
     corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
     out = Path(args.out)
@@ -306,6 +300,8 @@ def _cmd_report(args) -> int:
     a = pfm.read_normal_map(args.a)
     b = pfm.read_normal_map(args.b)
     err = angular_error_map(a, b)
+    if not err.mask.any():
+        raise DataError("no jointly valid pixels")
     bins = histogram(err, args.bin_width)
     pfm.write_histogram_csv(args.out, bins)
     vals = err.samples[err.mask]

@@ -171,7 +171,8 @@ class NormalMap:
         m = _mask(self.mask, n.shape[:2])
         n = _filled(n, m, (0.0, 0.0, 1.0))
         mag = _filled(mag, m, 0.0)
-        if np.any(np.abs(_length(n) - 1.0) > UNIT_TOL):
+        # written as "not within", so a NaN length fails too
+        if not np.all(np.abs(_length(n) - 1.0) <= UNIT_TOL):
             raise ValueError("valid normals must have unit length within 1e-6")
         if not _finite_nonnegative(mag):
             raise ValueError("magnitude must be finite and >= 0 at valid pixels")
@@ -219,16 +220,16 @@ class GradientImageSet:
     def __getitem__(self, cond) -> Image:
         return self.images[Condition(cond)]
 
-    def require(self, conditions: Iterable[Condition]) -> None:
-        missing = [c.value for c in conditions if c not in self.images]
+    def joint_mask(self, conditions: Iterable[Condition]) -> np.ndarray:
+        """Pixels valid in every one of `conditions`; raises if the set
+        lacks any of them."""
+        conds = [Condition(c) for c in conditions]
+        missing = [c.value for c in conds if c not in self.images]
         if missing:
             raise ValueError(f"missing condition: {', '.join(missing)}")
-
-    def joint_mask(self, conditions: Iterable[Condition] | None = None) -> np.ndarray:
-        conds = list(conditions) if conditions is not None else list(self.images)
         mask = np.ones(self.shape, dtype=bool)
         for c in conds:
-            mask &= self.images[Condition(c)].mask
+            mask &= self.images[c].mask
         return mask
 
     @property

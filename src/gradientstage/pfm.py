@@ -5,6 +5,7 @@ Invalid pixels are stored as NaN and recovered as invalid on read.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -43,6 +44,9 @@ def read_pfm_array(path) -> np.ndarray:
         endian = "<" if scale < 0 else ">"
         if width < 1 or height < 1:
             raise ValueError(f"PFM size {width}x{height} is not positive")
+        # nan or inf would invalidate every pixel, 0 would make them valid zeros
+        if not (math.isfinite(scale) and scale != 0):
+            raise ValueError(f"PFM scale {scale} is not finite and non-zero")
         count = width * height * channels
         if count * 4 > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError(f"truncated PFM payload: {width}x{height}x{channels} floats claimed")
@@ -97,16 +101,11 @@ def write_normal_map(path, nm: NormalMap, visualization: bool = False) -> None:
     write_pfm_array(path, data)
 
 
-def read_normal_map(path, magnitude_path=None) -> NormalMap:
+def read_normal_map(path) -> NormalMap:
     arr = read_pfm_array(path)
     if arr.ndim != 3:
         raise ValueError(f"{path}: expected a 3-channel PFM normal map")
-    mask = np.all(np.isfinite(arr), axis=2)
-    if magnitude_path is None:
-        return NormalMap.from_components(arr, mask)
-    mag = read_image(magnitude_path)
-    nm = NormalMap.from_components(arr, mask & mag.mask)
-    return NormalMap(nm.normals, mag.samples, nm.mask)
+    return NormalMap.from_components(arr, np.all(np.isfinite(arr), axis=2))
 
 
 def write_float3(path, data: np.ndarray, mask=None) -> None:

@@ -4,6 +4,7 @@ diagnostics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -21,6 +22,41 @@ from .core import (
 
 VIEW_TO_CAMERA = np.array([0.0, 0.0, 1.0])  # camera looks along -z
 
+# the conditions each estimator reads
+RATIO_SET = (*GRADIENTS, Condition.C)
+DIFFERENCE_SET = (*GRADIENTS, *COMPLEMENTS)
+
+
+def minimal_set(base, dual: bool) -> tuple[Condition, ...]:
+    """The three gradients plus the base complement, or for the dual the
+    three complements plus the base gradient."""
+    base = Condition(base)
+    if base not in GRADIENTS:
+        raise ValueError("base must be one of the gradient axes x, y, z")
+    return (*COMPLEMENTS, base) if dual else (*GRADIENTS, base.complement)
+
+
+def _difference_components(
+    samples: Mapping[Condition, np.ndarray], constant: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-axis r_a - r_abar as an HxWx3 field.
+
+    An axis seen through one side only takes the other from the constant
+    image by r_a + r_abar = r_c: 2 r_a - r_c, or r_c - 2 r_abar.
+    """
+    comp = []
+    for g in GRADIENTS:
+        a, abar = samples.get(g), samples.get(g.complement)
+        if a is None and abar is None:
+            raise ValueError(f"no image for the {g.value} axis")
+        if a is not None and abar is not None:
+            comp.append(a - abar)
+        elif constant is None:
+            raise ValueError(f"the {g.value} axis has one side and no constant image")
+        else:
+            comp.append(2.0 * a - constant if abar is None else constant - 2.0 * abar)
+    return np.stack(comp, axis=2)
+
 
 def recover_ma(imgset: GradientImageSet) -> NormalMap:
     """Ratio method: n = normalize(r_a/r_c - 1/2); magnitude channel = N_d.
@@ -28,9 +64,9 @@ def recover_ma(imgset: GradientImageSet) -> NormalMap:
     Pixels whose constant image falls below the dark threshold are
     invalidated, never clamped.
     """
-    imgset.require([*GRADIENTS, Condition.C])
+    mask = imgset.joint_mask(RATIO_SET)
     rc = imgset[Condition.C].samples
-    mask = imgset.joint_mask([*GRADIENTS, Condition.C]) & (rc > DARK_EPS)
+    mask &= rc > DARK_EPS
     safe_rc = np.where(mask, rc, 1.0)
     comp = np.stack(
         [imgset[c].samples / safe_rc - 0.5 for c in GRADIENTS], axis=2
@@ -43,66 +79,24 @@ def recover_wilson(imgset: GradientImageSet) -> NormalMap:
 
     Symmetric lobe distortion cancels in each per-axis difference.
     """
-    imgset.require([*GRADIENTS, *COMPLEMENTS])
-    mask = imgset.joint_mask([*GRADIENTS, *COMPLEMENTS])
-    comp = np.stack(
-        [
-            imgset[g].samples - imgset[g.complement].samples
-            for g in GRADIENTS
-        ],
-        axis=2,
-    )
+    mask = imgset.joint_mask(DIFFERENCE_SET)
+    comp = _difference_components({c: imgset[c].samples for c in DIFFERENCE_SET})
     return NormalMap.from_components(comp, mask)
-
-
-def _window_components(
-    base_axis: int,
-    base_gradient: np.ndarray,
-    base_complement: np.ndarray,
-    others: list[tuple[int, np.ndarray, bool]],
-) -> np.ndarray:
-    """Per-axis minimal-set combination given a base complement pair.
-
-    The base pair's sum stands in for the constant image; axes observed
-    through a gradient image use 2 r_b - (r_a + r_abar), axes observed
-    through a complement use (r_a + r_abar) - 2 r_bbar.
-    """
-    s = base_gradient + base_complement
-    comp = [None, None, None]
-    comp[base_axis] = base_gradient - base_complement
-    for axis, arr, is_bar in others:
-        comp[axis] = s - 2.0 * arr if is_bar else 2.0 * arr - s
-    return np.stack(comp, axis=2)
 
 
 def recover_minimal(imgset: GradientImageSet, base, dual: bool = False) -> NormalMap:
     """Minimal four-image recovery.
 
-    Non-dual uses the three gradients plus the base complement; dual uses
-    the three complements plus the base gradient. Both reduce to the
-    difference method whenever r_a + r_abar = r_c holds.
+    The base pair's sum stands in for the constant image, so both the set
+    and its dual reduce to the difference method whenever r_a + r_abar = r_c
+    holds.
     """
     base = Condition(base)
-    if base not in GRADIENTS:
-        raise ValueError("base must be one of the gradient axes x, y, z")
-    if dual:
-        needed = [*COMPLEMENTS, base]
-    else:
-        needed = [*GRADIENTS, base.complement]
-    imgset.require(needed)
-    mask = imgset.joint_mask(needed)
-    others = []
-    family = COMPLEMENTS if dual else GRADIENTS
-    for cond in family:
-        axis = cond.axis
-        if axis == base.axis:
-            continue
-        others.append((axis, imgset[cond].samples, cond.is_complement))
-    comp = _window_components(
-        base.axis,
-        imgset[base].samples,
-        imgset[base.complement].samples,
-        others,
+    conditions = minimal_set(base, dual)
+    mask = imgset.joint_mask(conditions)
+    comp = _difference_components(
+        {c: imgset[c].samples for c in conditions},
+        imgset[base].samples + imgset[base.complement].samples,
     )
     return NormalMap.from_components(comp, mask)
 
@@ -113,10 +107,9 @@ def recover_specular(imgset: GradientImageSet, view=VIEW_TO_CAMERA) -> tuple[Nor
     u = normalize(r_a - r_c/2); n = normalize(u + view-to-camera). The
     returned reflection map's magnitude channel carries N_s.
     """
-    imgset.require([*GRADIENTS, Condition.C])
+    mask = imgset.joint_mask(RATIO_SET)
     view = unit(view)
     rc = imgset[Condition.C].samples
-    mask = imgset.joint_mask([*GRADIENTS, Condition.C])
     comp = np.stack(
         [imgset[g].samples - 0.5 * rc for g in GRADIENTS], axis=2
     )

@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    COMPLEMENTS,
-    DARK_EPS,
-    GRADIENTS,
-    Condition,
-    GradientImageSet,
-    NormalMap,
-)
+from .core import DARK_EPS, GRADIENTS, Condition, GradientImageSet, NormalMap
+from .photometric import DIFFERENCE_SET, _difference_components
 
 
 def coefficient_matrix() -> np.ndarray:
@@ -52,16 +46,13 @@ def build_qp_system(imgset: GradientImageSet) -> QpSystem:
     b = (r_a/r_c - 1/2 for a in xyz; (r_a - r_abar)/r_c for a in xyz).
     Pixels with a dark constant image are masked out.
     """
-    imgset.require([*GRADIENTS, *COMPLEMENTS, Condition.C])
+    mask = imgset.joint_mask(Condition)
     rc = imgset[Condition.C].samples
-    mask = imgset.joint_mask() & (rc > DARK_EPS)
+    mask &= rc > DARK_EPS
     safe_rc = np.where(mask, rc, 1.0)
-    cols = [imgset[g].samples / safe_rc - 0.5 for g in GRADIENTS]
-    cols += [
-        (imgset[g].samples - imgset[g.complement].samples) / safe_rc
-        for g in GRADIENTS
-    ]
-    b = np.stack(cols, axis=-1)
+    ratios = np.stack([imgset[g].samples / safe_rc - 0.5 for g in GRADIENTS], axis=-1)
+    diffs = _difference_components({c: imgset[c].samples for c in DIFFERENCE_SET})
+    b = np.concatenate([ratios, diffs / safe_rc[..., None]], axis=-1)
     b = np.where(mask[..., None], b, 0.0)
     return QpSystem(b, mask)
 

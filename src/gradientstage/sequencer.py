@@ -9,7 +9,7 @@ import numpy as np
 
 from .alignment import FlowField, FlowParams, half_flow, joint_photometric_align, warp_image, warp_normals
 from .core import Condition, Image, NormalMap
-from .photometric import _window_components
+from .photometric import _difference_components
 
 # Base-frame cycle of the capture chain. Window k (1-based) runs
 # [F_k, comp(F_{k-1}), C, F_{k+1}, comp(F_k)]; the chain opens [X, Z, C, ...]
@@ -178,8 +178,9 @@ def tracking_frame_normal(
 
     The outer base pair is warped by its full alignment flows; the two
     frames adjacent to the tracking frame by the corresponding half flows
-    (linear-motion approximation). The per-axis minimal-set combination
-    then handles pure minimal, dual, and mixed windows alike.
+    (linear-motion approximation). The warped end pair's sum stands in
+    for the constant image, so pure minimal, dual and mixed windows share
+    one combination; a window that misses an axis raises.
     """
     if flow_first is None or flow_last is None:
         raise ValueError("missing flow for the window's base pair")
@@ -191,21 +192,15 @@ def tracking_frame_normal(
         raise ValueError("window center must be the tracking frame")
     if conds[0].complement is not conds[4]:
         raise ValueError("window ends must be a base complement pair")
-    if {conds[0].axis, conds[1].axis, conds[3].axis} != {0, 1, 2}:
-        raise ValueError("window must cover all three axes")
     first_w = warp_image(imgs[0], flow_first)
     last_w = warp_image(imgs[4], flow_last)
     inner_l = warp_image(imgs[1], half_flow(flow_first))
     inner_r = warp_image(imgs[3], half_flow(flow_last))
-    if conds[0].is_complement:
-        base_grad, base_comp = last_w, first_w
-    else:
-        base_grad, base_comp = first_w, last_w
-    others = [
-        (conds[1].axis, inner_l.samples, conds[1].is_complement),
-        (conds[3].axis, inner_r.samples, conds[3].is_complement),
-    ]
-    comp = _window_components(conds[0].axis, base_grad.samples, base_comp.samples, others)
+    samples = {
+        conds[0]: first_w.samples, conds[1]: inner_l.samples,
+        conds[3]: inner_r.samples, conds[4]: last_w.samples,
+    }
+    comp = _difference_components(samples, first_w.samples + last_w.samples)
     mask = first_w.mask & last_w.mask & inner_l.mask & inner_r.mask
     return NormalMap.from_components(comp, mask)
 
@@ -267,54 +262,27 @@ def process_sequence(
         raise ValueError("invalid sequence: " + "; ".join(bad))
     centers = seq.tracking_indices
     result = SequenceResult()
-    flows: dict[int, tuple[FlowField, FlowField]] = {}
+    # flows[c][i]: flow from frame i of the window around c toward c
+    flows: dict[int, dict[int, FlowField]] = {}
     for c in centers:
-        conds = seq.window(c)
-        first_idx, last_idx = c - 2, c + 2
-        if conds[0].is_complement:
-            g_idx, gbar_idx = last_idx, first_idx
-        else:
-            g_idx, gbar_idx = first_idx, last_idx
-        u, v, res = joint_photometric_align(
-            frames[g_idx], frames[gbar_idx], frames[c], iterations, params
+        first, last = c - 2, c + 2
+        g, gbar = (last, first) if seq.frames[first].is_complement else (first, last)
+        u, v, result.residuals[c] = joint_photometric_align(
+            frames[g], frames[gbar], frames[c], iterations, params
         )
-        flow_first = u if g_idx == first_idx else v
-        flow_last = v if g_idx == first_idx else u
-        flows[c] = (flow_first, flow_last)
-        result.residuals[c] = res
-        window = [(seq.frames[i], frames[i]) for i in range(c - 2, c + 3)]
-        result.tracking[c] = tracking_frame_normal(window, flow_first, flow_last)
-
-    def flow_toward(center: int, i: int) -> FlowField:
-        flow_first, flow_last = flows[center]
-        offset = i - center
-        if offset == -2:
-            return flow_first
-        if offset == -1:
-            return half_flow(flow_first)
-        if offset == 1:
-            return half_flow(flow_last)
-        if offset == 2:
-            return flow_last
-        raise ValueError(f"frame {i} is outside the window of {center}")
+        ends = {g: u, gbar: v}
+        flows[c] = {**ends, c - 1: half_flow(ends[first]), c + 1: half_flow(ends[last])}
+        window = [(seq.frames[i], frames[i]) for i in range(first, last + 1)]
+        result.tracking[c] = tracking_frame_normal(window, ends[first], ends[last])
 
     for i in range(len(frames)):
-        if seq.frames[i] is Condition.C:
-            continue
-        prev = [c for c in centers if c < i and i - c <= 2]
-        nxt = [c for c in centers if c > i and c - i <= 2]
-        if prev and nxt:
-            cp, cn = prev[-1], nxt[0]
+        near = [c for c in centers if i in flows[c]]  # at most one on each side
+        if len(near) == 2:
+            cp, cn = near
             result.upsampled[i] = intermediate_warped_normal(
-                result.tracking[cp],
-                result.tracking[cn],
-                flow_toward(cp, i),
-                flow_toward(cn, i),
-                i - cp,
-                cn - i,
+                result.tracking[cp], result.tracking[cn], flows[cp][i], flows[cn][i], i - cp, cn - i
             )
-        elif prev or nxt:
-            c = prev[-1] if prev else nxt[0]
-            nm = result.tracking[c]
-            result.upsampled[i] = warp_normals(nm, flow_toward(c, i).negated())
+        elif near:
+            c = near[0]
+            result.upsampled[i] = warp_normals(result.tracking[c], flows[c][i].negated())
     return result

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,29 @@ def test_report_rejects_huge_pfm_header(tmp_path, capsys):
     code = run(["report", "--a", str(path), "--b", str(path), "--out", str(tmp_path / "h.csv")])
     assert code == 2
     assert "PFM" in capsys.readouterr().err
+
+
+def test_report_without_jointly_valid_pixels_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "invalid.pfm"
+    pfm.write_pfm_array(path, np.full((4, 4, 3), np.nan))
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["report", "--a", str(path), "--b", str(path), "--out", str(out)])
+    assert code == 2
+    assert "no jointly valid pixels" in capsys.readouterr().err
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_report_rejects_bad_pfm_scale(tmp_path, capsys, scale):
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(f"PF\n2 2\n{scale}\n".encode() + np.ones(12, "<f4").tobytes())
+    out = tmp_path / "h.csv"
+    assert run(["report", "--a", str(path), "--b", str(path), "--out", str(out)]) == 2
+    assert "scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -51,6 +51,10 @@ class TestNormalMap:
         with pytest.raises(ValueError):
             NormalMap(bad, np.ones((1, 1)), np.ones((1, 1), bool))
 
+    def test_rejects_nan_normal_at_valid_pixel(self):
+        with pytest.raises(ValueError, match="unit length"):
+            NormalMap(np.full((1, 1, 3), np.nan), np.ones((1, 1)), np.ones((1, 1), bool))
+
     def test_from_components_normalizes_and_records_length(self):
         nm = nm_from_vectors([[[0.0, 0.0, 2.0]]])
         assert nm.normals[0, 0].tolist() == [0.0, 0.0, 1.0]
@@ -75,7 +79,7 @@ class TestGradientImageSet:
     def test_missing_condition_message(self):
         s = GradientImageSet({Condition.X: Image(np.ones((2, 2)), None)})
         with pytest.raises(ValueError, match="missing condition"):
-            s.require([Condition.X, Condition.YBAR])
+            s.joint_mask([Condition.X, Condition.YBAR])
 
     def test_complement_mapping(self):
         assert Condition.X.complement is Condition.XBAR
@@ -210,7 +214,7 @@ def normal_map_accepts_reference(normals, magnitude, mask):
         magnitude = np.linalg.norm(normals, axis=2)
     if mask.any():
         lens = np.linalg.norm(normals[mask], axis=1)
-        if np.any(np.abs(lens - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(lens - 1.0) <= UNIT_TOL):
             return False
         if np.any(~np.isfinite(magnitude[mask])) or np.any(magnitude[mask] < 0):
             return False

@@ -94,3 +94,12 @@ def test_rejects_bad_size_before_reading(tmp_path, header):
     path.write_bytes(header + bytes(60))
     with pytest.raises(ValueError, match="PFM"):
         pfm.read_pfm_array(path)
+
+
+@pytest.mark.parametrize("scale", [b"nan", b"inf", b"0", b"-inf", b"-0"])
+def test_rejects_non_finite_or_zero_scale(tmp_path, scale):
+    # nan or inf would invalidate every pixel, 0 would turn them into valid zeros
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + np.ones(4, "<f4").tobytes())
+    with pytest.raises(ValueError, match="scale"):
+        pfm.read_pfm_array(path)

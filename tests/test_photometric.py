@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gradientstage.alignment import FlowField
 from gradientstage.core import (
     Condition,
     GradientImageSet,
@@ -11,6 +13,7 @@ from gradientstage.core import (
     max_angular_error,
 )
 from gradientstage.photometric import (
+    _difference_components,
     ideal_lobe_centroid,
     magnitude_stats,
     recover_ma,
@@ -18,6 +21,7 @@ from gradientstage.photometric import (
     recover_specular,
     recover_wilson,
 )
+from gradientstage.sequencer import generate_sequence, tracking_frame_normal
 from gradientstage.stage import (
     SceneSpec,
     SpecularSceneSpec,
@@ -259,3 +263,63 @@ class TestUnitOutput:
         ):
             lens = np.linalg.norm(nm.normals[nm.mask], axis=1)
             assert np.all(np.abs(lens - 1.0) < 1e-12)
+
+
+@st.composite
+def integer_constraint_sets(draw):
+    """Integer-valued images with one shared mask on which r_a + r_abar = r_c
+    holds exactly, so every estimator's arithmetic is exact."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    rc = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 64)))
+    mask = draw(hnp.arrays(bool, shape))
+    imgs = {Condition.C: Image(rc.astype(float), mask)}
+    for g in ALL_BASES:
+        frac = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0)))
+        r = np.floor(frac * rc)
+        imgs[g] = Image(r, mask)
+        imgs[g.complement] = Image(rc - r, mask)
+    return GradientImageSet(imgs)
+
+
+def assert_bitwise_equal(nm, ref):
+    assert nm.normals.tobytes() == ref.normals.tobytes()
+    assert nm.magnitude.tobytes() == ref.magnitude.tobytes()
+    assert nm.mask.tobytes() == ref.mask.tobytes()
+
+
+class TestComplementDifference:
+    @given(integer_constraint_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_sets_equal_difference_method(self, imgset):
+        wilson = recover_wilson(imgset)
+        for base in ALL_BASES:
+            for dual in (False, True):
+                assert_bitwise_equal(recover_minimal(imgset, base, dual), wilson)
+
+    @given(integer_constraint_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_static_tracking_windows_equal_difference_method(self, imgset):
+        wilson = recover_wilson(imgset)
+        seq = generate_sequence(12)
+        zero = FlowField.zero(imgset.shape)
+        for center in seq.tracking_indices:
+            window = [(c, imgset[c]) for c in seq.window(center)]
+            assert_bitwise_equal(tracking_frame_normal(window, zero, zero), wilson)
+
+    def test_one_sided_axes_use_the_constant(self):
+        a, b, c = np.full((1, 1), 3.0), np.full((1, 1), 1.0), np.full((1, 1), 5.0)
+        comp = _difference_components(
+            {Condition.X: a, Condition.XBAR: b, Condition.Y: a, Condition.ZBAR: b}, c
+        )
+        assert comp[0, 0].tolist() == [2.0, 1.0, 3.0]
+
+    def test_axis_without_image_rejected(self):
+        one = np.ones((2, 2))
+        with pytest.raises(ValueError, match="no image for the z axis"):
+            _difference_components({Condition.X: one, Condition.XBAR: one, Condition.Y: one}, one)
+
+    def test_one_sided_axis_without_constant_rejected(self):
+        one = np.ones((2, 2))
+        samples = {Condition.X: one, Condition.XBAR: one, Condition.Y: one, Condition.ZBAR: one}
+        with pytest.raises(ValueError, match="no constant image"):
+            _difference_components(samples)

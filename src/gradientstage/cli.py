@@ -32,11 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-CONDITION_SUFFIX = {c: c.value for c in Condition}
-
-
 def _set_path(directory, prefix, cond: Condition) -> Path:
-    return Path(directory) / f"{prefix}_{CONDITION_SUFFIX[cond]}.pfm"
+    return Path(directory) / f"{prefix}_{cond.value}.pfm"
 
 
 def _load_set(directory, prefix, conditions) -> GradientImageSet:
@@ -47,21 +44,6 @@ def _load_set(directory, prefix, conditions) -> GradientImageSet:
             raise DataError(f"missing condition: {cond.value} ({path})")
         imgs[cond] = pfm.read_image(path)
     return GradientImageSet(imgs)
-
-
-def _stage_for(led_count: int, quantization: int) -> stage.LightStage:
-    by_count = {12: 0, 42: 1, 162: 2, 642: 3}
-    if led_count in by_count:
-        dirs = stage.generate_icosphere_directions(by_count[led_count])
-    elif led_count == 41:
-        dirs = stage.select_hemisphere(
-            stage.generate_icosphere_directions(2), (0, 0, 1), 41
-        )
-    else:
-        raise DataError(
-            f"unsupported LED count {led_count}; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)"
-        )
-    return stage.LightStage.from_directions(dirs, quantization_levels=quantization)
 
 
 def _cmd_simulate(args) -> int:
@@ -78,7 +60,9 @@ def _cmd_simulate(args) -> int:
     light_stage = None
     led_gain = None
     if args.leds > 0:
-        light_stage = _stage_for(args.leds, args.quantization)
+        light_stage = stage.LightStage.from_directions(
+            stage.stage_directions(args.leds), quantization_levels=args.quantization
+        )
         (out / "stage.json").write_text(light_stage.to_json())
     for cond in conditions:
         if light_stage is None:
@@ -247,13 +231,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_sequence_plan(args) -> int:
-    seq = sequencer.generate_sequence(args.n)
-    total = sequencer.image_count(args.n, args.method)
-    print(total)
+    print(sequencer.image_count(args.n, args.method))
     if args.out:
         if args.method != "minimal":
             raise UsageError("sequence CSV output is defined for the minimal method")
-        Path(args.out).write_text(seq.to_csv())
+        Path(args.out).write_text(sequencer.generate_sequence(args.n).to_csv())
     return 0
 
 
@@ -309,9 +291,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
-    parser = _Parser(prog="gradientstage", description=__doc__)
+def _config_parser() -> _Parser:
+    """The top-level options; `run` reads them before building the rest."""
+    parser = _Parser(add_help=False, allow_abbrev=False)
     parser.add_argument("--config", help="JSON file of flag defaults")
+    return parser
+
+
+def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
+    parser = _Parser(
+        prog="gradientstage", description=__doc__, parents=[_config_parser()], allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     all_parsers = []
 
@@ -429,13 +419,20 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
+    try:
+        cfg_path = _config_parser().parse_known_args(argv)[0].config
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     # config file provides defaults; explicit flags override
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+    if cfg_path is not None:
         try:
             config = json.loads(Path(cfg_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(config, dict):
+            print("error: config must be a JSON object of flag defaults", file=sys.stderr)
             return 2
         for p in subparsers:
             for action in p._actions:
@@ -453,8 +450,12 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

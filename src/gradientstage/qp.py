@@ -68,23 +68,6 @@ def solve_normal_correction(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x0 + residual @ _AAT_INV.T @ A_MATRIX
 
 
-def solve_kkt_dense(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Independent oracle: solves the full 15x15 KKT system per pixel.
-
-    minimize ||x - x0||^2 s.t. Ax = b  =>  [2I A^T; A 0][x; lam] = [2 x0; b]
-    """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n = b.shape[0]
-    kkt = np.zeros((15, 15))
-    kkt[:9, :9] = 2.0 * np.eye(9)
-    kkt[:9, 9:] = A_MATRIX.T
-    kkt[9:, :9] = A_MATRIX
-    rhs = np.concatenate([2.0 * x0, b], axis=1)
-    sol = np.linalg.solve(np.broadcast_to(kkt, (n, 15, 15)), rhs[..., None])
-    return sol[:, :9, 0]
-
-
 def correct_normal_map(
     imgset: GradientImageSet, init: NormalMap
 ) -> tuple[NormalMap, np.ndarray, np.ndarray]:

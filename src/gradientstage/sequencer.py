@@ -3,6 +3,7 @@ sequences, placement-rule validation, tracking-frame normals via half-flow
 warps, and temporal upsampling of normals to intermediate frames."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +58,15 @@ class CaptureSequence:
         return list(self.frames[center - 2 : center + 3])
 
     def to_csv(self) -> str:
+        """One row per frame, labelled by its nearest tracking frame (the
+        earlier one on a tie); tracking frames past the labels get none."""
         lines = ["frame_index,condition,subsequence_label"]
         centers = self.tracking_indices
         for i, f in enumerate(self.frames):
-            if centers:
-                nearest = int(np.argmin([abs(i - c) for c in centers]))
-                label = self.labels[nearest] if nearest < len(self.labels) else ""
-            else:
-                label = ""
+            j = bisect_left(centers, i)  # centers[j - 1] < i <= centers[j]
+            if j > 0 and (j == len(centers) or i - centers[j - 1] <= centers[j] - i):
+                j -= 1
+            label = self.labels[j] if j < min(len(centers), len(self.labels)) else ""
             lines.append(f"{i},{f.value},{label}")
         return "\n".join(lines) + "\n"
 

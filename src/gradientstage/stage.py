@@ -93,6 +93,19 @@ def select_hemisphere(directions: np.ndarray, axis, count: int) -> np.ndarray:
     return directions[np.sort(order[:count])]
 
 
+def stage_directions(led_count: int) -> np.ndarray:
+    """LED directions of a supported stage: the 12/42/162/642-vertex
+    icospheres, or the 41 front-facing (+z) directions of the 162."""
+    subdivisions = {count: sub for sub, count in _ICO_SUBDIV_COUNTS.items()}
+    if led_count in subdivisions:
+        return generate_icosphere_directions(subdivisions[led_count])
+    if led_count == 41:
+        return select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
+    raise ValueError(
+        f"unsupported LED count {led_count}; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)"
+    )
+
+
 @dataclass(frozen=True)
 class LedRecord:
     id: int
@@ -140,31 +153,34 @@ class LightStage:
         return cls(leds, quantization_levels)
 
 
-def gradient_intensity(direction, condition) -> float:
-    """Normalized LED intensity in [0,1] for one illumination condition.
+def gradient_intensity(directions, condition):
+    """Normalized LED intensity in [0,1] for one illumination condition, at
+    one unit direction (3,) or at each of an array of them (..., 3).
 
     Gradients rescale the signed coordinate, (g+1)/2; complements flip the
-    axis first; the constant condition drives every LED at full power.
+    axis first; the constant condition drives every LED at full power. The
+    directions are taken as given (a LightStage stores them unit length).
     """
     condition = Condition(condition)
+    d = np.asarray(directions, dtype=float)
     if condition is Condition.C:
-        return 1.0
-    d = unit(direction)
-    g = d[condition.axis]
+        return np.ones(d.shape[:-1])
+    g = d[..., condition.axis]
     if condition.is_complement:
         g = -g
-    return float((g + 1.0) / 2.0)
+    return (g + 1.0) / 2.0
+
+
+def _ilt_levels(p: np.ndarray, levels: int) -> np.ndarray:
+    """ILT levels 0..levels-1 for intensities p in [0,1], rounding half up."""
+    return np.floor(p * (levels - 1) + 0.5)
 
 
 def build_ilt(stage: LightStage, condition) -> list[tuple[int, int]]:
-    """Per-LED quantized brightness levels for one condition (round half up)."""
-    levels = stage.quantization_levels
-    out = []
-    for led in stage.leds:
-        p = gradient_intensity(led.direction, condition)
-        level = int(np.floor(p * (levels - 1) + 0.5))
-        out.append((led.id, level))
-    return out
+    """Per-LED quantized brightness levels for one condition."""
+    p = gradient_intensity(stage.directions, condition)
+    levels = _ilt_levels(p, stage.quantization_levels).astype(int).tolist()
+    return list(zip((led.id for led in stage.leds), levels))
 
 
 def write_ilt_csv(path, ilt: list[tuple[int, int]]) -> None:
@@ -222,9 +238,6 @@ class SpecularSceneSpec:
         object.__setattr__(self, "lobe_strength", s)
 
 
-_DIST_INDEX = {Condition.X: 0, Condition.Y: 1, Condition.Z: 2}
-
-
 def render_lambert_analytic(scene: SceneSpec, condition) -> Image:
     """Closed-form radiance under continuous spherical illumination.
 
@@ -266,59 +279,35 @@ def render_lambert_discrete(
     all pixels or (H, W, N) per pixel. led_gain: optional per-LED
     multiplicative intensity error, shape (N,).
     """
-    condition = Condition(condition)
     dirs = stage.directions
-    n_led = len(dirs)
-    p = np.array([gradient_intensity(d, condition) for d in dirs])
+    p = gradient_intensity(dirs, condition)
     if quantize:
         levels = stage.quantization_levels
-        p = np.floor(p * (levels - 1) + 0.5) / (levels - 1)
+        p = _ilt_levels(p, levels) / (levels - 1)
     if led_gain is not None:
         p = p * np.asarray(led_gain, dtype=float)
     nm = scene.true_normals
     cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
     np.maximum(cos, 0.0, out=cos)
     if led_visible is not None:
-        vis = np.asarray(led_visible)
-        if vis.ndim == 1:
-            cos = cos * vis[None, None, :]
-        else:
-            cos = cos * vis
-    r = (4.0 * np.pi / n_led) * (scene.albedo / 2.0) * (cos @ p)
+        cos = cos * np.asarray(led_visible)
+    r = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
     return Image(r, nm.mask & (r >= 0))
 
 
 def render_specular_analytic(scene: SpecularSceneSpec, condition) -> Image:
-    """Delta-lobe mirror radiance: gradient (s/2)(u_a + 1), constant s."""
-    condition = Condition(condition)
-    s = scene.lobe_strength
-    mask = scene.reflection_vectors.mask
-    if condition is Condition.C:
-        r = s
-    else:
-        u_a = scene.reflection_vectors.normals[:, :, condition.axis]
-        if condition.is_complement:
-            u_a = -u_a
-        r = (s / 2.0) * (u_a + 1.0)
-    return Image(np.maximum(r, 0.0), mask)
+    """Delta-lobe mirror radiance: the lobe strength s times the drive of
+    the LED in the reflection direction u; (s/2)(u_a + 1) for a gradient."""
+    u = scene.reflection_vectors
+    r = scene.lobe_strength * gradient_intensity(u.normals, condition)
+    return Image(np.maximum(r, 0.0), u.mask)
 
 
-def render_set(
-    scene: SceneSpec,
-    conditions=None,
-    stage: LightStage | None = None,
-    **discrete_kwargs,
-) -> GradientImageSet:
-    """Render several conditions at once (analytic unless a stage is given)."""
+def render_set(scene: SceneSpec, conditions=None) -> GradientImageSet:
+    """Analytic renders of several conditions (default: all seven)."""
     if conditions is None:
         conditions = list(Condition)
-    imgs = {}
-    for c in conditions:
-        if stage is None:
-            imgs[Condition(c)] = render_lambert_analytic(scene, c)
-        else:
-            imgs[Condition(c)] = render_lambert_discrete(scene, stage, c, **discrete_kwargs)
-    return GradientImageSet(imgs)
+    return GradientImageSet({Condition(c): render_lambert_analytic(scene, c) for c in conditions})
 
 
 def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:

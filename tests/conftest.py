@@ -4,6 +4,7 @@ import pytest
 from scipy import ndimage
 
 from gradientstage.core import Condition, GradientImageSet, Image, NormalMap
+from gradientstage.qp import A_MATRIX
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
 
 
@@ -60,6 +61,23 @@ def textured_radiance_scene(height, width, pad=20, seed=0, shift=(0, 0)):
         Image(cut(gbar_full, dy, dx)),
         Image(cut(c_full)),
     )
+
+
+def solve_kkt_dense(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Independent oracle: solves the full 15x15 KKT system per pixel.
+
+    minimize ||x - x0||^2 s.t. Ax = b  =>  [2I A^T; A 0][x; lam] = [2 x0; b]
+    """
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    n = b.shape[0]
+    kkt = np.zeros((15, 15))
+    kkt[:9, :9] = 2.0 * np.eye(9)
+    kkt[:9, 9:] = A_MATRIX.T
+    kkt[9:, :9] = A_MATRIX
+    rhs = np.concatenate([2.0 * x0, b], axis=1)
+    sol = np.linalg.solve(np.broadcast_to(kkt, (n, 15, 15)), rhs[..., None])
+    return sol[:, :9, 0]
 
 
 # ---- mirror-ball forward oracles (independent of the calib implementation)

@@ -11,6 +11,7 @@ from conftest import (
     forward_highlight_point,
     project_point,
     project_sphere_limb,
+    solve_kkt_dense,
     textured_radiance_scene,
 )
 
@@ -42,7 +43,6 @@ from gradientstage.qp import (
     build_qp_system,
     constraint_violation,
     correct_normal_map,
-    solve_kkt_dense,
     solve_normal_correction,
 )
 from gradientstage.sequencer import generate_sequence, image_count

@@ -379,3 +379,55 @@ def test_determinism_with_seed(tmp_path):
     a = pfm.read_image(tmp_path / "a" / "grad_x.pfm")
     b = pfm.read_image(tmp_path / "b" / "grad_x.pfm")
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_config_equals_form_is_applied(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size": [8, 8]}))
+    out = tmp_path / "d"
+    assert run([f"--config={cfg}", "simulate", "--conditions", "c", "--out", str(out)]) == 0
+    assert pfm.read_image(out / "grad_c.pfm").shape == (8, 8)
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["sequence", "plan", "--n", "3", "--config"]])
+def test_trailing_config_is_usage_error(capsys, argv):
+    assert run(argv) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["--config", str(cfg), "sequence", "plan", "--n", "3"]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "sequence"])
+def test_out_naming_a_directory_is_data_error(tmp_path, capsys, command):
+    from gradientstage.stage import make_sphere_scene
+
+    normals = tmp_path / "n.pfm"
+    pfm.write_normal_map(normals, make_sphere_scene(9, 9, 4).true_normals)
+    argv = {
+        "report": ["report", "--a", str(normals), "--b", str(normals)],
+        "sequence": ["sequence", "plan", "--n", "3"],
+    }[command]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_memory_error_is_data_error(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(pfm, "read_normal_map", exhausted)
+    assert run(["report", "--a", "a.pfm", "--b", "b.pfm", "--out", str(tmp_path / "h.csv")]) == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
+    assert run(["simulate", "--leds", "7", "--size", "8", "8", "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unsupported LED count 7; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)\n"
+    )

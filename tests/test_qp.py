@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import solve_kkt_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
@@ -11,7 +12,6 @@ from gradientstage.qp import (
     build_qp_system,
     constraint_violation,
     correct_normal_map,
-    solve_kkt_dense,
     solve_normal_correction,
 )
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gradientstage.alignment import FlowField
 from gradientstage.core import Condition, GradientImageSet, max_angular_error
@@ -20,6 +22,20 @@ C = Condition
 
 def conds(*names):
     return tuple(Condition(n) for n in names)
+
+
+def to_csv_reference(seq):
+    """The former labelling loop: argmin over every tracking frame."""
+    lines = ["frame_index,condition,subsequence_label"]
+    centers = seq.tracking_indices
+    for i, f in enumerate(seq.frames):
+        if centers:
+            nearest = int(np.argmin([abs(i - c) for c in centers]))
+            label = seq.labels[nearest] if nearest < len(seq.labels) else ""
+        else:
+            label = ""
+        lines.append(f"{i},{f.value},{label}")
+    return "\n".join(lines) + "\n"
 
 
 class TestImageCount:
@@ -128,6 +144,25 @@ class TestCsvRoundTrip:
         assert generate_sequence(1).to_csv().splitlines()[0] == (
             "frame_index,condition,subsequence_label"
         )
+
+    @given(st.integers(1, 199), st.integers(0, 200))
+    def test_generated_matches_reference(self, n, keep):
+        seq = generate_sequence(n)
+        seq = CaptureSequence(seq.frames, seq.labels[:keep])
+        assert seq.to_csv() == to_csv_reference(seq)
+
+    @given(
+        st.lists(st.sampled_from(list(Condition)), max_size=40),
+        st.lists(st.sampled_from(["s_x", "s_ybar", "s_z"]), max_size=20),
+    )
+    def test_ties_go_to_the_earlier_tracking_frame(self, frames, labels):
+        # arbitrary spacing makes frames equidistant from two tracking frames
+        seq = CaptureSequence(tuple(frames), tuple(labels))
+        assert seq.to_csv() == to_csv_reference(seq)
+
+    def test_long_sequence(self):
+        seq = generate_sequence(100_000)
+        assert len(seq.to_csv().splitlines()) == len(seq.frames) + 1
 
 
 def analytic_frames(scene, sequence):

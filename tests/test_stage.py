@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradientstage.core import Condition, Image
+from gradientstage.core import Condition, Image, unit
 from gradientstage.stage import (
+    LedRecord,
     LightStage,
     SceneSpec,
     SpecularSceneSpec,
@@ -17,6 +18,7 @@ from gradientstage.stage import (
     render_lambert_discrete,
     render_specular_analytic,
     select_hemisphere,
+    stage_directions,
 )
 
 unit_vectors = st.builds(
@@ -26,6 +28,40 @@ unit_vectors = st.builds(
     st.floats(0, 2 * np.pi),
     st.floats(-np.pi / 2, np.pi / 2),
 )
+
+# directions a LightStage can hold: unit() leaves them unchanged
+stage_unit_vectors = unit_vectors.map(unit).filter(lambda d: np.array_equal(unit(d), d))
+
+SUPPORTED_STAGES = {12: 0, 41: None, 42: 1, 162: 2, 642: 3}
+
+
+def supported_directions(count):
+    """The LED directions of each supported stage, built by hand."""
+    if count == 41:
+        return select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
+    return generate_icosphere_directions(SUPPORTED_STAGES[count])
+
+
+def gradient_intensity_reference(direction, condition):
+    """The former one-LED law: normalize, then (g+1)/2 of the signed axis."""
+    condition = Condition(condition)
+    if condition is Condition.C:
+        return 1.0
+    d = unit(direction)
+    g = d[condition.axis]
+    if condition.is_complement:
+        g = -g
+    return float((g + 1.0) / 2.0)
+
+
+def build_ilt_reference(stage, condition):
+    """The former per-LED ILT loop."""
+    levels = stage.quantization_levels
+    out = []
+    for led in stage.leds:
+        p = gradient_intensity_reference(led.direction, condition)
+        out.append((led.id, int(np.floor(p * (levels - 1) + 0.5))))
+    return out
 
 
 class TestIcosphere:
@@ -70,6 +106,19 @@ class TestSelectHemisphere:
             select_hemisphere(dirs, (0, 0, 1), 13)
 
 
+class TestStageDirections:
+    @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
+    def test_supported_counts(self, count):
+        dirs = stage_directions(count)
+        assert dirs.shape == (count, 3)
+        np.testing.assert_array_equal(dirs, supported_directions(count))
+
+    @given(st.integers(-1000, 100_000).filter(lambda n: n not in SUPPORTED_STAGES))
+    def test_other_counts_raise(self, count):
+        with pytest.raises(ValueError, match=f"unsupported LED count {count}; use 12, 42"):
+            stage_directions(count)
+
+
 class TestGradientIntensity:
     def test_formula_endpoints(self):
         assert gradient_intensity((1, 0, 0), Condition.X) == 1.0
@@ -88,6 +137,21 @@ class TestGradientIntensity:
             total = gradient_intensity(d, cond) + gradient_intensity(d, cond.complement)
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @given(st.lists(stage_unit_vectors, min_size=1, max_size=30), st.sampled_from(list(Condition)))
+    def test_array_law_equals_one_led_law(self, dirs, cond):
+        dirs = np.array(dirs)
+        want = np.array([gradient_intensity_reference(d, cond) for d in dirs])
+        got = gradient_intensity(dirs, cond)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
+    def test_array_law_on_supported_stages(self, count):
+        dirs = LightStage.from_directions(stage_directions(count)).directions
+        for cond in Condition:
+            want = [gradient_intensity_reference(d, cond) for d in dirs]
+            np.testing.assert_array_equal(gradient_intensity(dirs, cond), want)
+
 
 class TestIlt:
     @pytest.fixture
@@ -105,6 +169,26 @@ class TestIlt:
         for cond in Condition:
             for _, level in build_ilt(stage, cond):
                 assert 0 <= level <= 4095
+
+    @given(
+        st.lists(stage_unit_vectors, min_size=1, max_size=30),
+        st.integers(2, 70_000),
+        st.sampled_from(list(Condition)),
+        st.integers(0, 1000),
+    )
+    def test_equals_per_led_loop(self, dirs, levels, cond, first_id):
+        leds = tuple(LedRecord(first_id + 3 * i, d) for i, d in enumerate(dirs))
+        stage = LightStage(leds, quantization_levels=levels)
+        ilt = build_ilt(stage, cond)
+        assert ilt == build_ilt_reference(stage, cond)
+        assert all(type(level) is int for _, level in ilt)
+
+    @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
+    @pytest.mark.parametrize("levels", [2, 4, 256, 4096])
+    def test_supported_stages_equal_per_led_loop(self, count, levels):
+        stage = LightStage.from_directions(stage_directions(count), levels)
+        for cond in Condition:
+            assert build_ilt(stage, cond) == build_ilt_reference(stage, cond)
 
     def test_quantization_floor(self):
         with pytest.raises(ValueError):
@@ -204,6 +288,47 @@ class TestDiscreteRender:
         np.testing.assert_allclose(
             (rx.samples + rxb.samples)[m], rc.samples[m], rtol=1e-12
         )
+
+    @given(st.lists(st.booleans(), min_size=42, max_size=42).filter(any),
+           st.sampled_from(list(Condition)))
+    def test_hidden_leds_drop_out_of_the_sum(self, bits, cond):
+        # (N,) and (H, W, N) visibility agree, and hiding LEDs equals a
+        # stage of the visible ones reweighted from 4 pi / N to 4 pi / n
+        stage = self.make_stage(1)
+        vis = np.array(bits)
+        scene = make_sphere_scene(7, 7, 3)
+        per_led = render_lambert_discrete(scene, stage, cond, led_visible=vis).samples
+        per_pixel = render_lambert_discrete(
+            scene, stage, cond, led_visible=np.broadcast_to(vis, (7, 7, 42))
+        ).samples
+        np.testing.assert_array_equal(per_led, per_pixel)
+        visible = LightStage.from_directions(stage.directions[vis])
+        want = render_lambert_discrete(scene, visible, cond).samples * vis.sum() / 42
+        np.testing.assert_allclose(per_led, want, rtol=1e-12, atol=1e-15)
+
+    @given(
+        st.sampled_from([0, 1]),
+        st.sampled_from(list(Condition)[:6]),
+        st.data(),
+    )
+    def test_complement_constraint_for_any_visible_set_and_gain(self, sub, cond, data):
+        # gradient + complement = constant for any LED subset and any
+        # per-LED gain the two share
+        stage = self.make_stage(sub)
+        n = len(stage.leds)
+        per_pixel = data.draw(st.booleans())
+        shape = (7, 7, n) if per_pixel else (n,)
+        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))
+        vis = np.array(bits, dtype=float).reshape(shape)
+        gain = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+        scene = make_sphere_scene(7, 7, 3)
+        kw = {"led_visible": vis, "led_gain": gain}
+        r = render_lambert_discrete(scene, stage, cond, **kw).samples
+        rbar = render_lambert_discrete(scene, stage, cond.complement, **kw).samples
+        rc = render_lambert_discrete(scene, stage, Condition.C, **kw).samples
+        m = scene.true_normals.mask
+        np.testing.assert_allclose((r + rbar)[m], rc[m], rtol=1e-12)
 
 
 class TestSpecularRender:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,11 +47,28 @@ def _load_set(directory, prefix, conditions) -> GradientImageSet:
     return GradientImageSet(imgs)
 
 
+def _check_simulate_values(args) -> None:
+    """Reject values that would silently write empty images or skip the noise."""
+    noise = {"--led-noise": args.led_noise, "--pixel-noise": args.pixel_noise}
+    values = {"--radius": [] if args.radius is None else [args.radius], "--albedo": [args.albedo],
+              "--vp": [args.vp], "--delta": args.delta, "--deltabar": args.deltabar,
+              **{flag: [level] for flag, level in noise.items()}}
+    for flag, vals in values.items():
+        if not all(map(math.isfinite, vals)):
+            raise DataError(f"{flag} must be finite")
+    if args.radius is not None and args.radius <= 0:
+        raise DataError("--radius must be > 0")
+    for flag, level in noise.items():
+        if level < 0:
+            raise DataError(f"{flag} must be >= 0")
+
+
 def _cmd_simulate(args) -> int:
+    _check_simulate_values(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     size = args.size
-    radius = args.radius if args.radius else 0.4 * min(size)
+    radius = 0.4 * min(size) if args.radius is None else args.radius
     maker = stage.make_sphere_scene if args.scene == "sphere" else stage.make_cylinder_scene
     scene = maker(size[0], size[1], radius, albedo=args.albedo)
     distortion = np.array(list(args.delta) + list(args.deltabar))

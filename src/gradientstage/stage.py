@@ -11,6 +11,10 @@ from .core import Condition, GradientImageSet, Image, NormalMap, unit
 
 _ICO_SUBDIV_COUNTS = {0: 12, 1: 42, 2: 162, 3: 642}
 
+# bytes of one pixel block's cosine matrix in the discrete renderer; small
+# enough to stay in cache between the product, the clamp and the LED sum
+_CHUNK_BYTES = 1 << 19
+
 
 def _icosahedron():
     p = (1.0 + np.sqrt(5.0)) / 2.0
@@ -278,6 +282,9 @@ def render_lambert_discrete(
     led_visible: optional per-LED binary visibility, shape (N,) shared by
     all pixels or (H, W, N) per pixel. led_gain: optional per-LED
     multiplicative intensity error, shape (N,).
+
+    The pixels are summed in blocks of _CHUNK_BYTES of cosines, so memory
+    does not grow with N beyond one block.
     """
     dirs = stage.directions
     p = gradient_intensity(dirs, condition)
@@ -287,11 +294,19 @@ def render_lambert_discrete(
     if led_gain is not None:
         p = p * np.asarray(led_gain, dtype=float)
     nm = scene.true_normals
-    cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
-    np.maximum(cos, 0.0, out=cos)
+    n = len(dirs)
+    normals = nm.normals.reshape(-1, 3)
     if led_visible is not None:
-        cos = cos * np.asarray(led_visible)
-    r = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
+        led_visible = np.broadcast_to(np.asarray(led_visible), nm.shape + (n,)).reshape(-1, n)
+    total = np.empty(len(normals))
+    block = max(1, _CHUNK_BYTES // (8 * n))
+    for i in range(0, len(normals), block):
+        cos = normals[i : i + block] @ dirs.T
+        np.maximum(cos, 0.0, out=cos)
+        if led_visible is not None:
+            cos *= led_visible[i : i + block]
+        total[i : i + block] = cos @ p
+    r = (4.0 * np.pi / n) * (scene.albedo / 2.0) * total.reshape(nm.shape)
     return Image(r, nm.mask & (r >= 0))
 
 

@@ -431,3 +431,40 @@ def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: unsupported LED count 7; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--radius", "nan"], "--radius"),
+        (["--radius", "0"], "--radius"),
+        (["--radius", "-3"], "--radius"),
+        (["--albedo", "inf"], "--albedo"),
+        (["--vp", "nan"], "--vp"),
+        (["--delta", "nan", "0", "0"], "--delta"),
+        (["--deltabar", "0", "inf", "0"], "--deltabar"),
+        (["--leds", "12", "--led-noise", "nan"], "--led-noise"),
+        (["--leds", "12", "--led-noise", "-0.1"], "--led-noise"),
+        (["--pixel-noise", "nan"], "--pixel-noise"),
+        (["--pixel-noise", "-0.1"], "--pixel-noise"),
+    ],
+)
+def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):
+    out = tmp_path / "d"
+    assert run(["simulate", "--size", "16", "16", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_radius_default_only_when_omitted(tmp_path):
+    default, explicit = tmp_path / "a", tmp_path / "b"
+    assert run(["simulate", "--size", "20", "20", "--conditions", "c", "--out", str(default)]) == 0
+    assert run(["simulate", "--size", "20", "20", "--radius", "8", "--conditions", "c",
+                "--out", str(explicit)]) == 0
+    np.testing.assert_array_equal(
+        pfm.read_image(default / "grad_c.pfm").mask, pfm.read_image(explicit / "grad_c.pfm").mask
+    )
+    assert run(["simulate", "--size", "20", "20", "--radius", "5", "--conditions", "c",
+                "--out", str(tmp_path / "c")]) == 0
+    assert pfm.read_image(tmp_path / "c" / "grad_c.pfm").mask.sum() < pfm.read_image(
+        default / "grad_c.pfm").mask.sum()

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradientstage.core import Condition, Image, unit
+from gradientstage import stage as stage_module
+from gradientstage.core import Condition, Image, NormalMap, unit
 from gradientstage.stage import (
     LedRecord,
     LightStage,
     SceneSpec,
     SpecularSceneSpec,
+    _ilt_levels,
     build_ilt,
     generate_icosphere_directions,
     gradient_intensity,
@@ -62,6 +66,26 @@ def build_ilt_reference(stage, condition):
         p = gradient_intensity_reference(led.direction, condition)
         out.append((led.id, int(np.floor(p * (levels - 1) + 0.5))))
     return out
+
+
+def render_lambert_discrete_reference(
+    scene, stage, condition, quantize=False, led_visible=None, led_gain=None
+):
+    """The former renderer: one (H, W, N) cosine tensor built by einsum."""
+    dirs = stage.directions
+    p = gradient_intensity(dirs, condition)
+    if quantize:
+        levels = stage.quantization_levels
+        p = _ilt_levels(p, levels) / (levels - 1)
+    if led_gain is not None:
+        p = p * np.asarray(led_gain, dtype=float)
+    nm = scene.true_normals
+    cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
+    np.maximum(cos, 0.0, out=cos)
+    if led_visible is not None:
+        cos = cos * np.asarray(led_visible)
+    r = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
+    return Image(r, nm.mask & (r >= 0))
 
 
 class TestIcosphere:
@@ -329,6 +353,55 @@ class TestDiscreteRender:
         rc = render_lambert_discrete(scene, stage, Condition.C, **kw).samples
         m = scene.true_normals.mask
         np.testing.assert_allclose((r + rbar)[m], rc[m], rtol=1e-12)
+
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([12, 41, 162]),
+        st.sampled_from(list(Condition)),
+        st.booleans(),
+        st.sampled_from(["none", "led", "pixel"]),
+        st.sampled_from(["one pixel", "uneven", "default"]),
+        st.data(),
+    )
+    def test_blocked_render_equals_einsum_reference(
+        self, width, height, count, cond, quantize, visibility, block, data
+    ):
+        # random normals in every direction, a fifth of the pixels masked
+        rng = np.random.default_rng([width, height, count])
+        normals = NormalMap.from_components(
+            rng.standard_normal((height, width, 3)), rng.random((height, width)) > 0.2
+        )
+        scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
+        stage = LightStage.from_directions(stage_directions(count), quantization_levels=256)
+        gain = data.draw(st.none() | st.lists(st.floats(0.5, 1.5), min_size=count, max_size=count))
+        vis = {"none": None, "led": np.arange(count) % 3 > 0,
+               "pixel": rng.random((height, width, count)) > 0.3}[visibility]
+        pixels = width * height
+        with pytest.MonkeyPatch.context() as patch:
+            if block == "one pixel":
+                patch.setattr(stage_module, "_CHUNK_BYTES", 8 * count)
+            elif block == "uneven":
+                per_block = data.draw(st.integers(2, pixels + 1).filter(lambda k: pixels % k))
+                patch.setattr(stage_module, "_CHUNK_BYTES", 8 * count * per_block)
+            kw = {"quantize": quantize, "led_visible": vis, "led_gain": gain}
+            got = render_lambert_discrete(scene, stage, cond, **kw)
+        want = render_lambert_discrete_reference(scene, stage, cond, **kw)
+        np.testing.assert_array_equal(got.mask, want.mask)
+        np.testing.assert_allclose(got.samples, want.samples, rtol=1e-12, atol=0)
+
+    def test_memory_does_not_grow_with_led_count(self):
+        # the (H, W, N) cosine tensor of this render would be 337 MB
+        scene = make_sphere_scene(256, 256, 100)
+        stage = self.make_stage(3)
+        tracemalloc.start()
+        try:
+            render_lambert_discrete(scene, stage, Condition.X, quantize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSpecularRender:

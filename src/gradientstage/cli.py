@@ -24,10 +24,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -42,25 +38,37 @@ def _load_set(directory, prefix, conditions) -> GradientImageSet:
     for cond in conditions:
         path = _set_path(directory, prefix, cond)
         if not path.exists():
-            raise DataError(f"missing condition: {cond.value} ({path})")
+            raise ValueError(f"missing condition: {cond.value} ({path})")
         imgs[cond] = pfm.read_image(path)
     return GradientImageSet(imgs)
 
 
 def _check_simulate_values(args) -> None:
-    """Reject values that would silently write empty images or skip the noise."""
+    """Reject values that would silently write empty images, skip the noise,
+    or be ignored by the chosen renderer."""
     noise = {"--led-noise": args.led_noise, "--pixel-noise": args.pixel_noise}
     values = {"--radius": [] if args.radius is None else [args.radius], "--albedo": [args.albedo],
               "--vp": [args.vp], "--delta": args.delta, "--deltabar": args.deltabar,
               **{flag: [level] for flag, level in noise.items()}}
     for flag, vals in values.items():
         if not all(map(math.isfinite, vals)):
-            raise DataError(f"{flag} must be finite")
+            raise ValueError(f"{flag} must be finite")
     if args.radius is not None and args.radius <= 0:
-        raise DataError("--radius must be > 0")
+        raise ValueError("--radius must be > 0")
     for flag, level in noise.items():
         if level < 0:
-            raise DataError(f"{flag} must be >= 0")
+            raise ValueError(f"{flag} must be >= 0")
+    if args.leds > 0:
+        changed = {"--vp": args.vp != 1, "--delta": any(args.delta), "--deltabar": any(args.deltabar)}
+        renderer = "the analytic renderer (--leds 0)"
+    else:
+        changed = {"--quantize": args.quantize, "--led-noise": args.led_noise != 0}
+        renderer = "an LED stage (--leds > 0)"
+    for flag, is_set in changed.items():
+        if is_set:
+            raise ValueError(f"{flag} needs {renderer}")
+    if args.quantization != 4096 and not args.quantize:
+        raise ValueError("--quantization needs --quantize")
 
 
 def _cmd_simulate(args) -> int:
@@ -128,7 +136,7 @@ def _cmd_recover(args) -> int:
     nm = recover(_load_set(args.indir, args.prefix, conditions))
     out = Path(args.out)
     pfm.write_normal_map(out, nm)
-    pfm.write_image(out.with_name(out.stem + "_mag.pfm"), Image(nm.magnitude, nm.mask))
+    pfm.write_masked(out.with_name(out.stem + "_mag.pfm"), nm.magnitude, nm.mask)
     print(f"recovered normals ({args.method}) -> {out}")
     return 0
 
@@ -140,8 +148,8 @@ def _cmd_correct(args) -> int:
     corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
     out = Path(args.out)
     pfm.write_normal_map(out, corrected)
-    pfm.write_float3(args.delta_out or out.with_name(out.stem + "_delta.pfm"), delta, corrected.mask)
-    pfm.write_float3(
+    pfm.write_masked(args.delta_out or out.with_name(out.stem + "_delta.pfm"), delta, corrected.mask)
+    pfm.write_masked(
         args.deltabar_out or out.with_name(out.stem + "_deltabar.pfm"), delta_bar, corrected.mask
     )
     print(f"corrected normals (init={args.init}) -> {out}")
@@ -164,10 +172,10 @@ def _read_xy_csv(path, expected_cols: int):
     for ln in lines[start:]:
         cells = [float(x) for x in ln.split(",")]
         if len(cells) != expected_cols:
-            raise DataError(f"{path}: expected {expected_cols} columns per row")
+            raise ValueError(f"{path}: expected {expected_cols} columns per row")
         rows.append(cells)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return np.asarray(rows)
 
 
@@ -187,14 +195,14 @@ def _cmd_calibrate_lights(args) -> int:
         for i, name in enumerate(names):
             img = pfm.read_image(Path(args.images) / name)
             highlights.append((i, calib.detect_highlight_centroid(img, args.threshold, args.morph_radius)))
-    lights = []
-    for led_id, (hx, hy) in highlights:
-        direction = calib.light_direction((hx, hy), intrinsics, np.zeros(3), center, args.radius)
-        lights.append({"id": led_id, "lx": direction[0], "ly": direction[1], "lz": direction[2]})
-    Path(args.out).write_text(json.dumps(lights, indent=1))
+    lights = stage.LightStage([
+        stage.LedRecord(led_id, calib.light_direction(xy, intrinsics, np.zeros(3), center, args.radius))
+        for led_id, xy in highlights
+    ])
+    Path(args.out).write_text(lights.to_json())
     print(
         f"sphere center ({center[0]:.2f}, {center[1]:.2f}, {center[2]:.2f}) mm, "
-        f"d={dist:.2f} mm; {len(lights)} lights -> {args.out}"
+        f"d={dist:.2f} mm; {len(lights.leds)} lights -> {args.out}"
     )
     return 0
 
@@ -237,10 +245,7 @@ def _cmd_align(args) -> int:
     pair = args.pair
     pfm.write_flow(out / f"flow_{pair}_u.pfm", u)
     pfm.write_flow(out / f"flow_{pair}_v.pfm", v)
-    with open(out / "residuals.csv", "w", encoding="ascii") as f:
-        f.write("iteration,residual\n")
-        for i, r in enumerate(residuals):
-            f.write(f"{i},{r}\n")
+    pfm.write_csv(out / "residuals.csv", ("iteration", "residual"), enumerate(residuals))
     if residuals:
         print(f"aligned pair {pair}: residual {residuals[0]:.4g} -> {residuals[-1]:.4g}")
     else:
@@ -261,13 +266,13 @@ def _cmd_sequence_process(args) -> int:
     directory = Path(args.dir)
     seq_path = directory / "seq.csv"
     if not seq_path.exists():
-        raise DataError(f"missing sequence file {seq_path}")
+        raise ValueError(f"missing sequence file {seq_path}")
     seq = sequencer.CaptureSequence.from_csv(seq_path.read_text())
     frames = []
     for i in range(len(seq.frames)):
         path = directory / f"frame_{i:03d}.pfm"
         if not path.exists():
-            raise DataError(f"missing frame image {path}")
+            raise ValueError(f"missing frame image {path}")
         frames.append(pfm.read_image(path))
     result = sequencer.process_sequence(seq, frames, iterations=args.iters)
     out = Path(args.out)
@@ -301,9 +306,9 @@ def _cmd_report(args) -> int:
     b = pfm.read_normal_map(args.b)
     err = angular_error_map(a, b)
     if not err.mask.any():
-        raise DataError("no jointly valid pixels")
+        raise ValueError("no jointly valid pixels")
     bins = histogram(err, args.bin_width)
-    pfm.write_histogram_csv(args.out, bins)
+    pfm.write_csv(args.out, ("bin_center", "count"), bins)
     vals = err.samples[err.mask]
     print(f"angular error: mean {vals.mean():.4f} deg, max {vals.max():.4f} deg -> {args.out}")
     return 0
@@ -434,41 +439,35 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     return parser, all_parsers
 
 
-def run(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a --config file supplies flag defaults, explicit flags win."""
     parser, subparsers = build_parser()
-    try:
-        cfg_path = _config_parser().parse_known_args(argv)[0].config
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    # config file provides defaults; explicit flags override
+    cfg_path = _config_parser().parse_known_args(argv)[0].config
     if cfg_path is not None:
         try:
             config = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config: {exc}") from exc
         if not isinstance(config, dict):
-            print("error: config must be a JSON object of flag defaults", file=sys.stderr)
-            return 2
+            raise ValueError("config must be a JSON object of flag defaults")
         for p in subparsers:
             for action in p._actions:
                 if action.dest in config:
                     action.required = False
             known = {a.dest for a in p._actions}
             p.set_defaults(**{k: v for k, v in config.items() if k in known})
+    return parser.parse_args(argv)
+
+
+def run(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _parse(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -1,4 +1,4 @@
-"""File formats: PFM float images, 8-bit PGM/PNG export, CSV tables.
+"""File formats: PFM float images, 8-bit PNG export, CSV tables.
 
 PFM files are written little-endian (scale -1.0), rows bottom-to-top.
 Invalid pixels are stored as NaN and recovered as invalid on read.
@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .core import Image, NormalMap
+from .core import Image, NormalMap, _filled
 
 
 def _read_token(f) -> bytes:
@@ -74,10 +74,14 @@ def write_pfm_array(path, arr: np.ndarray) -> None:
         f.write(np.flipud(payload).astype("<f4").tobytes())
 
 
+def write_masked(path, data: np.ndarray, mask: np.ndarray) -> None:
+    """HxW or HxWx3 PFM with NaN at every invalid pixel."""
+    write_pfm_array(path, _filled(data, mask, np.nan))
+
+
 def write_image(path, img: Image) -> None:
     """One-channel PFM; invalid pixels stored as NaN."""
-    data = np.where(img.mask, img.samples, np.nan)
-    write_pfm_array(path, data)
+    write_masked(path, img.samples, img.mask)
 
 
 def read_image(path) -> Image:
@@ -88,17 +92,9 @@ def read_image(path) -> Image:
     return Image(arr, np.isfinite(arr) & (arr >= 0))
 
 
-def write_normal_map(path, nm: NormalMap, visualization: bool = False) -> None:
-    """3-channel PFM of normal components; invalid pixels stored as NaN.
-
-    With visualization=True the components are remapped [-1,1] -> [0,1]
-    (export-boundary convenience only; never part of the math path).
-    """
-    data = nm.normals
-    if visualization:
-        data = (data + 1.0) / 2.0
-    data = np.where(nm.mask[..., None], data, np.nan)
-    write_pfm_array(path, data)
+def write_normal_map(path, nm: NormalMap) -> None:
+    """3-channel PFM of normal components; invalid pixels stored as NaN."""
+    write_masked(path, nm.normals, nm.mask)
 
 
 def read_normal_map(path) -> NormalMap:
@@ -108,14 +104,6 @@ def read_normal_map(path) -> NormalMap:
     return NormalMap.from_components(arr, np.all(np.isfinite(arr), axis=2))
 
 
-def write_float3(path, data: np.ndarray, mask=None) -> None:
-    """Generic 3-channel float map (distortion maps, flow fields)."""
-    data = np.asarray(data, dtype=float)
-    if mask is not None:
-        data = np.where(np.asarray(mask, bool)[..., None], data, np.nan)
-    write_pfm_array(path, data)
-
-
 GAMMA = 2.2
 
 
@@ -123,14 +111,6 @@ def to_8bit(samples: np.ndarray) -> np.ndarray:
     """Gamma-2.2 encode linear [0,1] values to uint8. Export boundary only."""
     v = np.clip(np.asarray(samples, dtype=float), 0.0, 1.0)
     return np.round(255.0 * np.power(v, 1.0 / GAMMA)).astype(np.uint8)
-
-
-def write_pgm(path, samples: np.ndarray) -> None:
-    b = to_8bit(samples)
-    h, w = b.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(b.tobytes())
 
 
 def write_png(path, samples: np.ndarray) -> None:
@@ -151,11 +131,11 @@ def write_png(path, samples: np.ndarray) -> None:
         f.write(chunk(b"IEND", b""))
 
 
-def write_histogram_csv(path, bins: list[tuple[float, int]]) -> None:
+def write_csv(path, header, rows) -> None:
+    """ASCII table: the header's column names, then one line per row."""
     with open(path, "w", encoding="ascii") as f:
-        f.write("bin_center,count\n")
-        for center, count in bins:
-            f.write(f"{center},{count}\n")
+        for row in [header, *rows]:
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def write_flow(path, flow) -> None:

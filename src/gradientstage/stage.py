@@ -144,8 +144,9 @@ class LightStage:
         return np.stack([led.direction for led in self.leds])
 
     def to_json(self) -> str:
+        """JSON list of {"id", "lx", "ly", "lz"} records, one per LED in order."""
         recs = [
-            {"id": led.id, "x": led.direction[0], "y": led.direction[1], "z": led.direction[2]}
+            {"id": led.id, "lx": led.direction[0], "ly": led.direction[1], "lz": led.direction[2]}
             for led in self.leds
         ]
         return json.dumps(recs, indent=1)
@@ -153,7 +154,7 @@ class LightStage:
     @classmethod
     def from_json(cls, text: str, quantization_levels=4096):
         recs = json.loads(text)
-        leds = tuple(LedRecord(r["id"], (r["x"], r["y"], r["z"])) for r in recs)
+        leds = tuple(LedRecord(r["id"], (r["lx"], r["ly"], r["lz"])) for r in recs)
         return cls(leds, quantization_levels)
 
 
@@ -187,13 +188,6 @@ def build_ilt(stage: LightStage, condition) -> list[tuple[int, int]]:
     return list(zip((led.id for led in stage.leds), levels))
 
 
-def write_ilt_csv(path, ilt: list[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("id,level\n")
-        for led_id, level in ilt:
-            f.write(f"{led_id},{level}\n")
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     """Ground truth for the Lambertian renderers.
@@ -215,10 +209,13 @@ class SceneSpec:
             np.asarray(self.distortion, dtype=float), shape + (6,)
         ).copy()
         m = self.true_normals.mask
-        if np.any((albedo[m] < 0) | (albedo[m] > 1)):
+        # written as "not all within", so NaN fails too
+        if not np.all((albedo[m] >= 0) & (albedo[m] <= 1)):
             raise ValueError("albedo must lie in [0, 1]")
-        if np.any((occl[m] < 0) | (occl[m] > 1)):
+        if not np.all((occl[m] >= 0) & (occl[m] <= 1)):
             raise ValueError("occlusion term must lie in [0, 1]")
+        if not np.all(np.isfinite(dist)[m]):
+            raise ValueError("distortion must be finite")
         object.__setattr__(self, "albedo", albedo)
         object.__setattr__(self, "occlusion", occl)
         object.__setattr__(self, "distortion", dist)
@@ -327,7 +324,7 @@ def render_set(scene: SceneSpec, conditions=None) -> GradientImageSet:
 
 def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
     """Vertical cylinder with analytically exact normals (n_z >= 0)."""
-    if radius_px <= 0 or 2 * radius_px > width:
+    if not 0 < 2 * radius_px <= width:
         raise ValueError("cylinder radius must be positive and fit in the image")
     x = np.arange(width) - (width - 1) / 2.0
     nx = np.tile(x / radius_px, (height, 1))
@@ -339,7 +336,7 @@ def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -
 
 def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
     """Orthographic sphere with analytically exact normals."""
-    if radius_px <= 0 or 2 * radius_px > min(width, height):
+    if not 0 < 2 * radius_px <= min(width, height):
         raise ValueError("sphere radius must be positive and fit in the image")
     y, x = np.mgrid[0:height, 0:width].astype(float)
     nx = (x - (width - 1) / 2.0) / radius_px

@@ -8,7 +8,7 @@ from conftest import forward_highlight_point, project_point, project_sphere_limb
 from gradientstage import pfm
 from gradientstage.cli import run
 from gradientstage.core import Image, NormalMap, mean_angular_error
-from gradientstage.stage import generate_icosphere_directions
+from gradientstage.stage import LightStage, generate_icosphere_directions
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -174,6 +174,15 @@ def test_calibrate_lights_from_images(tmp_path):
     code, lights = calibrate_lights_from_images(tmp_path, ["led_00.pfm", "led_01.pfm"])
     assert code == 0
     assert len(lights) == 2
+
+
+def test_calibrated_lights_load_as_a_light_stage(tmp_path):
+    code, lights = calibrate_lights_from_images(tmp_path, ["led_00.pfm", "led_01.pfm"])
+    assert code == 0
+    stage = LightStage.from_json((tmp_path / "lights.json").read_text())
+    assert [led.id for led in stage.leds] == [rec["id"] for rec in lights]
+    want = [[rec["lx"], rec["ly"], rec["lz"]] for rec in lights]
+    np.testing.assert_allclose(stage.directions, want, rtol=0, atol=1e-15)
 
 
 def test_calibrate_lights_images_ignore_stray_files(tmp_path):
@@ -395,6 +404,15 @@ def test_trailing_config_is_usage_error(capsys, argv):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{"])
+def test_unreadable_config_is_data_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert run(["--config", str(cfg), "sequence", "plan", "--n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -447,6 +465,13 @@ def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
         (["--leds", "12", "--led-noise", "-0.1"], "--led-noise"),
         (["--pixel-noise", "nan"], "--pixel-noise"),
         (["--pixel-noise", "-0.1"], "--pixel-noise"),
+        (["--leds", "42", "--vp", "0.5"], "--vp"),
+        (["--leds", "42", "--delta", "0.1", "0", "0"], "--delta"),
+        (["--leds", "42", "--deltabar", "0", "0", "-0.1"], "--deltabar"),
+        (["--quantize"], "--quantize"),
+        (["--led-noise", "0.5"], "--led-noise"),
+        (["--quantization", "2"], "--quantization"),
+        (["--leds", "12", "--quantization", "2"], "--quantization"),
     ],
 )
 def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):
@@ -454,6 +479,20 @@ def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message
     assert run(["simulate", "--size", "16", "16", *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"leds": 12, "vp": 1.0, "delta": [0, 0, 0], "deltabar": [0, 0, 0], "quantization": 4096},
+        {"leds": 0, "quantize": False, "led_noise": 0.0, "quantization": 4096},
+    ],
+)
+def test_simulate_accepts_the_other_renderers_defaults(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["--config", str(cfg), "simulate", "--size", "8", "8", "--conditions", "c"]
+    assert run([*argv, "--out", str(tmp_path / "d")]) == 0
 
 
 def test_simulate_radius_default_only_when_omitted(tmp_path):

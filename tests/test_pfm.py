@@ -35,14 +35,6 @@ def test_normal_map_round_trip(tmp_path):
     np.testing.assert_allclose(back.normals[nm.mask], nm.normals[nm.mask], atol=2e-7)
 
 
-def test_visualization_export_remaps(tmp_path):
-    nm = NormalMap.from_components(np.array([[[0.0, 0.0, 1.0]]]))
-    path = tmp_path / "v.pfm"
-    pfm.write_normal_map(path, nm, visualization=True)
-    arr = pfm.read_pfm_array(path)
-    np.testing.assert_allclose(arr[0, 0], [0.5, 0.5, 1.0], atol=1e-7)
-
-
 def test_flow_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     vec = rng.normal(size=(4, 6, 2))
@@ -57,18 +49,14 @@ def test_flow_round_trip(tmp_path):
 
 def test_histogram_csv(tmp_path):
     path = tmp_path / "h.csv"
-    pfm.write_histogram_csv(path, [(0.5, 3), (1.5, 7)])
+    pfm.write_csv(path, ("bin_center", "count"), [(0.5, 3), (1.5, 7)])
     assert path.read_text() == "bin_center,count\n0.5,3\n1.5,7\n"
 
 
-def test_png_signature_and_pgm(tmp_path):
-    vals = np.linspace(0, 1, 12).reshape(3, 4)
+def test_png_signature(tmp_path):
     png = tmp_path / "a.png"
-    pgm = tmp_path / "a.pgm"
-    pfm.write_png(png, vals)
-    pfm.write_pgm(pgm, vals)
+    pfm.write_png(png, np.linspace(0, 1, 12).reshape(3, 4))
     assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
-    assert pgm.read_bytes().startswith(b"P5\n4 3\n255\n")
 
 
 def test_gamma_applied_at_export_boundary():

@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradientstage import stage as stage_module
 from gradientstage.core import Condition, Image, NormalMap, unit
@@ -238,6 +240,15 @@ class TestAnalyticRender:
         img = render_lambert_analytic(distorted, Condition.X)
         assert img.samples[4, 4] == pytest.approx(0.3 * np.pi, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "albedo, occlusion, distortion",
+        [(np.nan, 1.0, 0.0), (1.0, np.nan, 0.0), (1.0, 1.0, [np.nan] * 6)],
+    )
+    def test_nan_scene_parameters_rejected(self, albedo, occlusion, distortion):
+        nm = make_sphere_scene(8, 8, 3).true_normals
+        with pytest.raises(ValueError):
+            SceneSpec(nm, albedo, occlusion, distortion)
+
     def test_complement_constraint_ideal(self):
         scene = make_sphere_scene(33, 33, 15)
         for cond in (Condition.X, Condition.Y, Condition.Z):
@@ -342,10 +353,8 @@ class TestDiscreteRender:
         n = len(stage.leds)
         per_pixel = data.draw(st.booleans())
         shape = (7, 7, n) if per_pixel else (n,)
-        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
-                                  max_size=int(np.prod(shape))))
-        vis = np.array(bits, dtype=float).reshape(shape)
-        gain = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+        vis = data.draw(arrays(np.bool_, shape)).astype(float)
+        gain = data.draw(arrays(np.float64, n, elements=st.floats(0.5, 1.5)))
         scene = make_sphere_scene(7, 7, 3)
         kw = {"led_visible": vis, "led_gain": gain}
         r = render_lambert_discrete(scene, stage, cond, **kw).samples
@@ -447,19 +456,25 @@ class TestScenes:
         with pytest.raises(ValueError):
             make_cylinder_scene(10, 10, 20)
 
+    @pytest.mark.parametrize("maker", [make_sphere_scene, make_cylinder_scene])
+    def test_nan_radius_rejected(self, maker):
+        with pytest.raises(ValueError, match="radius"):
+            maker(8, 8, np.nan)
+
 
 class TestStageJson:
     def test_round_trip(self):
         stage = LightStage.from_directions(generate_icosphere_directions(0))
+        assert [*json.loads(stage.to_json())[0]] == ["id", "lx", "ly", "lz"]
         back = LightStage.from_json(stage.to_json())
         np.testing.assert_allclose(back.directions, stage.directions, atol=1e-15)
 
     def test_ilt_csv(self, tmp_path):
-        from gradientstage.stage import write_ilt_csv
+        from gradientstage.pfm import write_csv
 
         stage = LightStage.from_directions(np.array([[1.0, 0, 0], [0, 0, 1.0]]))
         path = tmp_path / "ilt.csv"
-        write_ilt_csv(path, build_ilt(stage, Condition.X))
+        write_csv(path, ("id", "level"), build_ilt(stage, Condition.X))
         lines = path.read_text().splitlines()
         assert lines[0] == "id,level"
         assert lines[1] == "0,4095"

@@ -67,7 +67,7 @@ def _check_simulate_values(args) -> None:
     for flag, is_set in changed.items():
         if is_set:
             raise ValueError(f"{flag} needs {renderer}")
-    if args.quantization != 4096 and not args.quantize:
+    if args.quantization != stage.LightStage.quantization_levels and not args.quantize:
         raise ValueError("--quantization needs --quantize")
 
 
@@ -337,7 +337,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--delta", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--deltabar", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--leds", type=int, default=0, help="0 = analytic; else 12/42/162/642/41")
-    p.add_argument("--quantization", type=int, default=4096)
+    p.add_argument("--quantization", type=int, default=stage.LightStage.quantization_levels)
     p.add_argument("--quantize", action="store_true", help="apply ILT quantization")
     p.add_argument("--led-noise", type=float, default=0.0)
     p.add_argument("--pixel-noise", type=float, default=0.0)

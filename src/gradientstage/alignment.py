@@ -16,6 +16,8 @@ from .core import DARK_EPS, Image, NormalMap, _filled, _mask
 ZERO_FLOW = 1e-9
 # joint alignment stops once an iteration cuts the residual by less than this
 MIN_IMPROVEMENT = 1e-3
+# each flow solve stops once its residual falls below this fraction of |b|
+CG_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,12 @@ class FlowField:
 class FlowParams:
     """Coarse-to-fine variational estimator settings.
 
-    alpha is the smoothness weight of the quadratic regularizer and must be
-    finite and positive, or flat regions divide by zero; iterations counts
-    Jacobi sweeps per warp of the 3x3 averaging stencil with replicated
-    borders; warps re-linearizes the data term within each pyramid level.
+    alpha is the smoothness weight of the quadratic regularizer and must lie
+    in [1e-100, 1e100], so that the solver's alpha^2 neither underflows to
+    zero nor overflows; iterations caps the preconditioned conjugate-gradient
+    iterations per warp, each of which stops earlier once its residual falls
+    to CG_TOL times its right-hand side; warps re-linearizes the data term
+    within each pyramid level.
     """
 
     levels: int = 4
@@ -76,8 +80,8 @@ class FlowParams:
     min_level_size: int = 24
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"flow alpha must be finite and positive, got {self.alpha}")
+        if not 1e-100 <= self.alpha <= 1e100:
+            raise ValueError(f"flow alpha must lie in [1e-100, 1e100], got {self.alpha}")
         for name in ("levels", "warps", "min_level_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"flow {name} must be at least 1, got {getattr(self, name)}")
@@ -167,68 +171,110 @@ def complement_residual(g: Image, gbar: Image, c: Image) -> float:
     return float(np.abs(diff[mask]).sum())
 
 
-def _jacobi(ix, iy, it, denom, sweeps):
-    """Jacobi sweeps of the linearized Horn-Schunck system for the increment
-    (du, dv), started from zero.
+def _dot(a, b):
+    """Inner product of two 1-D arrays in numpy's own single-threaded loop;
+    a threaded BLAS dot, interleaved with other work, was seen to stall for
+    milliseconds per call while its threads woke up."""
+    return float(np.einsum("i,i->", a, b))
 
-    Each sweep averages (du, dv) under the 3x3 stencil
-    ([1,2,1]^T [1,2,1] - 4 delta) / 12 with replicated borders, then
-    subtracts (ix, iy) * t with t = (ix du_avg + iy dv_avg + it) / denom.
-    With ends = up + down and half = ends / 2 + mid (half the vertical
-    [1,2,1] pass), the centre-corrected horizontal pass is
-    (half_left + half_right + ends_centre) / 6.
 
-    Both components live in one edge-padded buffer viewed flat, so every
-    stencil tap is a contiguous slice; copying the edge into the pad ring
-    after each sweep reproduces ndimage's mode="nearest". Pad-column lanes
-    of the flat run carry finite junk that the ring copy overwrites.
+def _pcg(ix, iy, it, alpha, cap):
+    """Block-preconditioned conjugate gradients for the linearized
+    Horn-Schunck increment d = (du, dv), started from zero.
+
+    Solves alpha^2 (I - Avg) d + g (g . d) = -g it, g = (ix, iy), where Avg
+    is the 3x3 stencil ([1,2,1]^T [1,2,1] - 4 delta) / 12 with replicated
+    borders: symmetric with unit row sums, so the system is symmetric
+    positive semi-definite. The preconditioner is the per-pixel block
+    alpha^2 I + g g^T. Both sides are scaled by 6 / alpha^2, and with
+    ends = up + down and half = ends / 2 + mid (half the vertical [1,2,1]
+    pass), 6 Avg d = half_left + half_right + ends_centre. Stops once
+    |r| <= CG_TOL |b| or after cap iterations; b = 0 gives exact zeros.
+
+    Every vector is the flat run, from pixel (0, 0) of u to pixel
+    (H-1, W-1) of v, of an edge-padded (2, H+2, W+2) buffer, so every
+    stencil tap is a contiguous slice and each update is one call. Copying
+    the edge of the search direction into its pad ring reproduces ndimage's
+    mode="nearest"; every other vector holds zero on the run's pad lanes.
     """
     h, w = ix.shape
     wp = w + 2
-    n = h * wp  # padded rows 1..h, every column
-    m = n - 2  # flat run from pixel (0, 0) to pixel (h-1, w-1)
-    pad = np.zeros((2, h + 2, wp))
-    flat = pad.reshape(2, -1)
+    plane = (h + 2) * wp
+    m = h * wp - 2  # one component's run from pixel (0, 0) to (h-1, w-1)
+    size = plane + m  # the run over both components
+    bufs = np.zeros((12, 2, h + 2, wp))
+    # each run starts one lane early so that ends and half cover the taps;
+    # bufs[5] holds the solution x, bufs[11] the padded search direction p
+    runs = bufs.reshape(12, -1)[:, wp : wp + size + 2]
+    diag, off, inv_diag, inv_off, r, x, z, q, s, _, _, p = runs[:, 1:-1]
+    ends, half = runs[9:11]
+    pad = bufs[11]
 
-    def lanes(a):
-        """Per-pixel values in the layout of the flat run; zero on pad lanes."""
-        out = np.zeros((h, wp))
-        out[:, 1:-1] = a
-        return out.ravel()[1:-1]
-
-    coef = np.stack([lanes(ix / denom), lanes(iy / denom)])
-    c = lanes(it / denom)
-    grad = np.stack([lanes(ix), lanes(iy)])
-    ends = np.zeros((2, n))
-    half = np.zeros((2, n))
-    avg = np.zeros((2, m))
-    scratch = np.zeros((2, m))
-    t = np.zeros(m)
-    up, mid, down = flat[:, :n], flat[:, wp : wp + n], flat[:, 2 * wp :]
-    left, right, ends_c = half[:, :m], half[:, 2:], ends[:, 1 : m + 1]
-    centre = flat[:, wp + 1 : wp + 1 + m]
-    t_u, t_v = scratch  # the two terms of t
+    # the 2x2 blocks of the scaled diagonal, 6 / alpha^2 (alpha^2 I + g g^T),
+    # and of its inverse, adj / (6 (alpha^2 + |g|^2)), as their (uu, vv) and
+    # uv lanes; then b, all in the order unpacked above
+    ix2, iy2, ixy = ix * ix, iy * iy, ix * iy
+    scale = 6.0 / alpha**2
+    inv_denom = 1.0 / (6.0 * (alpha**2 + ix2 + iy2))
+    pixels = bufs[:5, :, 1:-1, 1:-1]
+    pixels[0] = 6.0 + scale * ix2, 6.0 + scale * iy2
+    pixels[1] = scale * ixy
+    pixels[2] = (alpha**2 + iy2) * inv_denom, (alpha**2 + ix2) * inv_denom
+    pixels[3] = -ixy * inv_denom
+    pixels[4] = -scale * ix * it, -scale * iy * it
+    pad_lanes = np.flatnonzero(diag == 0.0)
+    flat = pad.ravel()
+    up, mid, down = flat[: size + 2], flat[wp : wp + size + 2], flat[2 * wp :]
+    left, right, ends_c = half[:size], half[2:], ends[1:-1]
     ring = [
         (pad[:, 1:-1, 0], pad[:, 1:-1, 1]),
         (pad[:, 1:-1, -1], pad[:, 1:-1, -2]),
         (pad[:, 0], pad[:, 1]),
         (pad[:, -1], pad[:, -2]),
     ]
-    for _ in range(sweeps):
+
+    def block(dst, d, o, v):
+        """dst = the per-pixel 2x2 blocks (d, o) times v."""
+        np.multiply(d, v, out=dst)
+        np.multiply(o, v, out=s)
+        dst[:m] += s[plane:]
+        dst[plane:] += s[:m]
+
+    def next_direction(beta):
+        """p = z + beta p, then the pad ring of p."""
+        np.multiply(p, beta, out=p)
+        np.add(p, z, out=p)
+        for dst, src in ring:
+            dst[...] = src
+
+    bb = _dot(r, r)
+    if bb == 0.0:
+        return np.zeros_like(ix), np.zeros_like(iy)
+    block(z, inv_diag, inv_off, r)
+    rz = _dot(r, z)
+    next_direction(0.0)
+    for _ in range(cap):
+        # q = A p: the diagonal blocks times p minus the six-weight sum
         np.add(up, down, out=ends)
         np.multiply(ends, 0.5, out=half)
         half += mid
-        np.add(left, right, out=avg)
-        avg += ends_c
-        avg /= 6.0
-        np.multiply(coef, avg, out=scratch)
-        np.add(t_u, t_v, out=t)
-        t += c
-        np.multiply(grad, t, out=scratch)
-        np.subtract(avg, scratch, out=centre)
-        for dst, src in ring:
-            dst[...] = src
-    return pad[0, 1:-1, 1:-1].copy(), pad[1, 1:-1, 1:-1].copy()
+        block(q, diag, off, p)
+        np.add(left, right, out=s)
+        s += ends_c
+        s[pad_lanes] = 0.0
+        q -= s
+        step = rz / _dot(p, q)
+        np.multiply(p, step, out=s)
+        x += s
+        np.multiply(q, step, out=s)
+        r -= s
+        if _dot(r, r) <= CG_TOL**2 * bb:
+            break
+        block(z, inv_diag, inv_off, r)
+        rz, rz_old = _dot(r, z), rz
+        next_direction(rz / rz_old)
+    du, dv = bufs[5, :, 1:-1, 1:-1].copy()
+    return du, dv
 
 
 def _hs_single_level(src, tgt, u, v, params: FlowParams):
@@ -240,8 +286,7 @@ def _hs_single_level(src, tgt, u, v, params: FlowParams):
         ix = 0.5 * (np.gradient(warped, axis=1) + tgt_x)
         iy = 0.5 * (np.gradient(warped, axis=0) + tgt_y)
         it = warped - tgt
-        denom = params.alpha**2 + ix**2 + iy**2
-        du, dv = _jacobi(ix, iy, it, denom, params.iterations)
+        du, dv = _pcg(ix, iy, it, params.alpha, params.iterations)
         u = u + du
         v = v + dv
     return u, v

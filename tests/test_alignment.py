@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import textured_radiance_scene
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse.linalg import eigsh, spsolve
 
 from gradientstage.alignment import (
     FlowField,
@@ -15,7 +18,8 @@ from gradientstage.alignment import (
     resample,
     warp_image,
     warp_normals,
-    _jacobi,
+    CG_TOL,
+    _pcg,
 )
 from gradientstage.core import Image, NormalMap
 
@@ -140,40 +144,143 @@ _AVG_KERNEL = np.array(
 )
 
 
-def jacobi_reference(ix, iy, it, denom, sweeps):
-    """The Horn-Schunck Jacobi loop as ndimage convolutions."""
-    du = np.zeros_like(ix)
-    dv = np.zeros_like(iy)
-    for _ in range(sweeps):
-        du_a = ndimage.convolve(du, _AVG_KERNEL, mode="nearest")
-        dv_a = ndimage.convolve(dv, _AVG_KERNEL, mode="nearest")
-        t = (ix * du_a + iy * dv_a + it) / denom
-        du = du_a - ix * t
-        dv = dv_a - iy * t
-    return du, dv
+def jacobi_sweep(du, dv, ix, iy, it, denom):
+    """One Horn-Schunck Jacobi sweep as ndimage convolutions; the flow
+    solve's system is the fixed point of this sweep."""
+    du_a = ndimage.convolve(du, _AVG_KERNEL, mode="nearest")
+    dv_a = ndimage.convolve(dv, _AVG_KERNEL, mode="nearest")
+    t = (ix * du_a + iy * dv_a + it) / denom
+    return du_a - ix * t, dv_a - iy * t
 
 
-class TestJacobi:
-    @given(
-        st.tuples(st.integers(1, 40), st.integers(1, 40)),
-        SEEDS,
-        st.integers(0, 5),
-        st.floats(0.01, 1.0),
+def average_matrix(shape):
+    """The stencil that jacobi_sweep applies, under replicated borders, as a
+    sparse (h w, h w) matrix."""
+    h, w = shape
+    index = np.arange(h * w).reshape(shape)
+    ii, jj = np.mgrid[0:h, 0:w]
+    rows, cols, vals = [], [], []
+    for (a, b), k in np.ndenumerate(_AVG_KERNEL):
+        if k:
+            tap = index[np.clip(ii + a - 1, 0, h - 1), np.clip(jj + b - 1, 0, w - 1)]
+            rows.append(index.ravel())
+            cols.append(tap.ravel())
+            vals.append(np.full(h * w, k))
+    # repeated (row, col) pairs at the borders sum
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(h * w,) * 2
     )
-    @example((1, 1), 0, 5, 0.01)
-    @example((1, 9), 1, 5, 0.5)
-    @example((9, 1), 2, 5, 1.0)
+
+
+def flow_system(ix, iy, it, alpha):
+    """A and b of alpha^2 (I - Avg) d + g (g . d) = -g it for d = (du, dv)
+    stacked, g = (ix, iy): the system whose fixed point jacobi_sweep has."""
+    smooth = alpha**2 * (sparse.identity(ix.size) - average_matrix(ix.shape))
+    gx, gy = ix.ravel(), iy.ravel()
+    a = sparse.bmat(
+        [
+            [smooth + sparse.diags(gx * gx), sparse.diags(gx * gy)],
+            [sparse.diags(gx * gy), smooth + sparse.diags(gy * gy)],
+        ],
+        format="csc",
+    )
+    return a, -np.concatenate([gx * it.ravel(), gy * it.ravel()])
+
+
+SOLVE_CASES = (
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    SEEDS,
+    st.floats(0.01, 1.0),
+)
+
+
+def solve_case(shape, seed):
+    return np.random.default_rng(seed).normal(size=(3,) + shape)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFlowSolve:
+    @given(*SOLVE_CASES)
+    @settings(max_examples=30, deadline=None)
+    def test_system_is_the_jacobi_fixed_point(self, shape, seed, alpha):
+        ix, iy, it = solve_case(shape, seed)
+        a, b = flow_system(ix, iy, it, alpha)
+        np.testing.assert_allclose(
+            average_matrix(shape) @ it.ravel(),
+            ndimage.convolve(it, _AVG_KERNEL, mode="nearest").ravel(),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        assert abs(a - a.T).max() == 0.0
+        if ix.size == 1:
+            return  # a lone pixel has no smoothness term, so A = g g^T is singular
+        x = spsolve(a, b)
+        du, dv = x.reshape((2,) + shape)
+        got = jacobi_sweep(du, dv, ix, iy, it, alpha**2 + ix**2 + iy**2)
+        scale = np.abs(x).max()
+        for g, want in zip(got, (du, dv)):
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-8 * scale)
+
+    @given(*SOLVE_CASES)
+    @example((1, 1), 0, 0.01)
+    @example((1, 9), 1, 0.5)
+    @example((9, 1), 2, 1.0)
+    @example((40, 40), 3, 0.01)
     @settings(max_examples=100, deadline=None)
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_matches_convolution_reference(self, shape, seed, sweeps, alpha):
-        rng = np.random.default_rng(seed)
-        ix, iy, it = rng.normal(size=(3,) + shape)
-        denom = alpha**2 + ix**2 + iy**2
-        got = _jacobi(ix, iy, it, denom, sweeps)
-        ref = jacobi_reference(ix, iy, it, denom, sweeps)
-        for g, r in zip(got, ref):
-            assert g.shape == r.shape
-            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(1.0, np.abs(r)))
+    def test_solves_the_system_to_tolerance(self, shape, seed, alpha):
+        ix, iy, it = solve_case(shape, seed)
+        du, dv = _pcg(ix, iy, it, alpha, 10_000)
+        a, b = flow_system(ix, iy, it, alpha)
+        x = np.concatenate([du.ravel(), dv.ravel()])
+        residual = np.linalg.norm(b - a @ x)
+        # the iteration's own residual meets CG_TOL; recomputing it here
+        # differs by rounding only
+        assert residual <= CG_TOL * np.linalg.norm(b) * (1 + 1e-6)
+        if ix.size == 1:
+            # A = g g^T: CG from zero returns the minimum-norm solution, up to
+            # rounding grown by the preconditioner's condition number
+            g2 = (ix**2 + iy**2).item()
+            np.testing.assert_allclose(x, b / g2, rtol=1e-13 * (1 + g2 / alpha**2))
+            return
+        oracle = spsolve(a, b)
+        oracle_residual = np.linalg.norm(b - a @ oracle)
+        lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+        # |x - x*| <= |A^-1| |r| for each of the two approximate solutions
+        bound = (residual + oracle_residual) / lam_min
+        assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6)
+
+    @given(*SOLVE_CASES, st.sampled_from(["it", "gradient"]))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_rhs_gives_bitwise_zeros(self, shape, seed, alpha, zeroed):
+        ix, iy, it = solve_case(shape, seed)
+        if zeroed == "it":
+            it[...] = 0.0
+        else:
+            ix[...] = 0.0
+            iy[...] = 0.0
+        for d in _pcg(ix, iy, it, alpha, 100):
+            assert d.shape == shape
+            assert d.tobytes() == np.zeros(shape).tobytes()
+
+    @given(*SOLVE_CASES)
+    @settings(max_examples=30, deadline=None)
+    def test_energy_error_never_rises_with_the_cap(self, shape, seed, alpha):
+        # CG minimizes |x - x*|_A over a Krylov space that grows with each
+        # iteration, so a larger cap is never worse; cap 0 is no increment
+        ix, iy, it = solve_case(shape, seed)
+        if ix.size == 1:
+            return  # A = g g^T is singular; no unique x* to measure against
+        a, b = flow_system(ix, iy, it, alpha)
+        oracle = spsolve(a, b)
+        errors = []
+        for cap in range(6):
+            du, dv = _pcg(ix, iy, it, alpha, cap)
+            if cap == 0:
+                assert not du.any() and not dv.any()
+            e = np.concatenate([du.ravel(), dv.ravel()]) - oracle
+            errors.append(e @ (a @ e))
+        for before, after in zip(errors, errors[1:]):
+            assert after <= before * (1 + 1e-9) + 1e-12 * errors[0]
 
 
 class TestFlowParams:
@@ -184,6 +291,8 @@ class TestFlowParams:
             ("alpha", -0.1),
             ("alpha", np.nan),
             ("alpha", np.inf),
+            ("alpha", 1e-200),  # alpha^2 underflows to zero
+            ("alpha", 1e200),  # alpha^2 overflows
             ("levels", 0),
             ("warps", 0),
             ("min_level_size", 0),
@@ -194,12 +303,18 @@ class TestFlowParams:
             FlowParams(**{field: value})
 
 
+def assert_same_image(got: Image, want: Image):
+    assert got.samples.tobytes() == want.samples.tobytes()
+    np.testing.assert_array_equal(got.mask, want.mask)
+
+
 class TestWarpImage:
-    def test_zero_flow_identity(self):
-        img = Image(textured_image(20, 30))
-        out = warp_image(img, FlowField.zero(img.shape))
-        np.testing.assert_array_equal(out.samples, img.samples)
-        np.testing.assert_array_equal(out.mask, img.mask)
+    @given(GRID_SHAPES, SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_flow_identity(self, shape, seed):
+        values, mask = random_grid(shape, seed)
+        img = Image(np.abs(values), mask)
+        assert_same_image(warp_image(img, FlowField.zero(shape)), img)
 
     def test_integer_shift_of_ramp(self):
         ramp = np.tile(np.arange(30.0), (10, 1))
@@ -230,12 +345,14 @@ class TestWarpImage:
 
 
 class TestWarpNormals:
-    def test_zero_flow_identity_bitwise(self):
-        rng = np.random.default_rng(0)
-        nm = NormalMap.from_components(rng.normal(size=(6, 7, 3)))
+    @given(GRID_SHAPES, SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_flow_identity_bitwise(self, shape, seed):
+        nm = NormalMap.from_components(*random_grid(shape, seed, 3))
         out = warp_normals(nm, FlowField.zero(nm.shape))
-        np.testing.assert_array_equal(out.normals, nm.normals)
-        np.testing.assert_array_equal(out.magnitude, nm.magnitude)
+        assert out.normals.tobytes() == nm.normals.tobytes()
+        assert out.magnitude.tobytes() == nm.magnitude.tobytes()
+        np.testing.assert_array_equal(out.mask, nm.mask)
 
     def test_uniform_field_invariant(self):
         vecs = np.zeros((8, 8, 3))
@@ -301,10 +418,19 @@ class TestComplementResidual:
 
 
 class TestFlowEstimate:
-    def test_identical_images_zero_flow(self):
-        img = Image(textured_image(60, 60))
-        flow = flow_estimate(img, Image(img.samples.copy()))
-        assert np.abs(flow.vectors).max() < 0.01
+    @given(st.tuples(st.integers(2, 60), st.integers(2, 60)), SEEDS, st.booleans())
+    @example((60, 60), 0, False)
+    @settings(max_examples=30, deadline=None)
+    def test_identical_images_zero_flow(self, shape, seed, masked):
+        # every warp's data term is exactly zero, so every solve returns
+        # exact zeros, and warping by zero flow is the identity
+        rng = np.random.default_rng(seed)
+        img = Image(rng.random(shape), rng.random(shape) > 0.3 if masked else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a flat or all-masked frame
+            flow = flow_estimate(img, Image(img.samples.copy(), img.mask.copy()))
+        assert flow.vectors.tobytes() == np.zeros(shape + (2,)).tobytes()
+        assert_same_image(warp_image(img, flow), img)
 
     def test_small_translation(self):
         big = textured_image(120, 120, seed=3)

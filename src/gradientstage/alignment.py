@@ -277,14 +277,19 @@ def _pcg(ix, iy, it, alpha, cap):
     return du, dv
 
 
+def _gradient(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.gradient along axis; zero along an axis one pixel long."""
+    return np.gradient(a, axis=axis) if a.shape[axis] > 1 else np.zeros_like(a)
+
+
 def _hs_single_level(src, tgt, u, v, params: FlowParams):
-    tgt_x = np.gradient(tgt, axis=1)
-    tgt_y = np.gradient(tgt, axis=0)
+    tgt_x = _gradient(tgt, 1)
+    tgt_y = _gradient(tgt, 0)
     for _ in range(params.warps):
         warped, inside = resample(src, None, *_displaced_grid(u, v))
         warped = np.where(inside, warped, tgt)
-        ix = 0.5 * (np.gradient(warped, axis=1) + tgt_x)
-        iy = 0.5 * (np.gradient(warped, axis=0) + tgt_y)
+        ix = 0.5 * (_gradient(warped, 1) + tgt_x)
+        iy = 0.5 * (_gradient(warped, 0) + tgt_y)
         it = warped - tgt
         du, dv = _pcg(ix, iy, it, params.alpha, params.iterations)
         u = u + du
@@ -310,7 +315,7 @@ def flow_estimate(src: Image, tgt: Image, params: FlowParams | None = None) -> F
     b = np.where(tgt.mask, tgt.samples, fill)
     if np.ptp(a) < DARK_EPS and np.ptp(b) < DARK_EPS:
         warnings.warn("flow on flat images is undetermined; returning zero flow")
-        return FlowField.zero(src.shape)
+        return FlowField(np.zeros(src.shape + (2,)), src.mask & tgt.mask)
     pyramid = [(a, b)]
     for _ in range(params.levels - 1):
         pa, pb = pyramid[-1]
@@ -324,9 +329,6 @@ def flow_estimate(src: Image, tgt: Image, params: FlowParams | None = None) -> F
             zoomf = np.array(pa.shape) / np.array(u.shape)
             u = ndimage.zoom(u, zoomf, order=1) * 2.0
             v = ndimage.zoom(v, zoomf, order=1) * 2.0
-            if u.shape != pa.shape:  # zoom may round dimensions
-                u = u[: pa.shape[0], : pa.shape[1]]
-                v = v[: pa.shape[0], : pa.shape[1]]
         u, v = _hs_single_level(pa, pb, u, v, params)
     vec = np.stack([u, v], axis=2)
     vec[np.abs(vec) < ZERO_FLOW] = 0.0

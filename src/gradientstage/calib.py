@@ -219,8 +219,13 @@ def fit_conic(points) -> tuple[Conic, np.ndarray]:
     return conic, conic.evaluate(pts)
 
 
+# the largest relative spread sphere_center accepts in the conic's double
+# eigenvalue pair
+PAIR_TOL = 1e-3
+
+
 def sphere_center(
-    conic: Conic, intrinsics: CameraIntrinsics, radius: float, pair_tol: float = 1e-6
+    conic: Conic, intrinsics: CameraIntrinsics, radius: float, pair_tol: float = PAIR_TOL
 ) -> tuple[np.ndarray, float]:
     """Sphere center and camera distance from the limb conic.
 
@@ -347,7 +352,8 @@ def estimate_homography_dlt(src, dst) -> tuple[Homography, float]:
         rows.append([x, y, 1, 0, 0, 0, -xp * x, -xp * y, -xp])
     a = np.asarray(rows)
     _, sv, vt = np.linalg.svd(a)
-    if len(sv) >= 9 and sv[-2] < 1e-10 * sv[0]:
+    # a rank below 8 leaves no unique null vector, whatever the pair count
+    if sv[7] < 1e-10 * sv[0]:
         raise ValueError("degenerate configuration for DLT")
     h_norm = vt[-1].reshape(3, 3)
     h = np.linalg.inv(tb) @ h_norm @ ta
@@ -364,11 +370,15 @@ def symmetric_transfer_error(h: Homography, src, dst) -> float:
     return float(np.mean(fwd + bwd))
 
 
-def _sampson_terms(h: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Vectorized algebraic error and measurement Jacobian per pair."""
+def _sampson_residuals(hv: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per-pair residuals whose squared norm is the Sampson error.
+
+    The algebraic error eps of each pair, whitened by its measurement
+    Jacobian J: (J J^T)^(-1/2) eps, so the squared norm sums
+    eps^T (J J^T)^-1 eps over the pairs.
+    """
     x, y = src[:, 0], src[:, 1]
     xp, yp = dst[:, 0], dst[:, 1]
-    hv = h.ravel()
     w = hv[6] * x + hv[7] * y + hv[8]
     e1 = -(hv[3] * x + hv[4] * y + hv[5]) + yp * w
     e2 = (hv[0] * x + hv[1] * y + hv[2]) - xp * w
@@ -381,26 +391,18 @@ def _sampson_terms(h: np.ndarray, src: np.ndarray, dst: np.ndarray):
         ],
         axis=1,
     )  # (n, 2, 4)
-    jjt = j @ np.transpose(j, (0, 2, 1))  # (n, 2, 2)
-    return eps, jjt
+    evals, evecs = np.linalg.eigh(j @ np.transpose(j, (0, 2, 1)))
+    evals = np.maximum(evals, 1e-18)
+    inv_sqrt = evecs @ (evecs / evals[:, None, :] ** 0.5).transpose(0, 2, 1)
+    return (inv_sqrt @ eps[..., None])[..., 0].ravel()
 
 
 def sampson_error(h: Homography, src, dst) -> float:
     """Total first-order geometric (Sampson) error over all pairs."""
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
-    eps, jjt = _sampson_terms(h.h, src, dst)
-    sol = np.linalg.solve(jjt, eps[..., None])[..., 0]
-    return float(np.sum(eps * sol))
-
-
-def _sampson_residual_vector(hv: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Per-pair whitened residuals whose squared norm is the Sampson error."""
-    eps, jjt = _sampson_terms(hv.reshape(3, 3), src, dst)
-    evals, evecs = np.linalg.eigh(jjt)
-    evals = np.maximum(evals, 1e-18)
-    inv_sqrt = evecs @ (evecs / evals[:, None, :] ** 0.5).transpose(0, 2, 1)
-    return (inv_sqrt @ eps[..., None])[..., 0].ravel()
+    r = _sampson_residuals(h.h.ravel(), src, dst)
+    return float(r @ r)
 
 
 # Levenberg-Marquardt iterations of refine_sampson, and the run of
@@ -418,29 +420,29 @@ def refine_sampson(h0: Homography, src, dst) -> Homography:
     """
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
-    hv = h0.h.ravel().copy()
-    best = hv.copy()
-    best_cost = sampson_error(h0, src, dst)
+    hv = best = h0.h.ravel()
+    r = _sampson_residuals(hv, src, dst)
+    best_cost = float(r @ r)
     lam = 1e-3
     bad_streak = 0
     for _ in range(SAMPSON_MAX_ITER):
-        r = _sampson_residual_vector(hv, src, dst)
         jac = np.empty((r.size, 9))
         for k in range(9):
             step = 1e-7 * max(1.0, abs(hv[k]))
             hp = hv.copy()
             hp[k] += step
-            jac[:, k] = (_sampson_residual_vector(hp, src, dst) - r) / step
+            jac[:, k] = (_sampson_residuals(hp, src, dst) - r) / step
         jtj = jac.T @ jac
         delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj) + 1e-12), -jac.T @ r)
-        cand = hv + delta
-        cand /= np.linalg.norm(cand)
-        cost = sampson_error(Homography(cand.reshape(3, 3)), src, dst)
         if np.linalg.norm(delta) < 1e-12:
             break  # converged: proposed step is negligible
+        cand = hv + delta
+        cand /= np.linalg.norm(cand)
+        r_cand = _sampson_residuals(cand, src, dst)
+        cost = float(r_cand @ r_cand)
         if cost < best_cost:
-            best, best_cost = cand.copy(), cost
-            hv = cand
+            best, best_cost = cand, cost
+            hv, r = cand, r_cand
             lam = max(lam / 3.0, 1e-10)
             bad_streak = 0
         elif cost <= best_cost * (1.0 + 1e-12):

@@ -328,7 +328,14 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     sub = parser.add_subparsers(dest="command", required=True)
     all_parsers = []
 
-    p = sub.add_parser("simulate", help="render a synthetic gradient image set")
+    def add(subparsers, name, func, summary):
+        """A subcommand parser that runs func; `_parse` applies --config to it."""
+        p = subparsers.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        all_parsers.append(p)
+        return p
+
+    p = add(sub, "simulate", _cmd_simulate, "render a synthetic gradient image set")
     p.add_argument("--scene", choices=["sphere", "cylinder"], default="sphere")
     p.add_argument("--size", type=int, nargs=2, default=[128, 128], metavar=("W", "H"))
     p.add_argument("--radius", type=float, default=None)
@@ -345,30 +352,24 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--conditions", nargs="+", default=[c.value for c in Condition])
     p.add_argument("--prefix", default="grad")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-    all_parsers.append(p)
 
-    p = sub.add_parser("recover", help="recover normals from a gradient image set")
+    p = add(sub, "recover", _cmd_recover, "recover normals from a gradient image set")
     p.add_argument("--method", default="wilson", help=METHOD_HELP)
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--prefix", default="grad")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_recover)
-    all_parsers.append(p)
 
-    p = sub.add_parser("correct", help="QP-correct a recovered normal map")
+    p = add(sub, "correct", _cmd_correct, "QP-correct a recovered normal map")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--prefix", default="grad")
     p.add_argument("--init", default="wilson", help=METHOD_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--delta-out", default=None)
     p.add_argument("--deltabar-out", default=None)
-    p.set_defaults(func=_cmd_correct)
-    all_parsers.append(p)
 
     cal = sub.add_parser("calibrate", help="mirror-ball and beam-splitter calibration")
     calsub = cal.add_subparsers(dest="calibrate_command", required=True)
-    p = calsub.add_parser("lights", help="light directions from mirror-ball highlights")
+    p = add(calsub, "lights", _cmd_calibrate_lights, "light directions from mirror-ball highlights")
     p.add_argument("--k", required=True, help="camera intrinsics JSON")
     p.add_argument("--radius", type=float, required=True, help="mirror ball radius, mm")
     p.add_argument("--limb", required=True, help="CSV of limb points x,y")
@@ -376,65 +377,49 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--images", default=None, help="directory of per-LED PFM images")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--morph-radius", type=int, default=2)
-    p.add_argument("--pair-tol", type=float, default=1e-3)
+    p.add_argument("--pair-tol", type=float, default=calib.PAIR_TOL)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_calibrate_lights)
-    all_parsers.append(p)
-    p = calsub.add_parser("homography", help="DLT + Sampson homography from correspondences")
+    p = add(calsub, "homography", _cmd_calibrate_homography, "DLT + Sampson homography from correspondences")
     p.add_argument("--pairs", required=True, help="CSV of x0,y0,x1,y1")
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_calibrate_homography)
-    all_parsers.append(p)
-    p = calsub.add_parser("separate", help="diffuse/specular separation of cross-polarized images")
+    p = add(calsub, "separate", _cmd_calibrate_separate, "diffuse/specular separation of cross-polarized images")
     p.add_argument("--i0", required=True)
     p.add_argument("--i1", required=True)
     p.add_argument("--homography", default=None)
     p.add_argument("--out-specular", required=True)
     p.add_argument("--out-diffuse", required=True)
-    p.set_defaults(func=_cmd_calibrate_separate)
-    all_parsers.append(p)
 
-    p = sub.add_parser("align", help="joint photometric alignment of a complement pair")
+    p = add(sub, "align", _cmd_align, "joint photometric alignment of a complement pair")
     p.add_argument("--pair", default="x")
     p.add_argument("--frames", nargs=3, required=True, metavar=("G", "GBAR", "C"))
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=alignment.FlowParams.alpha)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_align)
-    all_parsers.append(p)
 
     seq = sub.add_parser("sequence", help="capture sequence planning and processing")
     seqsub = seq.add_subparsers(dest="sequence_command", required=True)
-    p = seqsub.add_parser("plan", help="print the image count; optionally write the sequence CSV")
+    p = add(seqsub, "plan", _cmd_sequence_plan, "print the image count; optionally write the sequence CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["wilson", "minimal"], default="minimal")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sequence_plan)
-    all_parsers.append(p)
-    p = seqsub.add_parser("process", help="process a captured sequence directory")
+    p = add(seqsub, "process", _cmd_sequence_process, "process a captured sequence directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sequence_process)
-    all_parsers.append(p)
 
-    p = sub.add_parser("stimulus", help="shape/texture/combined stimulus images")
+    p = add(sub, "stimulus", _cmd_stimulus, "shape/texture/combined stimulus images")
     p.add_argument("--normals", required=True)
     p.add_argument("--texture", required=True)
     p.add_argument("--l1", type=float, nargs=3, default=list(stimulus.DEFAULT_LIGHT_1))
     p.add_argument("--l2", type=float, nargs=3, default=list(stimulus.DEFAULT_LIGHT_2))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stimulus)
-    all_parsers.append(p)
 
-    p = sub.add_parser("report", help="angular-error histogram between two normal maps")
+    p = add(sub, "report", _cmd_report, "angular-error histogram between two normal maps")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
-    all_parsers.append(p)
 
     return parser, all_parsers
 

@@ -40,39 +40,23 @@ class Condition(str, Enum):
 
     @property
     def complement(self) -> "Condition":
+        """x <-> xb, y <-> yb, z <-> zb."""
         if self is Condition.C:
             raise ValueError("constant condition has no complement")
-        return _COMPLEMENT[self]
+        return Condition(self.value[0] if self.is_complement else self.value + "b")
 
-
-_COMPLEMENT = {
-    Condition.X: Condition.XBAR,
-    Condition.XBAR: Condition.X,
-    Condition.Y: Condition.YBAR,
-    Condition.YBAR: Condition.Y,
-    Condition.Z: Condition.ZBAR,
-    Condition.ZBAR: Condition.Z,
-}
 
 GRADIENTS = (Condition.X, Condition.Y, Condition.Z)
 COMPLEMENTS = (Condition.XBAR, Condition.YBAR, Condition.ZBAR)
 
 
-def vec3(x, y=None, z=None) -> np.ndarray:
-    """Build a float 3-vector from components or any length-3 sequence."""
-    if y is None:
-        v = np.asarray(x, dtype=float)
-    else:
-        v = np.array([x, y, z], dtype=float)
+def unit(v) -> np.ndarray:
+    """A finite 3-vector scaled to unit length."""
+    v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector components must be finite")
-    return v
-
-
-def unit(v) -> np.ndarray:
-    v = vec3(v)
     n = np.linalg.norm(v)
     if n < DARK_EPS:
         raise ValueError("cannot normalize a near-zero vector")

@@ -17,7 +17,6 @@ from .core import (
     Image,
     NormalMap,
     histogram,
-    unit,
 )
 
 VIEW_TO_CAMERA = np.array([0.0, 0.0, 1.0])  # camera looks along -z
@@ -58,19 +57,24 @@ def _difference_components(
     return np.stack(comp, axis=2)
 
 
-def recover_ma(imgset: GradientImageSet) -> NormalMap:
-    """Ratio method: n = normalize(r_a/r_c - 1/2); magnitude channel = N_d.
+def _ratio_components(imgset: GradientImageSet):
+    """Per-axis r_a/r_c - 1/2 as an HxWx3 field, its mask, and its divisor.
 
     Pixels whose constant image falls below the dark threshold are
-    invalidated, never clamped.
+    invalidated, never clamped; the divisor is r_c with 1 at every
+    invalid pixel.
     """
     mask = imgset.joint_mask(RATIO_SET)
     rc = imgset[Condition.C].samples
     mask &= rc > DARK_EPS
     safe_rc = np.where(mask, rc, 1.0)
-    comp = np.stack(
-        [imgset[c].samples / safe_rc - 0.5 for c in GRADIENTS], axis=2
-    )
+    comp = np.stack([imgset[g].samples / safe_rc - 0.5 for g in GRADIENTS], axis=2)
+    return comp, mask, safe_rc
+
+
+def recover_ma(imgset: GradientImageSet) -> NormalMap:
+    """Ratio method: n = normalize(r_a/r_c - 1/2); magnitude channel = N_d."""
+    comp, mask, _ = _ratio_components(imgset)
     return NormalMap.from_components(comp, mask)
 
 
@@ -101,21 +105,20 @@ def recover_minimal(imgset: GradientImageSet, base, dual: bool = False) -> Norma
     return NormalMap.from_components(comp, mask)
 
 
-def recover_specular(imgset: GradientImageSet, view=VIEW_TO_CAMERA) -> tuple[NormalMap, NormalMap]:
+def recover_specular(imgset: GradientImageSet) -> tuple[NormalMap, NormalMap]:
     """Recover the mirror reflection map and the halfway-vector normals.
 
-    u = normalize(r_a - r_c/2); n = normalize(u + view-to-camera). The
+    u = normalize(r_a - r_c/2); n = normalize(u + VIEW_TO_CAMERA). The
     returned reflection map's magnitude channel carries N_s.
     """
     mask = imgset.joint_mask(RATIO_SET)
-    view = unit(view)
     rc = imgset[Condition.C].samples
     comp = np.stack(
         [imgset[g].samples - 0.5 * rc for g in GRADIENTS], axis=2
     )
     reflection = NormalMap.from_components(comp, mask)
     halfway = NormalMap.from_components(
-        reflection.normals + view[None, None, :], reflection.mask
+        reflection.normals + VIEW_TO_CAMERA, reflection.mask
     )
     return reflection, halfway
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import FlowField, FlowParams, half_flow, joint_photometric_align, warp_image, warp_normals
+from .alignment import FlowField, half_flow, joint_photometric_align, warp_image, warp_normals
 from .core import Condition, Image, NormalMap
 from .photometric import _difference_components
 
@@ -253,7 +253,6 @@ def process_sequence(
     seq: CaptureSequence,
     frames: list[Image],
     iterations: int = 10,
-    params: FlowParams | None = None,
 ) -> SequenceResult:
     """Full pipeline: joint alignment per window, tracking-frame normals,
     then temporal upsampling of every intermediate gradient frame."""
@@ -270,7 +269,7 @@ def process_sequence(
         first, last = c - 2, c + 2
         g, gbar = (last, first) if seq.frames[first].is_complement else (first, last)
         u, v, result.residuals[c] = joint_photometric_align(
-            frames[g], frames[gbar], frames[c], iterations, params
+            frames[g], frames[gbar], frames[c], iterations
         )
         ends = {g: u, gbar: v}
         flows[c] = {**ends, c - 1: half_flow(ends[first]), c + 1: half_flow(ends[last])}

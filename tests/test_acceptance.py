@@ -184,12 +184,12 @@ def test_criterion_5_qp_correction():
     start = time.perf_counter()
     corrected, delta, delta_bar = correct_normal_map(imgset, init)
     elapsed = time.perf_counter() - start
-    sys = build_qp_system(imgset)
+    b_frame, _ = build_qp_system(imgset)
     m = corrected.mask
     x_full = np.concatenate(
         [delta, delta_bar, corrected.normals * corrected.magnitude[..., None]], axis=2
     )
-    frame_feas = constraint_violation(sys.b[m], x_full[m]).max()
+    frame_feas = constraint_violation(b_frame[m], x_full[m]).max()
     ok = (
         oracle_gap < 1e-9
         and feas < 1e-9

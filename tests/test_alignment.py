@@ -458,6 +458,13 @@ class TestFlowEstimate:
             flow = flow_estimate(img, img)
         assert np.all(flow.vectors == 0.0)
 
+    def test_flat_images_keep_the_joint_mask(self):
+        mask = np.array([[True, False], [False, False]])
+        img = Image(np.full((2, 2), 0.5), mask)
+        with pytest.warns(UserWarning):
+            flow = flow_estimate(img, Image(img.samples, mask))
+        np.testing.assert_array_equal(flow.mask, mask)
+
 
 class TestJointPhotometricAlign:
     def test_already_aligned(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradientstage.calib import (
     CameraIntrinsics,
@@ -236,6 +238,12 @@ class TestHomography:
         with pytest.raises(ValueError):
             estimate_homography_dlt(src, src * 1.5)
 
+    def test_four_pairs_with_three_collinear_rejected(self):
+        src = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [5.0, 10.0]])
+        dst = src + (1.0, 2.0)  # a translation the pairs do not determine
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_homography_dlt(src, dst)
+
     def test_similarity_invariance_on_exact_data(self):
         src, dst = self.checkerboard_pairs(self.H_TRUE)
         h_ref, _ = estimate_homography_dlt(src, dst)
@@ -251,8 +259,47 @@ class TestHomography:
         np.testing.assert_allclose(recovered, h_ref.h, atol=1e-9)
 
 
+def sampson_error_by_solve(h: Homography, src, dst) -> float:
+    """Oracle: the sum over pairs of eps^T (J J^T)^-1 eps by a linear solve,
+    eps the algebraic error and J its Jacobian in (x, y, x', y')."""
+    hv = h.h.ravel()
+    x, y = src[:, 0], src[:, 1]
+    xp, yp = dst[:, 0], dst[:, 1]
+    w = hv[6] * x + hv[7] * y + hv[8]
+    eps = np.stack([yp * w - (hv[3] * x + hv[4] * y + hv[5]), hv[0] * x + hv[1] * y + hv[2] - xp * w], axis=1)
+    zeros = np.zeros_like(x)
+    j = np.stack(
+        [
+            np.stack([-hv[3] + yp * hv[6], -hv[4] + yp * hv[7], zeros, w], axis=1),
+            np.stack([hv[0] - xp * hv[6], hv[1] - xp * hv[7], -w, zeros], axis=1),
+        ],
+        axis=1,
+    )
+    jjt = j @ np.transpose(j, (0, 2, 1))
+    return float(np.sum(eps * np.linalg.solve(jjt, eps[..., None])[..., 0]))
+
+
 class TestSampson:
     H_TRUE = TestHomography.H_TRUE
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 30),
+        st.floats(1e-3, 1e3),
+        st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_solve_based_sum_and_ignores_scale(self, seed, n, scale, sign):
+        rng = np.random.default_rng(seed)
+        hm = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
+        hm[2, :2] *= 1e-2
+        h = Homography(hm)
+        src = rng.uniform(0, 100, (n, 2))
+        assume(np.abs(src @ h.h[2, :2] + h.h[2, 2]).min() > 1e-3)  # w != 0 at every pair
+        dst = h.apply(src) + rng.normal(0, 0.5, (n, 2))
+        err = sampson_error(h, src, dst)
+        assert err == pytest.approx(sampson_error_by_solve(h, src, dst), rel=1e-9)
+        assert sampson_error(Homography(sign * scale * h.h), src, dst) == pytest.approx(err, rel=1e-9)
 
     def test_noiseless_unchanged(self):
         src, dst = TestHomography().checkerboard_pairs(self.H_TRUE)

@@ -240,6 +240,16 @@ def test_calibrate_homography_and_separate(tmp_path, capsys):
     np.testing.assert_allclose(s.samples, specular.astype(np.float32), atol=1e-6)
 
 
+def test_calibrate_homography_rejects_four_pairs_with_three_collinear(tmp_path, capsys):
+    with open(tmp_path / "pairs.csv", "w") as f:
+        # a translation, which three collinear pairs leave undetermined
+        f.write("x0,y0,x1,y1\n0,0,1,2\n10,0,11,2\n20,0,21,2\n5,10,6,12\n")
+    out = tmp_path / "h.json"
+    assert run(["calibrate", "homography", "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out)]) == 2
+    assert "degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_align_subcommand(tmp_path, capsys):
     from conftest import textured_radiance_scene
 
@@ -261,6 +271,21 @@ def test_align_subcommand(tmp_path, capsys):
     assert lines[0] == "iteration,residual"
     residuals = [float(line.split(",")[1]) for line in lines[1:]]
     assert residuals[-1] <= residuals[0]
+
+
+def test_align_on_frames_one_pixel_high(tmp_path):
+    from conftest import textured_radiance_scene
+
+    frames = []
+    for name, img in zip(["g", "gb", "c"], textured_radiance_scene(1, 9, shift=(0, 1))):
+        frames.append(tmp_path / f"{name}.pfm")
+        pfm.write_image(frames[-1], img)
+    out = tmp_path / "flows"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["align", "--frames", *map(str, frames), "--iters", "3", "--out", str(out)]) == 0
+    assert not [w for w in caught if "flow estimator failed" in str(w.message)]
+    assert len((out / "residuals.csv").read_text().strip().splitlines()) >= 2
 
 
 @pytest.mark.parametrize("alpha", ["0", "-0.1", "nan", "inf"])

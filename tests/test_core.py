@@ -6,6 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from gradientstage.alignment import FlowField
 from gradientstage.core import (
+    COMPLEMENTS,
+    GRADIENTS,
     UNIT_TOL,
     Condition,
     GradientImageSet,
@@ -84,6 +86,8 @@ class TestGradientImageSet:
     def test_complement_mapping(self):
         assert Condition.X.complement is Condition.XBAR
         assert Condition.ZBAR.complement is Condition.Z
+        for g, gbar in zip(GRADIENTS, COMPLEMENTS):
+            assert (g.complement, gbar.complement) == (gbar, g)
         with pytest.raises(ValueError):
             Condition.C.complement
 

@@ -65,12 +65,14 @@ class FlowField:
 class FlowParams:
     """Coarse-to-fine variational estimator settings.
 
-    alpha is the smoothness weight of the quadratic regularizer and must lie
-    in [1e-100, 1e100], so that the solver's alpha^2 neither underflows to
+    alpha is the smoothness weight of the quadratic regularizer on the
+    total flow (not on each warp's increment) and must lie in
+    [1e-100, 1e100], so that the solver's alpha^2 neither underflows to
     zero nor overflows; iterations caps the preconditioned conjugate-gradient
     iterations per warp, each of which stops earlier once its residual falls
     to CG_TOL times its right-hand side; warps re-linearizes the data term
-    within each pyramid level.
+    within each pyramid level, and within the finest level alone when the
+    estimate is warm-started.
     """
 
     levels: int = 4
@@ -87,7 +89,7 @@ class FlowParams:
                 raise ValueError(f"flow {name} must be at least 1, got {getattr(self, name)}")
 
 
-FlowEstimator = Callable[[Image, Image, FlowParams], FlowField]
+FlowEstimator = Callable[[Image, Image, FlowParams, FlowField | None], FlowField]
 
 
 def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np.ndarray):
@@ -178,17 +180,20 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def _pcg(ix, iy, it, alpha, cap):
+def _pcg(ix, iy, it, u, v, alpha, cap):
     """Block-preconditioned conjugate gradients for the linearized
-    Horn-Schunck increment d = (du, dv), started from zero.
+    Horn-Schunck increment d = (du, dv) to the current flow (u, v), started
+    from zero.
 
-    Solves alpha^2 (I - Avg) d + g (g . d) = -g it, g = (ix, iy), where Avg
+    Solves alpha^2 (I - Avg) d + g (g . d) = -g it - alpha^2 (I - Avg)(u, v),
+    g = (ix, iy): the smoothness term is on the total flow (u, v) + d. Avg
     is the 3x3 stencil ([1,2,1]^T [1,2,1] - 4 delta) / 12 with replicated
     borders: symmetric with unit row sums, so the system is symmetric
     positive semi-definite. The preconditioner is the per-pixel block
     alpha^2 I + g g^T. Both sides are scaled by 6 / alpha^2, and with
     ends = up + down and half = ends / 2 + mid (half the vertical [1,2,1]
-    pass), 6 Avg d = half_left + half_right + ends_centre. Stops once
+    pass), 6 Avg d = half_left + half_right + ends_centre; the flow's term
+    on the right is the same stencil applied to (u, v). Stops once
     |r| <= CG_TOL |b| or after cap iterations; b = 0 gives exact zeros.
 
     Every vector is the flat run, from pixel (0, 0) of u to pixel
@@ -240,13 +245,28 @@ def _pcg(ix, iy, it, alpha, cap):
         dst[:m] += s[plane:]
         dst[plane:] += s[:m]
 
-    def next_direction(beta):
-        """p = z + beta p, then the pad ring of p."""
-        np.multiply(p, beta, out=p)
-        np.add(p, z, out=p)
+    def smooth():
+        """s = 6 Avg p, after copying p's edge into its pad ring."""
         for dst, src in ring:
             dst[...] = src
+        np.add(up, down, out=ends)
+        np.multiply(ends, 0.5, out=half)
+        np.add(half, mid, out=half)
+        np.add(left, right, out=s)
+        np.add(s, ends_c, out=s)
+        s[pad_lanes] = 0.0
 
+    def next_direction(beta):
+        """p = z + beta p."""
+        np.multiply(p, beta, out=p)
+        np.add(p, z, out=p)
+
+    # b's flow term, 6 (I - Avg)(u, v), from the stencil applied to (u, v);
+    # exactly zero for uniform flow
+    pad[:, 1:-1, 1:-1] = u, v
+    smooth()
+    r -= 6.0 * p - s
+    r[pad_lanes] = 0.0
     bb = _dot(r, r)
     if bb == 0.0:
         return np.zeros_like(ix), np.zeros_like(iy)
@@ -255,13 +275,8 @@ def _pcg(ix, iy, it, alpha, cap):
     next_direction(0.0)
     for _ in range(cap):
         # q = A p: the diagonal blocks times p minus the six-weight sum
-        np.add(up, down, out=ends)
-        np.multiply(ends, 0.5, out=half)
-        half += mid
         block(q, diag, off, p)
-        np.add(left, right, out=s)
-        s += ends_c
-        s[pad_lanes] = 0.0
+        smooth()
         q -= s
         step = rz / _dot(p, q)
         np.multiply(p, step, out=s)
@@ -291,7 +306,7 @@ def _hs_single_level(src, tgt, u, v, params: FlowParams):
         ix = 0.5 * (_gradient(warped, 1) + tgt_x)
         iy = 0.5 * (_gradient(warped, 0) + tgt_y)
         it = warped - tgt
-        du, dv = _pcg(ix, iy, it, params.alpha, params.iterations)
+        du, dv = _pcg(ix, iy, it, u, v, params.alpha, params.iterations)
         u = u + du
         v = v + dv
     return u, v
@@ -301,14 +316,22 @@ def _downsample(a: np.ndarray) -> np.ndarray:
     return ndimage.zoom(ndimage.gaussian_filter(a, 1.0), 0.5, order=1)
 
 
-def flow_estimate(src: Image, tgt: Image, params: FlowParams | None = None) -> FlowField:
+def flow_estimate(
+    src: Image, tgt: Image, params: FlowParams | None = None, init: FlowField | None = None
+) -> FlowField:
     """Coarse-to-fine Horn-Schunck-style displacement field from src to tgt.
 
-    Warping src by the result aligns it with tgt. Flat image pairs yield
-    zero flow with a warning. Invalid pixels contribute no data term.
+    Warping src by the result aligns it with tgt. Without init the pyramid
+    runs from zero flow at its coarsest level; with init, only the finest
+    level runs, starting from init's vectors. Since the smoothness term is
+    on the total flow, a start near the answer is refined, not reset.
+    Flat image pairs yield zero flow with a warning. Invalid pixels
+    contribute no data term.
     """
     if src.shape != tgt.shape:
         raise ValueError(f"dimension mismatch: {src.shape} vs {tgt.shape}")
+    if init is not None and init.shape != src.shape:
+        raise ValueError(f"dimension mismatch: initial flow {init.shape} vs {src.shape}")
     params = params or FlowParams()
     fill = float(np.median(tgt.samples[tgt.mask])) if tgt.mask.any() else 0.0
     a = np.where(src.mask, src.samples, fill)
@@ -317,13 +340,16 @@ def flow_estimate(src: Image, tgt: Image, params: FlowParams | None = None) -> F
         warnings.warn("flow on flat images is undetermined; returning zero flow")
         return FlowField(np.zeros(src.shape + (2,)), src.mask & tgt.mask)
     pyramid = [(a, b)]
-    for _ in range(params.levels - 1):
-        pa, pb = pyramid[-1]
-        if min(pa.shape) < params.min_level_size:
-            break
-        pyramid.append((_downsample(pa), _downsample(pb)))
-    u = np.zeros_like(pyramid[-1][0])
-    v = np.zeros_like(u)
+    if init is None:
+        for _ in range(params.levels - 1):
+            pa, pb = pyramid[-1]
+            if min(pa.shape) < params.min_level_size:
+                break
+            pyramid.append((_downsample(pa), _downsample(pb)))
+        u = np.zeros_like(pyramid[-1][0])
+        v = np.zeros_like(u)
+    else:
+        u, v = init.u, init.v
     for i, (pa, pb) in enumerate(reversed(pyramid)):
         if i > 0:
             zoomf = np.array(pa.shape) / np.array(u.shape)
@@ -348,7 +374,9 @@ def joint_photometric_align(
 
     Each iteration re-estimates u (flow of g toward c - warp(gbar, v)) and
     then v (flow of gbar toward c - warp(g, u)); the returned residual list
-    records the complement-constraint violation after every iteration.
+    records the complement-constraint violation after every iteration. The
+    first iteration runs the estimator's pyramid from zero flow (init None);
+    every later one warm-starts each estimate from the previous u or v.
     Stops early once the relative residual improvement drops below
     MIN_IMPROVEMENT. Estimator failures return the best flows found so far.
     """
@@ -366,13 +394,13 @@ def joint_photometric_align(
     # each frame is warped once per new flow: g_w and the next gbar_w serve
     # both the residual and the following estimate
     gbar_w = warp_image(gbar, v)
-    for _ in range(iterations):
+    for i in range(iterations):
         try:
             target_u = _constraint_target(c, gbar_w, gbar)
-            u = est(g, target_u, params)
+            u = est(g, target_u, params, u if i else None)
             g_w = warp_image(g, u)
             target_v = _constraint_target(c, g_w, g)
-            v = est(gbar, target_v, params)
+            v = est(gbar, target_v, params, v if i else None)
         except Exception as exc:  # estimator failure: keep best flows
             warnings.warn(f"flow estimator failed; returning best flows so far ({exc})")
             u, v = best

@@ -435,6 +435,11 @@ def _parse(argv) -> argparse.Namespace:
             raise ValueError(f"cannot read config: {exc}") from exc
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object of flag defaults")
+        # a key of any command is a shared default; one of none is a typo
+        defined = {a.dest for p in (parser, *subparsers) for a in p._actions}
+        unknown = sorted(set(config) - defined)
+        if unknown:
+            raise UsageError(f"config key defined by no command: {', '.join(unknown)}")
         for p in subparsers:
             for action in p._actions:
                 if action.dest in config:

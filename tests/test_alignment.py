@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage, sparse
 from scipy.sparse.linalg import eigsh, spsolve
 
+from gradientstage import alignment
 from gradientstage.alignment import (
     FlowField,
     FlowParams,
@@ -172,9 +173,11 @@ def average_matrix(shape):
     )
 
 
-def flow_system(ix, iy, it, alpha):
-    """A and b of alpha^2 (I - Avg) d + g (g . d) = -g it for d = (du, dv)
-    stacked, g = (ix, iy): the system whose fixed point jacobi_sweep has."""
+def flow_system(ix, iy, it, alpha, u=None, v=None):
+    """A and b of alpha^2 (I - Avg) d + g (g . d) = -g it - alpha^2 (I - Avg) f
+    for d = (du, dv) stacked, g = (ix, iy) and the current flow f = (u, v),
+    zero if not given: with f = 0, the system whose fixed point jacobi_sweep
+    has."""
     smooth = alpha**2 * (sparse.identity(ix.size) - average_matrix(ix.shape))
     gx, gy = ix.ravel(), iy.ravel()
     a = sparse.bmat(
@@ -184,7 +187,10 @@ def flow_system(ix, iy, it, alpha):
         ],
         format="csc",
     )
-    return a, -np.concatenate([gx * it.ravel(), gy * it.ravel()])
+    b = -np.concatenate([gx * it.ravel(), gy * it.ravel()])
+    if u is not None:
+        b -= np.concatenate([smooth @ u.ravel(), smooth @ v.ravel()])
+    return a, b
 
 
 SOLVE_CASES = (
@@ -196,6 +202,34 @@ SOLVE_CASES = (
 
 def solve_case(shape, seed):
     return np.random.default_rng(seed).normal(size=(3,) + shape)
+
+
+def zero_flow(shape):
+    return np.zeros(shape), np.zeros(shape)
+
+
+def assert_solves_to_tolerance(ix, iy, it, u, v, alpha):
+    """_pcg meets CG_TOL on the oracle's system, and lies within the
+    residual-implied distance of spsolve's solution."""
+    du, dv = _pcg(ix, iy, it, u, v, alpha, 10_000)
+    a, b = flow_system(ix, iy, it, alpha, u, v)
+    x = np.concatenate([du.ravel(), dv.ravel()])
+    residual = np.linalg.norm(b - a @ x)
+    # the iteration's own residual meets CG_TOL; recomputing it here
+    # differs by rounding only
+    assert residual <= CG_TOL * np.linalg.norm(b) * (1 + 1e-6)
+    if ix.size == 1:
+        # A = g g^T: CG from zero returns the minimum-norm solution, up to
+        # rounding grown by the preconditioner's condition number
+        g2 = (ix**2 + iy**2).item()
+        np.testing.assert_allclose(x, b / g2, rtol=1e-13 * (1 + g2 / alpha**2))
+        return
+    oracle = spsolve(a, b)
+    oracle_residual = np.linalg.norm(b - a @ oracle)
+    lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+    # |x - x*| <= |A^-1| |r| for each of the two approximate solutions
+    bound = (residual + oracle_residual) / lam_min
+    assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -229,36 +263,34 @@ class TestFlowSolve:
     @settings(max_examples=100, deadline=None)
     def test_solves_the_system_to_tolerance(self, shape, seed, alpha):
         ix, iy, it = solve_case(shape, seed)
-        du, dv = _pcg(ix, iy, it, alpha, 10_000)
-        a, b = flow_system(ix, iy, it, alpha)
-        x = np.concatenate([du.ravel(), dv.ravel()])
-        residual = np.linalg.norm(b - a @ x)
-        # the iteration's own residual meets CG_TOL; recomputing it here
-        # differs by rounding only
-        assert residual <= CG_TOL * np.linalg.norm(b) * (1 + 1e-6)
-        if ix.size == 1:
-            # A = g g^T: CG from zero returns the minimum-norm solution, up to
-            # rounding grown by the preconditioner's condition number
-            g2 = (ix**2 + iy**2).item()
-            np.testing.assert_allclose(x, b / g2, rtol=1e-13 * (1 + g2 / alpha**2))
-            return
-        oracle = spsolve(a, b)
-        oracle_residual = np.linalg.norm(b - a @ oracle)
-        lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
-        # |x - x*| <= |A^-1| |r| for each of the two approximate solutions
-        bound = (residual + oracle_residual) / lam_min
-        assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6)
+        assert_solves_to_tolerance(ix, iy, it, *zero_flow(shape), alpha)
 
-    @given(*SOLVE_CASES, st.sampled_from(["it", "gradient"]))
+    @given(*SOLVE_CASES, SEEDS, st.floats(1e-3, 1e3))
+    @example((1, 1), 0, 0.01, 0, 5.0)
+    @example((1, 9), 1, 0.5, 1, 1.0)
+    @example((9, 1), 2, 1.0, 2, 1.0)
+    @example((40, 40), 3, 0.01, 3, 10.0)
+    @settings(max_examples=100, deadline=None)
+    def test_solves_the_total_flow_system_to_tolerance(self, shape, seed, alpha, flow_seed, flow_scale):
+        # the current flow enters b only, as -alpha^2 (I - Avg)(u, v)
+        ix, iy, it = solve_case(shape, seed)
+        u, v = np.random.default_rng(flow_seed).normal(size=(2,) + shape) * flow_scale
+        assert_solves_to_tolerance(ix, iy, it, u, v, alpha)
+
+    @given(*SOLVE_CASES, st.sampled_from(["it", "gradient", "uniform flow"]))
     @settings(max_examples=30, deadline=None)
     def test_zero_rhs_gives_bitwise_zeros(self, shape, seed, alpha, zeroed):
         ix, iy, it = solve_case(shape, seed)
-        if zeroed == "it":
-            it[...] = 0.0
-        else:
+        u, v = zero_flow(shape)
+        if zeroed == "gradient":
             ix[...] = 0.0
             iy[...] = 0.0
-        for d in _pcg(ix, iy, it, alpha, 100):
+        else:
+            it[...] = 0.0
+        if zeroed == "uniform flow":
+            # a flow with no variation costs no smoothness, exactly
+            u[...], v[...] = np.random.default_rng(seed).normal(size=2) * 10.0
+        for d in _pcg(ix, iy, it, u, v, alpha, 100):
             assert d.shape == shape
             assert d.tobytes() == np.zeros(shape).tobytes()
 
@@ -274,7 +306,7 @@ class TestFlowSolve:
         oracle = spsolve(a, b)
         errors = []
         for cap in range(6):
-            du, dv = _pcg(ix, iy, it, alpha, cap)
+            du, dv = _pcg(ix, iy, it, *zero_flow(shape), alpha, cap)
             if cap == 0:
                 assert not du.any() and not dv.any()
             e = np.concatenate([du.ravel(), dv.ravel()]) - oracle
@@ -431,15 +463,47 @@ class TestFlowEstimate:
             flow = flow_estimate(img, Image(img.samples.copy(), img.mask.copy()))
         assert flow.vectors.tobytes() == np.zeros(shape + (2,)).tobytes()
         assert_same_image(warp_image(img, flow), img)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            warm = flow_estimate(img, img, init=flow)
+        assert warm.vectors.tobytes() == np.zeros(shape + (2,)).tobytes()
+
+    @staticmethod
+    def translated_pair():
+        big = textured_image(120, 120, seed=3)
+        return Image(big[: 100, : 100]), Image(big[3:103, 2:102])  # tgt(p) = src(p + (2,3))
+
+    @staticmethod
+    def translation_error(flow):
+        inner = (slice(12, -12), slice(12, -12))
+        return np.hypot(flow.u[inner] - 2.0, flow.v[inner] - 3.0).mean()
 
     def test_small_translation(self):
-        big = textured_image(120, 120, seed=3)
-        src = Image(big[: 100, : 100])
-        tgt = Image(big[3:103, 2:102])  # tgt(p) = src(p + (2,3))
-        flow = flow_estimate(src, tgt)
-        inner = (slice(12, -12), slice(12, -12))
-        err = np.hypot(flow.u[inner] - 2.0, flow.v[inner] - 3.0).mean()
-        assert err < 0.25
+        src, tgt = self.translated_pair()
+        assert self.translation_error(flow_estimate(src, tgt)) < 0.25
+
+    def test_warm_started_small_translation(self):
+        # the total-flow objective refines a start near the answer
+        src, tgt = self.translated_pair()
+        flow = flow_estimate(src, tgt, init=flow_estimate(src, tgt))
+        assert self.translation_error(flow) < 0.25
+
+    def test_warm_start_builds_no_pyramid(self, monkeypatch):
+        src, tgt = self.translated_pair()
+
+        def no_pyramid(a):
+            raise AssertionError("pyramid level built")
+
+        monkeypatch.setattr(alignment, "_downsample", no_pyramid)
+        flow = flow_estimate(src, tgt, init=constant_flow(src.shape, 2.0, 3.0))
+        assert flow.shape == src.shape
+        with pytest.raises(AssertionError, match="pyramid level built"):
+            flow_estimate(src, tgt)
+
+    def test_warm_start_of_the_wrong_shape_raises(self):
+        src, tgt = self.translated_pair()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            flow_estimate(src, tgt, init=FlowField.zero((100, 99)))
 
     def test_large_translation_with_pyramid(self):
         # image large enough for all 4 pyramid levels: 20 px is 2.5 px at
@@ -493,15 +557,32 @@ class TestJointPhotometricAlign:
 
         calls = []
 
-        def flaky(src, tgt, params):
+        def flaky(src, tgt, params, init):
             calls.append(1)
             if len(calls) > 2:
                 raise RuntimeError("estimator exploded")
-            return flow_estimate(src, tgt, params)
+            return flow_estimate(src, tgt, params, init)
 
-        with pytest.warns(UserWarning, match="best flows"):
+        with pytest.warns(UserWarning, match=r"best flows so far \(estimator exploded\)"):
             u, v, residuals = joint_photometric_align(g, gbar, c, 5, estimator=flaky)
         assert u.shape == g.shape
+        assert len(calls) == 3
+
+    def test_estimator_is_warm_started_from_the_previous_flow(self):
+        g, gbar, c = textured_radiance_scene(30, 30, shift=(1, 1))
+        inits, flows = [], []
+
+        def spy(src, tgt, params, init):
+            inits.append(init)
+            flows.append(flow_estimate(src, tgt, params, init))
+            return flows[-1]
+
+        _, _, residuals = joint_photometric_align(g, gbar, c, 3, estimator=spy)
+        assert len(inits) == 2 * len(residuals) >= 4
+        # calls alternate u, v: each starts from the same flow's last estimate
+        assert inits[:2] == [None, None]
+        for k in range(2, len(inits)):
+            assert inits[k] is flows[k - 2]
 
     def test_iteration_floor(self):
         g, gbar, c = textured_radiance_scene(20, 20)

@@ -395,10 +395,21 @@ def test_report_rejects_bad_pfm_scale(tmp_path, capsys, scale):
 
 
 def test_config_file_defaults(tmp_path, capsys):
+    # bin_width is report's: a config file holds defaults shared by commands
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 5, "method": "minimal"}))
+    cfg.write_text(json.dumps({"n": 5, "method": "minimal", "bin_width": 2.0}))
     assert run(["--config", str(cfg), "sequence", "plan"]) == 0
     assert capsys.readouterr().out.strip() == "17"
+
+
+@pytest.mark.parametrize("config", [{"n_typo": 3, "n": 5}, {"bin_widht": 5, "n": 5}])
+def test_config_key_of_no_command_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg), "sequence", "plan"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert next(k for k in config if k != "n") in err
 
 
 def test_determinism_with_seed(tmp_path):

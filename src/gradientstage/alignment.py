@@ -18,6 +18,10 @@ ZERO_FLOW = 1e-9
 MIN_IMPROVEMENT = 1e-3
 # each flow solve stops once its residual falls below this fraction of |b|
 CG_TOL = 1e-3
+# bytes of each per-channel float64 temporary of one resample block; walking
+# the queries in such blocks bounds the memory of the stencil indices,
+# weights and products, whatever the frame size
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,11 @@ class FlowParams:
 FlowEstimator = Callable[[Image, Image, FlowParams, FlowField | None], FlowField]
 
 
+def _block_length(channels: int = 1) -> int:
+    """Queries per resample block: _CHUNK_BYTES of float64 per channel."""
+    return max(1, _CHUNK_BYTES // (8 * channels))
+
+
 def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np.ndarray):
     """Bilinear samples of an HxW or HxWxC grid at (xq, yq), with validity.
 
@@ -100,29 +109,75 @@ def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np
     than rounding-level weight invalidates it; mask=None means every grid
     point is valid. Fractional offsets are taken against the clipped base
     index so that integer query points reproduce grid values exactly.
+
+    The flattened queries are walked in blocks of _block_length(C) into
+    preallocated outputs; a single block is computed directly. The result
+    does not depend on the block length.
     """
     h, w = values.shape[:2]
+    channels = values.shape[2:]
+    grid = values.reshape(h * w, *channels)
+    flags = None if mask is None else np.asarray(mask, dtype=bool).reshape(h * w)
+    xq, yq = np.broadcast_arrays(xq, yq)
+    shape = xq.shape
+    xq, yq = xq.ravel(), yq.ravel()
+    step = _block_length(int(np.prod(channels)))
+    if xq.size <= step:
+        out, valid = _resample_block(grid, flags, w, h, xq, yq)
+    else:
+        # the dtype of values times weights from xq minus an integer index
+        out = np.empty(xq.shape + channels, np.result_type(grid.dtype, xq.dtype, np.int64))
+        valid = np.empty(xq.shape, bool)
+        for i in range(0, xq.size, step):
+            block = slice(i, i + step)
+            out[block], valid[block] = _resample_block(grid, flags, w, h, xq[block], yq[block])
+    return out.reshape(shape + channels), valid.reshape(shape)
+
+
+def _resample_block(grid, flags, w, h, xq, yq):
+    """One block of resample on flat queries. The four neighbours are
+    gathered at the flat index y0 W + x0 plus the scalar offsets dx and dy,
+    since x0 <= W - 2 and y0 <= H - 2 (dx, dy = 0 along a side one pixel
+    long)."""
     inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
     x0 = np.clip(np.floor(xq).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xq, int)
     y0 = np.clip(np.floor(yq).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yq, int)
     fx = xq - x0
     fy = yq - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-
-    def interp(grid):
+    index = y0  # y0 W + x0, in place
+    index *= w
+    index += x0
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    valid = inside
+    if flags is not None:
+        # all four neighbours valid: the weights, each in [0, 1] at an inside
+        # query, sum to 1 within a few ulp, so the sampled mask exceeds
+        # 1 - 1e-12; only queries next to an invalid point interpolate it
+        valid = inside & flags.take(index)
+        for offset in (dx, dy, dx + dy):
+            valid &= flags.take(index + offset)
+        edge = np.flatnonzero(valid != inside)
+        if edge.size:
+            sampled = _bilinear(flags, index[edge], dx, dy, fx[edge], fy[edge])
+            valid[edge] = sampled > 1.0 - 1e-12
+    if grid.ndim == 2:
         # channels share the stencil; the per-element order of operations
         # is the same for every channel count
-        cx, cy = (fx, fy) if grid.ndim == 2 else (fx[..., None], fy[..., None])
-        return (
-            grid[y0, x0] * (1 - cx) * (1 - cy)
-            + grid[y0, x1] * cx * (1 - cy)
-            + grid[y1, x0] * (1 - cx) * cy
-            + grid[y1, x1] * cx * cy
-        )
+        fx, fy = fx[:, None], fy[:, None]
+    return _bilinear(grid, index, dx, dy, fx, fy), valid
 
-    valid = inside if mask is None else inside & (interp(mask.astype(float)) > 1.0 - 1e-12)
-    return interp(values), valid
+
+def _bilinear(flat, index, dx, dy, fx, fy):
+    """The bilinear sum of flat's four gathered neighbours, in a fixed
+    per-element order of operations."""
+    gx, gy = 1 - fx, 1 - fy
+    return (
+        flat.take(index, axis=0) * gx * gy
+        + flat.take(index + dx, axis=0) * fx * gy
+        + flat.take(index + dy, axis=0) * gx * fy
+        + flat.take(index + dx + dy, axis=0) * fx * fy
+    )
 
 
 def _displaced_grid(u: np.ndarray, v: np.ndarray):
@@ -378,7 +433,9 @@ def joint_photometric_align(
     first iteration runs the estimator's pyramid from zero flow (init None);
     every later one warm-starts each estimate from the previous u or v.
     Stops early once the relative residual improvement drops below
-    MIN_IMPROVEMENT. Estimator failures return the best flows found so far.
+    MIN_IMPROVEMENT. An estimator that fails (ValueError,
+    FloatingPointError, RuntimeError or LinAlgError) returns the best flows
+    found so far; any other exception propagates.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -401,7 +458,8 @@ def joint_photometric_align(
             g_w = warp_image(g, u)
             target_v = _constraint_target(c, g_w, g)
             v = est(gbar, target_v, params, v if i else None)
-        except Exception as exc:  # estimator failure: keep best flows
+        except (ValueError, FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
+            # what a failed estimate raises; a programming error propagates
             warnings.warn(f"flow estimator failed; returning best flows so far ({exc})")
             u, v = best
             break

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .alignment import resample
+from .alignment import _block_length, resample
 from .core import Image, unit
 
 
@@ -140,7 +140,13 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
 
     Binarize at threshold * max, open with a disk (erosion then dilation)
     to drop stray bright spots, then return the intensity-weighted
-    centroid (x, y) of the largest connected component.
+    centroid (x, y) of the largest connected component; of equal ones, the
+    first in raster order.
+
+    The opening, labelling and centroid run in the bounding box of the
+    binarized pixels padded by the disk's width (2r + 1): the frame border
+    and the zeros outside the box are both background, so the components
+    and their raster order are those of the full frame.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
@@ -150,17 +156,21 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
     if not binary.any():
         raise ValueError("no highlight: no pixel above threshold")
     selem = _disk(morph_radius)
+    pad = len(selem)
+    rows = np.flatnonzero(binary.any(axis=1))
+    cols = np.flatnonzero(binary.any(axis=0))
+    top, left = max(rows[0] - pad, 0), max(cols[0] - pad, 0)
+    window = np.s_[top : rows[-1] + pad + 1, left : cols[-1] + pad + 1]
+    binary, vals = binary[window], vals[window]
     opened = ndimage.binary_dilation(ndimage.binary_erosion(binary, selem), selem)
     if not opened.any():
         # opening removed everything: the spot is smaller than the element
         opened = binary
-    labels, count = ndimage.label(opened)
-    sizes = ndimage.sum_labels(np.ones_like(vals), labels, index=range(1, count + 1))
-    biggest = int(np.argmax(sizes)) + 1
-    region = labels == biggest
-    w = vals * region
+    labels, _ = ndimage.label(opened)
+    biggest = int(np.argmax(np.bincount(labels.ravel())[1:])) + 1
+    w = vals * (labels == biggest)
     total = w.sum()
-    yy, xx = np.mgrid[0 : vals.shape[0], 0 : vals.shape[1]]
+    yy, xx = np.mgrid[top : top + vals.shape[0], left : left + vals.shape[1]]
     return float((xx * w).sum() / total), float((yy * w).sum() / total)
 
 
@@ -481,16 +491,24 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
 
 
 def warp_by_homography(img: Image, h: Homography) -> Image:
-    """Resample an image through H (inverse mapping, bilinear)."""
+    """Resample an image through H (inverse mapping, bilinear).
+
+    The inverse map is evaluated per block of whole rows, each at most one
+    resample block, and written into preallocated outputs, so no full-size
+    coordinate array exists.
+    """
     hh, ww = img.shape
     inv = Homography(np.linalg.inv(h.h)).h
-    # the inverse map on a (1, W) vector of x and an (H, 1) vector of y, so
-    # only the mapped coordinates are full-size; den is dropped before resample
-    x = np.arange(ww, dtype=float)[None, :]
+    vals = np.empty((hh, ww))
+    mask = np.empty((hh, ww), bool)
+    x = np.arange(ww, dtype=float)
     y = np.arange(hh, dtype=float)[:, None]
-    xs, ys, den = (r[0] * x + r[1] * y + r[2] for r in inv)
-    xs /= den
-    ys /= den
-    del den
-    vals, mask = resample(img.samples, img.mask, xs, ys)
-    return Image(np.maximum(vals, 0.0), mask)
+    rows = max(1, _block_length() // ww)
+    for top in range(0, hh, rows):
+        block = slice(top, top + rows)
+        xs, ys, den = (r[0] * x + r[1] * y[block] + r[2] for r in inv)
+        xs /= den
+        ys /= den
+        out, mask[block] = resample(img.samples, img.mask, xs, ys)
+        np.maximum(out, 0.0, out=vals[block])
+    return Image(vals, mask)

@@ -139,6 +139,66 @@ class TestResample:
             _, valid = resample(values, mask, np.array([x]), np.array([y]))
             assert not valid[0]
 
+    @given(
+        GRID_SHAPES,
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        SEEDS,
+        st.sampled_from([None, 1, 3]),
+        st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_block_length_invariant_bitwise(self, shape, query_shape, seed, channels, masked):
+        values, mask = random_grid(shape, seed, channels)
+        mask = mask if masked else None
+        rng = np.random.default_rng(seed)
+        xq = rng.uniform(-2.0, shape[1] + 1.0, query_shape)
+        yq = rng.uniform(-2.0, shape[0] + 1.0, query_shape)
+        out, valid = resample(values, mask, xq, yq)  # one block
+        n = xq.size
+        lengths = (1, query_shape[1], next(k for k in range(2, n + 2) if n % k))
+        for length in lengths:  # one query, one row, a length not dividing H W
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(alignment, "_CHUNK_BYTES", 8 * (channels or 1) * length)
+                out_b, valid_b = resample(values, mask, xq, yq)
+            np.testing.assert_array_equal(out_b, out)
+            np.testing.assert_array_equal(valid_b, valid)
+
+    @given(GRID_SHAPES, SEEDS, st.sampled_from(["random", "holes", "full", "empty"]))
+    @example((1, 1), 0, "holes")
+    @example((1, 6), 1, "holes")
+    @example((6, 1), 2, "random")
+    @settings(max_examples=100, deadline=None)
+    def test_mask_shortcut_equals_full_mask_interpolation(self, shape, seed, masks):
+        """Validity matches the mask bilinearly sampled at every query,
+        including NaN and infinite queries."""
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        mask = {
+            "random": rng.random(shape) > 0.3,
+            "holes": rng.random(shape) > 0.1 / (h * w) ** 0.5,  # isolated holes
+            "full": np.ones(shape, bool),
+            "empty": np.zeros(shape, bool),
+        }[masks]
+        xq = rng.uniform(-1.5, w + 0.5, 40)
+        yq = rng.uniform(-1.5, h + 0.5, 40)
+        xq[::3], yq[1::4] = np.floor(xq[::3]), np.floor(yq[1::4])  # grid lines
+        xq[::7], yq[3::7] = rng.choice([np.nan, np.inf, -np.inf], (2, 6))
+        with np.errstate(invalid="ignore"):  # casts and products of NaN and inf
+            _, valid = resample(np.zeros(shape), mask, xq, yq)
+            inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
+            x0 = np.clip(np.floor(xq).astype(int), 0, max(w - 2, 0))
+            y0 = np.clip(np.floor(yq).astype(int), 0, max(h - 2, 0))
+            x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+            fx, fy = xq - x0, yq - y0
+            m = mask.astype(float)
+            sampled = (
+                m[y0, x0] * (1 - fx) * (1 - fy)
+                + m[y0, x1] * fx * (1 - fy)
+                + m[y1, x0] * (1 - fx) * fy
+                + m[y1, x1] * fx * fy
+            )
+        np.testing.assert_array_equal(valid, inside & (sampled > 1.0 - 1e-12))
+
 
 _AVG_KERNEL = np.array(
     [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]]
@@ -567,6 +627,16 @@ class TestJointPhotometricAlign:
             u, v, residuals = joint_photometric_align(g, gbar, c, 5, estimator=flaky)
         assert u.shape == g.shape
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("error", [NameError, TypeError])
+    def test_programming_error_in_the_estimator_propagates(self, error):
+        g, gbar, c = textured_radiance_scene(30, 30)
+
+        def broken(src, tgt, params, init):
+            raise error("a bug, not a failed estimate")
+
+        with pytest.raises(error, match="a bug"):
+            joint_photometric_align(g, gbar, c, 3, estimator=broken)
 
     def test_estimator_is_warm_started_from_the_previous_flow(self):
         g, gbar, c = textured_radiance_scene(30, 30, shift=(1, 1))

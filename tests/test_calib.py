@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from gradientstage import alignment
 from gradientstage.calib import (
     CameraIntrinsics,
     Conic,
@@ -20,6 +24,7 @@ from gradientstage.calib import (
     sphere_center,
     symmetric_transfer_error,
     warp_by_homography,
+    _disk,
 )
 from gradientstage.core import Image
 from gradientstage.stage import generate_icosphere_directions, select_hemisphere
@@ -30,6 +35,54 @@ K2000 = CameraIntrinsics.from_focal(2000.0)
 def gaussian_spot(h, w, cx, cy, sigma=3.0, amplitude=1.0):
     yy, xx = np.mgrid[0:h, 0:w]
     return amplitude * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))
+
+
+def full_frame_centroid(img: Image, threshold: float = 0.5, morph_radius: int = 2):
+    """detect_highlight_centroid with the opening, labelling and centroid
+    over the whole frame: the reference for the windowed one."""
+    vals = img.samples
+    peak = vals.max()
+    binary = vals >= threshold * peak if peak > 0 else np.zeros_like(vals, bool)
+    if not binary.any():
+        raise ValueError("no highlight: no pixel above threshold")
+    selem = _disk(morph_radius)
+    opened = ndimage.binary_dilation(ndimage.binary_erosion(binary, selem), selem)
+    if not opened.any():
+        opened = binary
+    labels, count = ndimage.label(opened)
+    sizes = ndimage.sum_labels(np.ones_like(vals), labels, index=range(1, count + 1))
+    biggest = int(np.argmax(sizes)) + 1
+    w = vals * (labels == biggest)
+    total = w.sum()
+    yy, xx = np.mgrid[0 : vals.shape[0], 0 : vals.shape[1]]
+    return float((xx * w).sum() / total), float((yy * w).sum() / total)
+
+
+def assert_matches_full_frame(img, threshold, morph_radius):
+    got = detect_highlight_centroid(img, threshold, morph_radius)
+    np.testing.assert_allclose(got, full_frame_centroid(img, threshold, morph_radius), rtol=0, atol=1e-9)
+    return got
+
+
+def mirror_ball_frames(seed, count=41, size=512):
+    """Frames like the calibration benchmark's: a Gaussian highlight (sigma
+    3.5 px) at each LED's mirror point over a dim ball (0.05), with 0.005
+    sensor noise, clamped at 0 and rounded to float32 as in a PFM."""
+    rng = np.random.default_rng(seed)
+    center, radius = np.array([0.0, 0.0, 890.0]), 38.1
+    k = np.array([[2000.0, 0.0, (size - 1) / 2], [0.0, 2000.0, (size - 1) / 2], [0.0, 0.0, 1.0]])
+    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    ball = project_point(center, k)
+    on_ball = (xx - ball[0]) ** 2 + (yy - ball[1]) ** 2 <= (k[0, 0] * radius / center[2]) ** 2
+    i = np.arange(count) + 0.5
+    cos_t = 1.0 - 0.5 * i / count  # within 60 deg of the axis toward the camera
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    for d in np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), -cos_t], axis=1):
+        hx, hy = project_point(forward_highlight_point(center + 790.0 * d, center, radius), k)
+        img = 0.05 * on_ball + np.exp(-((xx - hx) ** 2 + (yy - hy) ** 2) / (2 * 3.5**2))
+        img += 0.005 * rng.standard_normal(img.shape)
+        yield Image(np.maximum(img, 0.0).astype(np.float32).astype(float))
 
 
 class TestHighlightCentroid:
@@ -56,6 +109,49 @@ class TestHighlightCentroid:
         vals[5, 5] = 2.0  # single hot pixel brighter than the spot
         x, y = detect_highlight_centroid(Image(vals), 0.3, 2)
         assert x == pytest.approx(40.0, abs=0.5)
+
+    @pytest.mark.parametrize("cx", [0.0, 29.5, 59.0])
+    @pytest.mark.parametrize("cy", [0.0, 19.5, 39.0])
+    @pytest.mark.parametrize("morph_radius", [0, 1, 2, 3])
+    def test_window_matches_full_frame_at_edges_and_corners(self, cx, cy, morph_radius):
+        # the spot's centre on each edge and corner (and, once, inside)
+        vals = gaussian_spot(40, 60, cx, cy, sigma=2.5)
+        vals[0, 30] = vals[39, 0] = 0.9  # hot pixels on the border
+        assert_matches_full_frame(Image(vals), 0.3, morph_radius)
+
+    @pytest.mark.parametrize("morph_radius", [0, 1])
+    def test_equal_components_first_in_raster_order(self, morph_radius):
+        vals = np.zeros((30, 40))
+        vals[12:17, 3:8] = 1.0  # starts on a later row, further left
+        vals[10:15, 30:35] = 1.0
+        x, y = assert_matches_full_frame(Image(vals), 0.5, morph_radius)
+        assert (x, y) == (32.0, 12.0)
+
+    def test_spot_removed_by_the_opening_falls_back_to_the_binary_image(self):
+        vals = np.zeros((20, 30))
+        vals[5:7, 10:12] = [[1.0, 0.5], [0.5, 1.0]]
+        x, y = assert_matches_full_frame(Image(vals), 0.4, 2)
+        assert (x, y) == (10.5, 5.5)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0.05, 0.95),
+        st.integers(-1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_full_frame_on_scattered_spots(self, seed, spots, threshold, radius):
+        rng = np.random.default_rng(seed)
+        vals = np.zeros((37, 45))
+        for _ in range(spots):
+            vals += gaussian_spot(37, 45, *rng.uniform(-3, 48, 2), sigma=rng.uniform(0.3, 4))
+        vals[rng.random(vals.shape) < 0.01] += rng.uniform(0, 1.5)  # hot pixels
+        assume(vals.max() > 0)
+        assert_matches_full_frame(Image(vals), threshold, radius)
+
+    def test_window_matches_full_frame_bitwise_on_mirror_ball_frames(self):
+        for img in mirror_ball_frames(seed=3):
+            assert detect_highlight_centroid(img) == full_frame_centroid(img)
 
 
 class TestFitConic:
@@ -382,3 +478,32 @@ class TestHomographyWarp:
         h[0, 2] = 2.0  # shift +x by 2
         out = warp_by_homography(Image(vals), Homography(h))
         assert out.samples[4, 6] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_row_blocks_do_not_change_the_warp(self, rows):
+        rng = np.random.default_rng(4)
+        img = Image(rng.random((20, 13)), rng.random((20, 13)) > 0.05)
+        h = Homography(np.array([[1.02, 0.03, 1.5], [-0.02, 0.98, -0.7], [1e-3, -2e-3, 1.0]]))
+        want = warp_by_homography(img, h)
+        with pytest.MonkeyPatch.context() as patch:
+            # rows of 13 queries per block; 7 does not divide the 20 rows
+            patch.setattr(alignment, "_CHUNK_BYTES", 8 * 13 * rows)
+            got = warp_by_homography(img, h)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        np.testing.assert_array_equal(got.mask, want.mask)
+
+    def test_memory_of_a_1024_px_warp(self):
+        # one-block resampling of this warp peaked at 97 MiB: int64 stencil
+        # indices, offsets and a float copy of the mask, all full-size
+        n = 1024
+        yy, xx = np.mgrid[0:n, 0:n]
+        img = Image(np.random.default_rng(0).random((n, n)), (xx - 500) ** 2 + (yy - 520) ** 2 <= 480**2)
+        del yy, xx
+        h = Homography(np.array([[1.004, 0.006, 2.5], [-0.005, 0.997, -1.8], [2e-6, -3e-6, 1.0]]))
+        tracemalloc.start()
+        try:
+            warp_by_homography(img, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -14,6 +14,8 @@ from .core import DARK_EPS, Image, NormalMap, _filled, _mask
 
 # flow displacements below this are numerical noise; snapped to exact zero
 ZERO_FLOW = 1e-9
+# the flow pyramid stops halving once a level's shorter side is below this
+MIN_LEVEL_SIZE = 24
 # joint alignment stops once an iteration cuts the residual by less than this
 MIN_IMPROVEMENT = 1e-3
 # each flow solve stops once its residual falls below this fraction of |b|
@@ -69,26 +71,27 @@ class FlowField:
 class FlowParams:
     """Coarse-to-fine variational estimator settings.
 
-    alpha is the smoothness weight of the quadratic regularizer on the
-    total flow (not on each warp's increment) and must lie in
-    [1e-100, 1e100], so that the solver's alpha^2 neither underflows to
-    zero nor overflows; iterations caps the preconditioned conjugate-gradient
-    iterations per warp, each of which stops earlier once its residual falls
-    to CG_TOL times its right-hand side; warps re-linearizes the data term
-    within each pyramid level, and within the finest level alone when the
-    estimate is warm-started.
+    levels caps the pyramid's depth, which also stops halving once a
+    level's shorter side falls below MIN_LEVEL_SIZE; alpha is the
+    smoothness weight of the quadratic regularizer on the total flow (not
+    on each warp's increment) and must lie in [1e-100, 1e100], so that the
+    solver's alpha^2 neither underflows to zero nor overflows; iterations
+    caps the preconditioned conjugate-gradient iterations per warp, each of
+    which stops earlier once its residual falls to CG_TOL times its
+    right-hand side; warps re-linearizes the data term within each pyramid
+    level, and within the finest level alone when the estimate is
+    warm-started.
     """
 
     levels: int = 4
     alpha: float = 0.1
     iterations: int = 100
     warps: int = 3
-    min_level_size: int = 24
 
     def __post_init__(self):
         if not 1e-100 <= self.alpha <= 1e100:
             raise ValueError(f"flow alpha must lie in [1e-100, 1e100], got {self.alpha}")
-        for name in ("levels", "warps", "min_level_size"):
+        for name in ("levels", "warps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"flow {name} must be at least 1, got {getattr(self, name)}")
 
@@ -398,7 +401,7 @@ def flow_estimate(
     if init is None:
         for _ in range(params.levels - 1):
             pa, pb = pyramid[-1]
-            if min(pa.shape) < params.min_level_size:
+            if min(pa.shape) < MIN_LEVEL_SIZE:
                 break
             pyramid.append((_downsample(pa), _downsample(pb)))
         u = np.zeros_like(pyramid[-1][0])

@@ -50,24 +50,6 @@ class Conic:
         a, b, c, d, e, f = self.coefficients
         return a * x * x + b * x * y + c * y * y + d * x + e * y + f
 
-    def ellipse_geometry(self):
-        """(center, semi-axes (major, minor), major-axis angle)."""
-        if not self.is_ellipse:
-            raise ValueError("conic is not an ellipse")
-        m33 = self.matrix
-        m22 = m33[:2, :2]
-        center = np.linalg.solve(2 * m22, -np.array([self.d, self.e]))
-        # constant term of the conic translated to its center
-        k = self.evaluate([center])[0]
-        evals, evecs = np.linalg.eigh(m22)
-        axes2 = -k / evals
-        if np.any(axes2 <= 0):
-            raise ValueError("degenerate ellipse")
-        axes = np.sqrt(axes2)
-        order = np.argsort(-axes)
-        angle = float(np.arctan2(evecs[1, order[0]], evecs[0, order[0]]))
-        return center, axes[order], angle
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -88,9 +70,6 @@ class CameraIntrinsics:
     @classmethod
     def from_focal(cls, focal: float, cx: float = 0.0, cy: float = 0.0):
         return cls(np.array([[focal, 0, cx], [0, focal, cy], [0, 0, 1.0]]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.k.tolist())
 
     @classmethod
     def from_json(cls, text: str):
@@ -312,29 +291,6 @@ def light_direction(highlight_xy, intrinsics: CameraIntrinsics, origin, center, 
     return ell / np.linalg.norm(ell)
 
 
-def interpolate_blind_spot(nominal: dict[int, np.ndarray], measured: dict[int, np.ndarray], missing_id: int) -> np.ndarray:
-    """Direction for an LED whose highlight is unobservable.
-
-    Neighbors are the LEDs within 1.5x the minimum nominal angular spacing
-    of the missing LED; the result is the normalized mean of their
-    measured directions (icosahedral-neighborhood heuristic).
-    """
-    if missing_id not in nominal:
-        raise ValueError(f"unknown LED id {missing_id}")
-    target = unit(nominal[missing_id])
-    angles = {
-        i: np.arccos(np.clip(unit(v) @ target, -1, 1))
-        for i, v in nominal.items()
-        if i != missing_id
-    }
-    min_spacing = min(angles.values())
-    neighbor_ids = [i for i, a in angles.items() if a <= 1.5 * min_spacing and i in measured]
-    if not neighbor_ids:
-        raise ValueError("no measured neighbors available for interpolation")
-    mean = np.mean([unit(measured[i]) for i in neighbor_ids], axis=0)
-    return mean / np.linalg.norm(mean)
-
-
 def _hartley_normalize(points: np.ndarray):
     mean = points.mean(axis=0)
     dist = np.linalg.norm(points - mean, axis=1).mean()
@@ -471,7 +427,6 @@ class SeparationResult:
     specular: Image
     diffuse: Image
     clamp_count: int
-    clamp_mask: np.ndarray
 
 
 def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
@@ -484,10 +439,9 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
         raise ValueError(f"dimension mismatch: {i0.shape} vs {i1.shape}")
     mask = i0.mask & i1.mask
     diff = i0.samples - i1.samples
-    clamp_mask = mask & (diff < 0)
     specular = Image(np.maximum(diff, 0.0), mask)
     diffuse = Image(2.0 * i1.samples, mask)
-    return SeparationResult(specular, diffuse, int(clamp_mask.sum()), clamp_mask)
+    return SeparationResult(specular, diffuse, int(np.count_nonzero(mask & (diff < 0))))
 
 
 def warp_by_homography(img: Image, h: Homography) -> Image:

@@ -67,7 +67,7 @@ def _check_simulate_values(args) -> None:
     for flag, is_set in changed.items():
         if is_set:
             raise ValueError(f"{flag} needs {renderer}")
-    if args.quantization != stage.LightStage.quantization_levels and not args.quantize:
+    if args.quantization != stage.ILT_LEVELS and not args.quantize:
         raise ValueError("--quantization needs --quantize")
 
 
@@ -186,6 +186,11 @@ def _cmd_calibrate_lights(args) -> int:
     center, dist = calib.sphere_center(conic, intrinsics, args.radius, args.pair_tol)
     if args.highlights:
         rows = _read_xy_csv(args.highlights, 3)
+        for i, led_id in enumerate(rows[:, 0], 1):
+            if not (led_id.is_integer() and -(2**63) <= led_id < 2**63):
+                raise ValueError(
+                    f"{args.highlights}: data row {i}: LED id {led_id} is not a whole number in int64 range"
+                )
         highlights = [(int(r[0]), (r[1], r[2])) for r in rows]
     else:
         if not args.images:
@@ -344,7 +349,7 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     p.add_argument("--delta", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--deltabar", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--leds", type=int, default=0, help="0 = analytic; else 12/42/162/642/41")
-    p.add_argument("--quantization", type=int, default=stage.LightStage.quantization_levels)
+    p.add_argument("--quantization", type=int, default=stage.ILT_LEVELS)
     p.add_argument("--quantize", action="store_true", help="apply ILT quantization")
     p.add_argument("--led-noise", type=float, default=0.0)
     p.add_argument("--pixel-noise", type=float, default=0.0)

@@ -145,12 +145,3 @@ def write_flow(path, flow) -> None:
     )
     write_pfm_array(path, data)
 
-
-def read_flow(path):
-    from .alignment import FlowField
-
-    arr = read_pfm_array(path)
-    if arr.ndim != 3:
-        raise ValueError(f"{path}: expected a 3-channel flow PFM")
-    mask = (arr[:, :, 2] > 0.5) & np.all(np.isfinite(arr[:, :, :2]), axis=2)
-    return FlowField(arr[:, :, :2], mask)

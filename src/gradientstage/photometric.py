@@ -123,19 +123,6 @@ def recover_specular(imgset: GradientImageSet) -> tuple[NormalMap, NormalMap]:
     return reflection, halfway
 
 
-def ideal_lobe_centroid(k: float) -> float:
-    """Centroid height of an ideal diffuse lobe of extent k along the normal.
-
-    3(k^2 - 2k) / (4(k^2 - 3)); equals 0.375 for the unit lobe.
-    """
-    if k <= 0:
-        raise ValueError("lobe extent must be positive")
-    denom = k * k - 3.0
-    if abs(denom) < 1e-12:
-        raise ValueError("singular lobe extent: k^2 = 3")
-    return 3.0 * (k * k - 2.0 * k) / (4.0 * denom)
-
-
 @dataclass(frozen=True)
 class MagnitudeStats:
     min: float

@@ -11,6 +11,9 @@ from .core import Condition, GradientImageSet, Image, NormalMap, unit
 
 _ICO_SUBDIV_COUNTS = {0: 12, 1: 42, 2: 162, 3: 642}
 
+# brightness levels of a stage's intensity lookup table (ILT) by default
+ILT_LEVELS = 4096
+
 # bytes of one pixel block's cosine matrix in the discrete renderer; small
 # enough to stay in cache between the product, the clamp and the LED sum
 _CHUNK_BYTES = 1 << 19
@@ -122,7 +125,7 @@ class LedRecord:
 @dataclass(frozen=True)
 class LightStage:
     leds: tuple[LedRecord, ...]
-    quantization_levels: int = 4096
+    quantization_levels: int = ILT_LEVELS
 
     def __post_init__(self):
         leds = tuple(self.leds)
@@ -133,7 +136,7 @@ class LightStage:
         object.__setattr__(self, "leds", leds)
 
     @classmethod
-    def from_directions(cls, directions, quantization_levels=4096):
+    def from_directions(cls, directions, quantization_levels=ILT_LEVELS):
         leds = tuple(
             LedRecord(i, d) for i, d in enumerate(np.asarray(directions, dtype=float))
         )
@@ -152,10 +155,9 @@ class LightStage:
         return json.dumps(recs, indent=1)
 
     @classmethod
-    def from_json(cls, text: str, quantization_levels=4096):
+    def from_json(cls, text: str):
         recs = json.loads(text)
-        leds = tuple(LedRecord(r["id"], (r["lx"], r["ly"], r["lz"])) for r in recs)
-        return cls(leds, quantization_levels)
+        return cls(tuple(LedRecord(r["id"], (r["lx"], r["ly"], r["lz"])) for r in recs))
 
 
 def gradient_intensity(directions, condition):
@@ -179,13 +181,6 @@ def gradient_intensity(directions, condition):
 def _ilt_levels(p: np.ndarray, levels: int) -> np.ndarray:
     """ILT levels 0..levels-1 for intensities p in [0,1], rounding half up."""
     return np.floor(p * (levels - 1) + 0.5)
-
-
-def build_ilt(stage: LightStage, condition) -> list[tuple[int, int]]:
-    """Per-LED quantized brightness levels for one condition."""
-    p = gradient_intensity(stage.directions, condition)
-    levels = _ilt_levels(p, stage.quantization_levels).astype(int).tolist()
-    return list(zip((led.id for led in stage.leds), levels))
 
 
 @dataclass(frozen=True)
@@ -219,10 +214,6 @@ class SceneSpec:
         object.__setattr__(self, "albedo", albedo)
         object.__setattr__(self, "occlusion", occl)
         object.__setattr__(self, "distortion", dist)
-
-    @classmethod
-    def ideal(cls, normals: NormalMap, albedo=1.0) -> "SceneSpec":
-        return cls(normals, albedo, 1.0, np.zeros(6))
 
 
 @dataclass(frozen=True)
@@ -267,7 +258,6 @@ def render_lambert_discrete(
     stage: LightStage,
     condition,
     quantize: bool = False,
-    led_visible: np.ndarray | None = None,
     led_gain: np.ndarray | None = None,
 ) -> Image:
     """Equal-weight quadrature over the LED constellation.
@@ -276,9 +266,8 @@ def render_lambert_discrete(
     factor is the Lambert response in the same radiometric scale as the
     analytic renderer, so the sum converges to it as N grows.
 
-    led_visible: optional per-LED binary visibility, shape (N,) shared by
-    all pixels or (H, W, N) per pixel. led_gain: optional per-LED
-    multiplicative intensity error, shape (N,).
+    led_gain: optional per-LED multiplicative intensity error, shape (N,);
+    a zero gain switches an LED off for every pixel.
 
     The pixels are summed in blocks of _CHUNK_BYTES of cosines, so memory
     does not grow with N beyond one block.
@@ -293,15 +282,11 @@ def render_lambert_discrete(
     nm = scene.true_normals
     n = len(dirs)
     normals = nm.normals.reshape(-1, 3)
-    if led_visible is not None:
-        led_visible = np.broadcast_to(np.asarray(led_visible), nm.shape + (n,)).reshape(-1, n)
     total = np.empty(len(normals))
     block = max(1, _CHUNK_BYTES // (8 * n))
     for i in range(0, len(normals), block):
         cos = normals[i : i + block] @ dirs.T
         np.maximum(cos, 0.0, out=cos)
-        if led_visible is not None:
-            cos *= led_visible[i : i + block]
         total[i : i + block] = cos @ p
     r = (4.0 * np.pi / n) * (scene.albedo / 2.0) * total.reshape(nm.shape)
     return Image(r, nm.mask & (r >= 0))

@@ -289,7 +289,12 @@ def assert_solves_to_tolerance(ix, iy, it, u, v, alpha):
     lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
     # |x - x*| <= |A^-1| |r| for each of the two approximate solutions
     bound = (residual + oracle_residual) / lam_min
-    assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6)
+    # x and x* are float64 vectors whose residuals are recomputed in
+    # float64: where CG stops at that rounding floor (a grid of a few
+    # pixels), the distance can pass the residual bound by about an ulp of
+    # |x| + |x*| (0.75 ulp at the pinned (3, 1) example); allow a few
+    rounding = 4 * np.finfo(float).eps * (np.linalg.norm(x) + np.linalg.norm(oracle))
+    assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6) + rounding
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -330,6 +335,7 @@ class TestFlowSolve:
     @example((1, 9), 1, 0.5, 1, 1.0)
     @example((9, 1), 2, 1.0, 2, 1.0)
     @example((40, 40), 3, 0.01, 3, 10.0)
+    @example((3, 1), 90408872, 0.3862392963508185, 172, 848.1587627437304)
     @settings(max_examples=100, deadline=None)
     def test_solves_the_total_flow_system_to_tolerance(self, shape, seed, alpha, flow_seed, flow_scale):
         # the current flow enters b only, as -alpha^2 (I - Avg)(u, v)
@@ -387,7 +393,6 @@ class TestFlowParams:
             ("alpha", 1e200),  # alpha^2 overflows
             ("levels", 0),
             ("warps", 0),
-            ("min_level_size", 0),
         ],
     )
     def test_rejects_degenerate_settings(self, field, value):

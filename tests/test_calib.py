@@ -15,7 +15,6 @@ from gradientstage.calib import (
     detect_highlight_centroid,
     estimate_homography_dlt,
     fit_conic,
-    interpolate_blind_spot,
     light_direction,
     ray_sphere_intersect,
     refine_sampson,
@@ -27,7 +26,7 @@ from gradientstage.calib import (
     _disk,
 )
 from gradientstage.core import Image
-from gradientstage.stage import generate_icosphere_directions, select_hemisphere
+from gradientstage.stage import generate_icosphere_directions
 
 K2000 = CameraIntrinsics.from_focal(2000.0)
 
@@ -170,8 +169,9 @@ class TestFitConic:
         t = np.linspace(0, 2 * np.pi, 24, endpoint=False)
         pts = np.stack([20.0 * np.cos(t), 10.0 * np.sin(t)], axis=1)
         conic, _ = fit_conic(pts)
-        _, axes, _ = conic.ellipse_geometry()
-        assert axes[0] / axes[1] == pytest.approx(2.0, rel=1e-6)
+        # axis-aligned: semi-axes sqrt(-f/a) along x and sqrt(-f/c) along y
+        assert conic.b == pytest.approx(0.0, abs=1e-9 * abs(conic.a))
+        assert np.sqrt(conic.c / conic.a) == pytest.approx(2.0, rel=1e-6)
 
     def test_collinear_rejected(self):
         pts = np.stack([np.arange(6.0), 2.0 * np.arange(6.0)], axis=1)
@@ -282,22 +282,6 @@ class TestLightDirection:
     def test_off_sphere_pixel_raises(self):
         with pytest.raises(ValueError, match="highlight off sphere"):
             light_direction((5000.0, 5000.0), K2000, np.zeros(3), (0, 0, 890.0), 38.1)
-
-
-class TestBlindSpot:
-    def test_interpolates_dropped_led(self):
-        dirs = select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
-        nominal = {i: d for i, d in enumerate(dirs)}
-        rng = np.random.default_rng(0)
-        measured = {}
-        for i, d in nominal.items():
-            wobble = d + 0.002 * rng.normal(size=3)
-            measured[i] = wobble / np.linalg.norm(wobble)
-        missing = 20
-        del measured[missing]
-        est = interpolate_blind_spot(nominal, measured, missing)
-        angle = np.degrees(np.arccos(np.clip(est @ nominal[missing], -1, 1)))
-        assert angle < 8.0  # neighbor-mean heuristic, not exact
 
 
 class TestHomography:
@@ -448,7 +432,6 @@ class TestSeparation:
         result = separate_reflectance(i0, i1)
         assert result.specular.samples[0, 0] == 0.0
         assert result.clamp_count == 1
-        assert result.clamp_mask[0, 0]
 
     def test_reconstruction_identity_unclamped(self):
         rng = np.random.default_rng(0)

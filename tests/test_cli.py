@@ -140,6 +140,22 @@ def test_calibrate_lights_closure(tmp_path, capsys):
         assert np.degrees(np.arccos(np.clip(v @ truth, -1, 1))) < 0.5
 
 
+@pytest.mark.parametrize("led_id", ["inf", "nan", "2.7", "1e300", "9223372036854775808"])
+def test_calibrate_lights_rejects_an_id_that_is_not_an_int64(tmp_path, capsys, led_id):
+    k = np.diag([2000.0, 2000.0, 1.0])
+    (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
+    limb = project_sphere_limb(np.array([0.0, 0.0, 890.0]), 38.1, k)
+    (tmp_path / "limb.csv").write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in limb))
+    (tmp_path / "hl.csv").write_text(f"id,x,y\n0,30,20\n{led_id},50,60\n")
+    out = tmp_path / "lights.json"
+    argv = ["calibrate", "lights", "--k", str(tmp_path / "k.json"), "--radius", "38.1",
+            "--limb", str(tmp_path / "limb.csv"), "--highlights", str(tmp_path / "hl.csv"),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert "data row 2: LED id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def calibrate_lights_from_images(tmp_path, names, stray=()):
     """Run `calibrate lights --images` on two synthetic highlight PFMs saved
     under `names`, next to empty non-PFM files named in `stray`."""

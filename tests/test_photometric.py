@@ -14,7 +14,6 @@ from gradientstage.core import (
 )
 from gradientstage.photometric import (
     _difference_components,
-    ideal_lobe_centroid,
     magnitude_stats,
     recover_ma,
     recover_minimal,
@@ -216,20 +215,6 @@ class TestRecoverSpecular:
         refl, halfway = recover_specular(self.make_specular_set(u, strength=0.0))
         assert not refl.mask.any()
         assert not halfway.mask.any()
-
-
-class TestIdealLobeCentroid:
-    def test_unit_lobe(self):
-        assert ideal_lobe_centroid(1.0) == pytest.approx(0.375)
-
-    def test_k_two(self):
-        assert ideal_lobe_centroid(2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_singular_guard(self):
-        with pytest.raises(ValueError):
-            ideal_lobe_centroid(np.sqrt(3.0))
-        with pytest.raises(ValueError):
-            ideal_lobe_centroid(-1.0)
 
 
 class TestMagnitudeStats:

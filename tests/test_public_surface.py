@@ -1,0 +1,34 @@
+"""Each public top-level function and class of the package has a caller
+outside the tests: elsewhere in the package, in a script or in the benchmark."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "gradientstage").glob("*.py"))
+CALLERS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+TREES = {p: ast.parse(p.read_text()) for p in PACKAGE + CALLERS}
+
+# public names that only tests call, each kept for the reason given
+KEEP = {
+    "render_specular_analytic": "the forward model that the recover_specular tests compare against",
+    "magnitude_stats": "normalizing-constant statistics, for the run record (ROADMAP direction 2)",
+    "constraint_violation": "the QP constraint violation, for the run record (ROADMAP direction 2)",
+    "render_set": "perfbench/tests renders its traced scene with it",
+}
+
+
+def names_used(node):
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    uses = {p: [names_used(stmt) for stmt in tree.body] for p, tree in TREES.items()}
+    uncalled = set()
+    for path in PACKAGE:
+        for i, node in enumerate(TREES[path].body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if not any(node.name in used for p, stmts in uses.items()
+                           for j, used in enumerate(stmts) if (p, j) != (path, i)):
+                    uncalled.add(node.name)
+    assert uncalled == set(KEEP)

@@ -10,12 +10,10 @@ from hypothesis.extra.numpy import arrays
 from gradientstage import stage as stage_module
 from gradientstage.core import Condition, Image, NormalMap, unit
 from gradientstage.stage import (
-    LedRecord,
     LightStage,
     SceneSpec,
     SpecularSceneSpec,
     _ilt_levels,
-    build_ilt,
     generate_icosphere_directions,
     gradient_intensity,
     make_cylinder_scene,
@@ -60,13 +58,13 @@ def gradient_intensity_reference(direction, condition):
     return float((g + 1.0) / 2.0)
 
 
-def build_ilt_reference(stage, condition):
-    """The former per-LED ILT loop."""
+def ilt_reference(stage, condition):
+    """The former per-LED ILT loop: each LED's level, rounding half up."""
     levels = stage.quantization_levels
     out = []
     for led in stage.leds:
         p = gradient_intensity_reference(led.direction, condition)
-        out.append((led.id, int(np.floor(p * (levels - 1) + 0.5))))
+        out.append(int(np.floor(p * (levels - 1) + 0.5)))
     return out
 
 
@@ -81,17 +79,13 @@ def led_weights_reference(stage, condition, quantize=False, led_gain=None):
     return p
 
 
-def render_lambert_discrete_reference(
-    scene, stage, condition, quantize=False, led_visible=None, led_gain=None
-):
+def render_lambert_discrete_reference(scene, stage, condition, quantize=False, led_gain=None):
     """The former renderer: one (H, W, N) cosine tensor built by einsum."""
     dirs = stage.directions
     p = led_weights_reference(stage, condition, quantize, led_gain)
     nm = scene.true_normals
     cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
     np.maximum(cos, 0.0, out=cos)
-    if led_visible is not None:
-        cos = cos * np.asarray(led_visible)
     r = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
     return Image(r, nm.mask & (r >= 0))
 
@@ -204,41 +198,44 @@ class TestGradientIntensity:
 
 
 class TestIlt:
+    """The ILT rounding that the quantized discrete renderer applies."""
+
+    @staticmethod
+    def ilt(stage, condition):
+        p = gradient_intensity(stage.directions, condition)
+        return _ilt_levels(p, stage.quantization_levels).tolist()
+
     @pytest.fixture
     def stage(self):
         dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 0, 1.0]])
         return LightStage.from_directions(dirs, quantization_levels=4096)
 
     def test_extremes_and_half(self, stage):
-        levels = dict(build_ilt(stage, Condition.X))
+        levels = self.ilt(stage, Condition.X)
         assert levels[0] == 4095  # intensity 1.0
         assert levels[1] == 0  # intensity 0.0
         assert levels[2] == 2048  # 0.5 rounds half up: round(0.5 * 4095)
 
     def test_levels_in_range(self, stage):
         for cond in Condition:
-            for _, level in build_ilt(stage, cond):
+            for level in self.ilt(stage, cond):
                 assert 0 <= level <= 4095
 
     @given(
         st.lists(stage_unit_vectors, min_size=1, max_size=30),
         st.integers(2, 70_000),
         st.sampled_from(list(Condition)),
-        st.integers(0, 1000),
     )
-    def test_equals_per_led_loop(self, dirs, levels, cond, first_id):
-        leds = tuple(LedRecord(first_id + 3 * i, d) for i, d in enumerate(dirs))
-        stage = LightStage(leds, quantization_levels=levels)
-        ilt = build_ilt(stage, cond)
-        assert ilt == build_ilt_reference(stage, cond)
-        assert all(type(level) is int for _, level in ilt)
+    def test_equals_per_led_loop(self, dirs, levels, cond):
+        stage = LightStage.from_directions(dirs, quantization_levels=levels)
+        assert self.ilt(stage, cond) == ilt_reference(stage, cond)
 
     @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
     @pytest.mark.parametrize("levels", [2, 4, 256, 4096])
     def test_supported_stages_equal_per_led_loop(self, count, levels):
         stage = LightStage.from_directions(stage_directions(count), levels)
         for cond in Condition:
-            assert build_ilt(stage, cond) == build_ilt_reference(stage, cond)
+            assert self.ilt(stage, cond) == ilt_reference(stage, cond)
 
     def test_quantization_floor(self):
         with pytest.raises(ValueError):
@@ -247,12 +244,12 @@ class TestIlt:
 
 class TestAnalyticRender:
     def test_frontal_z_gradient(self):
-        scene = SceneSpec.ideal(make_sphere_scene(9, 9, 4).true_normals)
+        scene = make_sphere_scene(9, 9, 4)
         img = render_lambert_analytic(scene, Condition.Z)
         assert img.samples[4, 4] == pytest.approx(5 * np.pi / 12, abs=1e-9)
 
     def test_frontal_constant(self):
-        scene = SceneSpec.ideal(make_sphere_scene(9, 9, 4).true_normals)
+        scene = make_sphere_scene(9, 9, 4)
         img = render_lambert_analytic(scene, Condition.C)
         assert img.samples[4, 4] == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -307,9 +304,7 @@ class TestDiscreteRender:
     def test_all_leds_occluded_is_dark(self):
         scene = make_sphere_scene(5, 5, 2)
         stage = self.make_stage(0)
-        img = render_lambert_discrete(
-            scene, stage, Condition.C, led_visible=np.zeros(12)
-        )
+        img = render_lambert_discrete(scene, stage, Condition.C, led_gain=np.zeros(12))
         assert np.all(img.samples == 0.0)
 
     def test_ilt_quantization_path(self):
@@ -324,16 +319,6 @@ class TestDiscreteRender:
         np.testing.assert_allclose(
             quantized.samples[2, 2], plain.samples[2, 2], rtol=0.25
         )
-
-    def test_per_pixel_visibility(self):
-        scene = make_sphere_scene(5, 5, 2)
-        stage = self.make_stage(0)
-        vis = np.ones((5, 5, 12))
-        vis[2, 2, :6] = 0.0
-        img = render_lambert_discrete(scene, stage, Condition.C, led_visible=vis)
-        ref = render_lambert_discrete(scene, stage, Condition.C)
-        assert img.samples[2, 2] < ref.samples[2, 2]
-        assert img.samples[1, 2] == ref.samples[1, 2]
 
     def test_complement_constraint_exact_for_common_led_set(self):
         # per-LED intensities of a gradient and its complement sum to 1,
@@ -351,16 +336,12 @@ class TestDiscreteRender:
     @given(st.lists(st.booleans(), min_size=42, max_size=42).filter(any),
            st.sampled_from(list(Condition)))
     def test_hidden_leds_drop_out_of_the_sum(self, bits, cond):
-        # (N,) and (H, W, N) visibility agree, and hiding LEDs equals a
-        # stage of the visible ones reweighted from 4 pi / N to 4 pi / n
+        # switching LEDs off (zero gain) equals a stage of the visible ones
+        # reweighted from 4 pi / N to 4 pi / n
         stage = self.make_stage(1)
         vis = np.array(bits)
         scene = make_sphere_scene(7, 7, 3)
-        per_led = render_lambert_discrete(scene, stage, cond, led_visible=vis).samples
-        per_pixel = render_lambert_discrete(
-            scene, stage, cond, led_visible=np.broadcast_to(vis, (7, 7, 42))
-        ).samples
-        np.testing.assert_array_equal(per_led, per_pixel)
+        per_led = render_lambert_discrete(scene, stage, cond, led_gain=vis.astype(float)).samples
         visible = LightStage.from_directions(stage.directions[vis])
         want = render_lambert_discrete(scene, visible, cond).samples * vis.sum() / 42
         np.testing.assert_allclose(per_led, want, rtol=1e-12, atol=1e-15)
@@ -371,16 +352,14 @@ class TestDiscreteRender:
         st.data(),
     )
     def test_complement_constraint_for_any_visible_set_and_gain(self, sub, cond, data):
-        # gradient + complement = constant for any LED subset and any
-        # per-LED gain the two share
+        # gradient + complement = constant for any LED subset (the LEDs
+        # left on) and any per-LED gain the two share
         stage = self.make_stage(sub)
         n = len(stage.leds)
-        per_pixel = data.draw(st.booleans())
-        shape = (7, 7, n) if per_pixel else (n,)
-        vis = data.draw(arrays(np.bool_, shape)).astype(float)
+        vis = data.draw(arrays(np.bool_, n))
         gain = data.draw(arrays(np.float64, n, elements=st.floats(0.5, 1.5)))
         scene = make_sphere_scene(7, 7, 3)
-        kw = {"led_visible": vis, "led_gain": gain}
+        kw = {"led_gain": vis * gain}
         r = render_lambert_discrete(scene, stage, cond, **kw).samples
         rbar = render_lambert_discrete(scene, stage, cond.complement, **kw).samples
         rc = render_lambert_discrete(scene, stage, Condition.C, **kw).samples
@@ -394,12 +373,11 @@ class TestDiscreteRender:
         st.sampled_from([12, 41, 162]),
         st.sampled_from(list(Condition)),
         st.booleans(),
-        st.sampled_from(["none", "led", "pixel"]),
         st.sampled_from(["one pixel", "uneven", "default"]),
         st.data(),
     )
     def test_blocked_render_equals_einsum_reference(
-        self, width, height, count, cond, quantize, visibility, block, data
+        self, width, height, count, cond, quantize, block, data
     ):
         # random normals in every direction, a fifth of the pixels masked
         rng = np.random.default_rng([width, height, count])
@@ -409,8 +387,6 @@ class TestDiscreteRender:
         scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
         stage = LightStage.from_directions(stage_directions(count), quantization_levels=256)
         gain = data.draw(st.none() | st.lists(st.floats(0.5, 1.5), min_size=count, max_size=count))
-        vis = {"none": None, "led": np.arange(count) % 3 > 0,
-               "pixel": rng.random((height, width, count)) > 0.3}[visibility]
         pixels = width * height
         with pytest.MonkeyPatch.context() as patch:
             if block == "one pixel":
@@ -418,7 +394,7 @@ class TestDiscreteRender:
             elif block == "uneven":
                 per_block = data.draw(st.integers(2, pixels + 1).filter(lambda k: pixels % k))
                 patch.setattr(stage_module, "_CHUNK_BYTES", 8 * count * per_block)
-            kw = {"quantize": quantize, "led_visible": vis, "led_gain": gain}
+            kw = {"quantize": quantize, "led_gain": gain}
             got = render_lambert_discrete(scene, stage, cond, **kw)
         want = render_lambert_discrete_reference(scene, stage, cond, **kw)
         np.testing.assert_array_equal(got.mask, want.mask)
@@ -493,13 +469,3 @@ class TestStageJson:
         assert [*json.loads(stage.to_json())[0]] == ["id", "lx", "ly", "lz"]
         back = LightStage.from_json(stage.to_json())
         np.testing.assert_allclose(back.directions, stage.directions, atol=1e-15)
-
-    def test_ilt_csv(self, tmp_path):
-        from gradientstage.pfm import write_csv
-
-        stage = LightStage.from_directions(np.array([[1.0, 0, 0], [0, 0, 1.0]]))
-        path = tmp_path / "ilt.csv"
-        write_csv(path, ("id", "level"), build_ilt(stage, Condition.X))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,level"
-        assert lines[1] == "0,4095"

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage
 
-from .core import DARK_EPS, Image, NormalMap, _filled, _mask
+from .core import DARK_EPS, Image, NormalMap, _block_rows, _filled, _mask
 
 # flow displacements below this are numerical noise; snapped to exact zero
 ZERO_FLOW = 1e-9
@@ -20,10 +20,6 @@ MIN_LEVEL_SIZE = 24
 MIN_IMPROVEMENT = 1e-3
 # each flow solve stops once its residual falls below this fraction of |b|
 CG_TOL = 1e-3
-# bytes of each per-channel float64 temporary of one resample block; walking
-# the queries in such blocks bounds the memory of the stencil indices,
-# weights and products, whatever the frame size
-_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -99,11 +95,6 @@ class FlowParams:
 FlowEstimator = Callable[[Image, Image, FlowParams, FlowField | None], FlowField]
 
 
-def _block_length(channels: int = 1) -> int:
-    """Queries per resample block: _CHUNK_BYTES of float64 per channel."""
-    return max(1, _CHUNK_BYTES // (8 * channels))
-
-
 def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np.ndarray):
     """Bilinear samples of an HxW or HxWxC grid at (xq, yq), with validity.
 
@@ -113,9 +104,11 @@ def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np
     point is valid. Fractional offsets are taken against the clipped base
     index so that integer query points reproduce grid values exactly.
 
-    The flattened queries are walked in blocks of _block_length(C) into
-    preallocated outputs; a single block is computed directly. The result
-    does not depend on the block length.
+    The flattened queries are walked in blocks of _block_rows(1, C), one
+    query a row, into preallocated outputs; a single block is computed
+    directly. Such blocks bound the memory of the stencil indices, weights
+    and products, whatever the frame size, and the result does not depend
+    on the block length.
     """
     h, w = values.shape[:2]
     channels = values.shape[2:]
@@ -124,7 +117,7 @@ def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np
     xq, yq = np.broadcast_arrays(xq, yq)
     shape = xq.shape
     xq, yq = xq.ravel(), yq.ravel()
-    step = _block_length(int(np.prod(channels)))
+    step = _block_rows(1, int(np.prod(channels)))
     if xq.size <= step:
         out, valid = _resample_block(grid, flags, w, h, xq, yq)
     else:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .alignment import _block_length, resample
-from .core import Image, unit
+from .alignment import resample
+from .core import Image, _block_rows, unit
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,7 @@ def warp_by_homography(img: Image, h: Homography) -> Image:
     mask = np.empty((hh, ww), bool)
     x = np.arange(ww, dtype=float)
     y = np.arange(hh, dtype=float)[:, None]
-    rows = max(1, _block_length() // ww)
+    rows = _block_rows(ww, 1)
     for top in range(0, hh, rows):
         block = slice(top, top + rows)
         xs, ys, den = (r[0] * x + r[1] * y[block] + r[2] for r in inv)

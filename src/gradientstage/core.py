@@ -14,6 +14,11 @@ DARK_EPS = 1e-9
 
 UNIT_TOL = 1e-6
 
+# bytes of one block of a blocked full-frame pass (the grid constructors,
+# the QP solve, the discrete renderer and the resampler): small enough that
+# a block's temporaries stay in cache between the passes over it
+_CHUNK_BYTES = 1 << 19
+
 
 class Condition(str, Enum):
     """Spherical illumination conditions: three gradients, their complements,
@@ -78,9 +83,17 @@ def _mask(mask, shape) -> np.ndarray:
     return m
 
 
-def _filled(values: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
+def _filled(values: np.ndarray, mask: np.ndarray, fill: float) -> np.ndarray:
     """Private read-only copy of a grid with `fill` at every invalid pixel."""
-    v = np.where(mask if values.ndim == 2 else mask[..., None], values, fill)
+    if values.ndim == 2:
+        v = np.where(mask, values, fill)
+    else:
+        # one scalar fill per channel: a broadcast np.where is several
+        # times slower on an HxWxC grid
+        v = np.array(values, dtype=np.result_type(values, fill))
+        invalid = ~mask
+        for c in range(v.shape[2]):
+            np.copyto(v[..., c], fill, where=invalid)
     v.setflags(write=False)
     return v
 
@@ -89,12 +102,25 @@ def _length(v: np.ndarray) -> np.ndarray:
     """Per-pixel Euclidean length of an HxWxC grid.
 
     Sums the squares in np.linalg.norm's order, so the result is bitwise
-    equal to np.linalg.norm(v, axis=2), without its HxWxC temporary.
+    equal to np.linalg.norm(v, axis=2), without its HxWxC temporary. A
+    length beyond the float64 range is inf, which every caller rejects.
     """
-    sq = v[..., 0] * v[..., 0]
-    for c in range(1, v.shape[2]):
-        sq += v[..., c] * v[..., c]
+    with np.errstate(over="ignore"):
+        sq = v[..., 0] * v[..., 0]
+        for c in range(1, v.shape[2]):
+            sq += v[..., c] * v[..., c]
     return np.sqrt(sq, out=sq)
+
+
+def _block_rows(width: int, channels: int) -> int:
+    """Rows in one _CHUNK_BYTES block of a pass over rows of `width` items
+    with `channels` float64 values each; a flat walk has width 1."""
+    return max(1, _CHUNK_BYTES // (8 * channels * width))
+
+
+def _check_grid_shape(n: np.ndarray) -> None:
+    if n.ndim != 3 or n.shape[2] != 3 or n[..., 0].size == 0:
+        raise ValueError("normals must be an HxWx3 array")
 
 
 def _finite_nonnegative(a: np.ndarray) -> bool:
@@ -144,24 +170,40 @@ class NormalMap:
 
     def __post_init__(self):
         n = np.asarray(self.normals, dtype=float)
-        if n.ndim != 3 or n.shape[2] != 3 or n[..., 0].size == 0:
-            raise ValueError("normals must be an HxWx3 array")
+        _check_grid_shape(n)
         mag = self.magnitude
-        if mag is None:
-            mag = _length(n)
-        mag = np.asarray(mag, dtype=float)
-        if mag.shape != n.shape[:2]:
-            raise ValueError("magnitude shape must match normals grid")
+        if mag is not None:
+            mag = np.asarray(mag, dtype=float)
+            if mag.shape != n.shape[:2]:
+                raise ValueError("magnitude shape must match normals grid")
         m = _mask(self.mask, n.shape[:2])
-        n = _filled(n, m, (0.0, 0.0, 1.0))
-        mag = _filled(mag, m, 0.0)
-        # written as "not within", so a NaN length fails too
-        if not np.all(np.abs(_length(n) - 1.0) <= UNIT_TOL):
-            raise ValueError("valid normals must have unit length within 1e-6")
-        if not _finite_nonnegative(mag):
+        h, w = m.shape
+        normals = np.empty((h, w, 3))
+        magnitude = np.empty((h, w))
+        rows = _block_rows(w, 3)
+        magnitude_ok = True
+        # one cache-sized block of rows at a time: copy, fill, check
+        for r in range(0, h, rows):
+            block = slice(r, r + rows)
+            nb, mb, invalid = normals[block], magnitude[block], ~m[block]
+            np.copyto(nb, n[block])
+            for c, fill in enumerate((0.0, 0.0, 1.0)):
+                np.copyto(nb[..., c], fill, where=invalid)
+            length = _length(nb)
+            np.copyto(mb, length if mag is None else mag[block])
+            np.copyto(mb, 0.0, where=invalid)
+            # written as "not within", so a NaN length fails too
+            length -= 1.0
+            if not np.all(np.abs(length, out=length) <= UNIT_TOL):
+                raise ValueError("valid normals must have unit length within 1e-6")
+            magnitude_ok = magnitude_ok and _finite_nonnegative(mb)
+        # raised after the walk, so an off-unit normal in a later block wins
+        if not magnitude_ok:
             raise ValueError("magnitude must be finite and >= 0 at valid pixels")
-        object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "magnitude", mag)
+        normals.setflags(write=False)
+        magnitude.setflags(write=False)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "magnitude", magnitude)
         object.__setattr__(self, "mask", m)
 
     @classmethod
@@ -169,14 +211,30 @@ class NormalMap:
         """Normalize an HxWx3 field of (possibly non-unit) vectors.
 
         The pre-normalization length becomes the magnitude channel; pixels
-        with near-zero length are masked invalid.
+        with a near-zero or non-finite length are masked invalid.
         """
         v = np.asarray(vectors, dtype=float)
-        length = _length(v)
-        ok = np.isfinite(length) & (length > DARK_EPS)
-        if mask is not None:
-            ok &= np.asarray(mask, dtype=bool)
-        return cls(v / np.where(ok, length, 1.0)[..., None], length, ok)
+        _check_grid_shape(v)
+        h, w = v.shape[:2]
+        m = None if mask is None else _mask(mask, (h, w))
+        normals = np.empty((h, w, 3))
+        length = np.empty((h, w))
+        ok = np.empty((h, w), dtype=bool)
+        rows = _block_rows(w, 3)
+        # planar scratch, so that each channel is one contiguous run
+        planes = np.empty((3, rows, w))
+        for r in range(0, h, rows):
+            block = slice(r, r + rows)
+            lb, okb = length[block], ok[block]
+            pb = planes[:, : lb.shape[0]]
+            np.copyto(pb, v[block].transpose(2, 0, 1))
+            lb[...] = _length(pb.transpose(1, 2, 0))
+            np.isfinite(lb, out=okb)
+            okb &= lb > DARK_EPS
+            if m is not None:
+                okb &= m[block]
+            np.divide(pb, np.where(okb, lb, 1.0), out=normals[block].transpose(2, 0, 1))
+        return cls(normals, length, ok)
 
     @property
     def shape(self):

@@ -98,10 +98,12 @@ def write_normal_map(path, nm: NormalMap) -> None:
 
 
 def read_normal_map(path) -> NormalMap:
+    """Inverse of write_normal_map: a pixel with a NaN or infinite component
+    has a non-finite length, which from_components marks invalid."""
     arr = read_pfm_array(path)
     if arr.ndim != 3:
         raise ValueError(f"{path}: expected a 3-channel PFM normal map")
-    return NormalMap.from_components(arr, np.all(np.isfinite(arr), axis=2))
+    return NormalMap.from_components(arr)
 
 
 GAMMA = 2.2

@@ -3,13 +3,14 @@
 The per-pixel unknowns are x = (dx, dy, dz, dxbar, dybar, dzbar, nx, ny, nz);
 the six radiance combinations constrain them through a fixed full-row-rank
 matrix, so the minimum-distance correction has the closed form
-x = x0 + A^T (A A^T)^-1 (b - A x0).
+x = x0 + A^T (A A^T)^-1 (b - A x0), computed per pixel row vector as
+x0 + (b - x0 A^T) P with P = (A A^T)^-1 A folded once.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEMENTS, GradientImageSet, NormalMap
+from .core import COMPLEMENTS, GradientImageSet, NormalMap, _block_rows
 from .photometric import DIFFERENCE_SET, _difference_components, _ratio_components
 
 # The fixed 6x9 constraint matrix: identity on the deltas, -1 on the
@@ -20,8 +21,9 @@ A_MATRIX[3:, 3:6] = -np.eye(3)
 A_MATRIX[:3, 6:] = np.eye(3) / 3.0
 A_MATRIX[3:, 6:] = 2.0 * np.eye(3) / 3.0
 A_MATRIX.setflags(write=False)
-_AAT_INV = np.linalg.inv(A_MATRIX @ A_MATRIX.T)
-_AAT_INV.setflags(write=False)
+# the correction's projector, folded once: P = (A A^T)^-1 A
+_PROJECTOR = np.linalg.inv(A_MATRIX @ A_MATRIX.T).T @ A_MATRIX
+_PROJECTOR.setflags(write=False)
 
 
 def build_qp_system(imgset: GradientImageSet) -> tuple[np.ndarray, np.ndarray]:
@@ -33,19 +35,24 @@ def build_qp_system(imgset: GradientImageSet) -> tuple[np.ndarray, np.ndarray]:
     ratios, mask, rc = _ratio_components(imgset)
     mask &= imgset.joint_mask(COMPLEMENTS)
     diffs = _difference_components({c: imgset[c].samples for c in DIFFERENCE_SET})
-    b = np.concatenate([ratios, diffs / rc[..., None]], axis=-1)
-    return np.where(mask[..., None], b, 0.0), mask
+    b = np.empty(mask.shape + (6,))
+    b[..., :3] = ratios
+    np.divide(diffs, rc[..., None], out=b[..., 3:])
+    invalid = ~mask
+    for c in range(6):
+        np.copyto(b[..., c], 0.0, where=invalid)
+    return b, mask
 
 
 def solve_normal_correction(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Minimum-distance feasible state: x = x0 + A^T (A A^T)^-1 (b - A x0).
+    """Minimum-distance feasible state: x = x0 + A^T (A A^T)^-1 (b - A x0),
+    evaluated as x0 + (b - x0 A^T) P with the folded P = (A A^T)^-1 A.
 
     Vectorized over leading dimensions; b is (..., 6) and x0 is (..., 9).
     """
     b = np.asarray(b, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    residual = b - x0 @ A_MATRIX.T
-    return x0 + residual @ _AAT_INV.T @ A_MATRIX
+    return x0 + (b - x0 @ A_MATRIX.T) @ _PROJECTOR
 
 
 def correct_normal_map(
@@ -57,18 +64,30 @@ def correct_normal_map(
     pre-normalization length of the corrected vector) plus the estimated
     symmetric and asymmetric distortion maps, each (H, W, 3). Pixels
     invalid in either input pass through as invalid.
+
+    The state x is solved one block of rows at a time into the
+    preallocated outputs, so no full-frame (H, W, 9) array exists.
     """
     b, mask = build_qp_system(imgset)
     if init.shape != mask.shape:
         raise ValueError("init normal map dimensions do not match the image set")
     mask &= init.mask
     h, w = mask.shape
-    x0 = np.zeros((h, w, 9))
-    x0[:, :, 6:] = init.normals
-    x = solve_normal_correction(b, x0)
-    delta = np.where(mask[..., None], x[:, :, 0:3], 0.0)
-    delta_bar = np.where(mask[..., None], x[:, :, 3:6], 0.0)
-    corrected = NormalMap.from_components(x[:, :, 6:], mask)
+    delta = np.zeros((h, w, 3))
+    delta_bar = np.zeros((h, w, 3))
+    vectors = np.empty((h, w, 3))
+    rows = _block_rows(w, 9)
+    x0 = np.zeros((rows, w, 9))
+    for r in range(0, h, rows):
+        block = slice(r, r + rows)
+        valid = mask[block, :, None]
+        x0b = x0[: valid.shape[0]]
+        x0b[..., 6:] = init.normals[block]
+        x = solve_normal_correction(b[block], x0b)
+        np.copyto(delta[block], x[..., 0:3], where=valid)
+        np.copyto(delta_bar[block], x[..., 3:6], where=valid)
+        vectors[block] = x[..., 6:]
+    corrected = NormalMap.from_components(vectors, mask)
     return corrected, delta, delta_bar
 
 

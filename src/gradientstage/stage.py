@@ -7,16 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, GradientImageSet, Image, NormalMap, unit
+from .core import Condition, GradientImageSet, Image, NormalMap, _block_rows, unit
 
 _ICO_SUBDIV_COUNTS = {0: 12, 1: 42, 2: 162, 3: 642}
 
 # brightness levels of a stage's intensity lookup table (ILT) by default
 ILT_LEVELS = 4096
-
-# bytes of one pixel block's cosine matrix in the discrete renderer; small
-# enough to stay in cache between the product, the clamp and the LED sum
-_CHUNK_BYTES = 1 << 19
 
 
 def _icosahedron():
@@ -131,6 +127,11 @@ class LightStage:
         leds = tuple(self.leds)
         if not leds:
             raise ValueError("stage needs at least one LED")
+        seen = set()
+        for led in leds:
+            if led.id in seen:
+                raise ValueError(f"repeated LED id {led.id}")
+            seen.add(led.id)
         if self.quantization_levels < 2:
             raise ValueError("need at least 2 quantization levels")
         object.__setattr__(self, "leds", leds)
@@ -198,22 +199,28 @@ class SceneSpec:
 
     def __post_init__(self):
         shape = self.true_normals.shape
-        albedo = np.broadcast_to(np.asarray(self.albedo, dtype=float), shape).copy()
-        occl = np.broadcast_to(np.asarray(self.occlusion, dtype=float), shape).copy()
-        dist = np.broadcast_to(
-            np.asarray(self.distortion, dtype=float), shape + (6,)
-        ).copy()
         m = self.true_normals.mask
+        # private copies, kept as read-only broadcast views so that a
+        # constant stays one value; the checks run on the copies
+        albedo = np.array(self.albedo, dtype=float)
+        occl = np.array(self.occlusion, dtype=float)
+        dist = np.array(self.distortion, dtype=float)
+        object.__setattr__(self, "albedo", np.broadcast_to(albedo, shape))
+        object.__setattr__(self, "occlusion", np.broadcast_to(occl, shape))
+        object.__setattr__(self, "distortion", np.broadcast_to(dist, shape + (6,)))
         # written as "not all within", so NaN fails too
-        if not np.all((albedo[m] >= 0) & (albedo[m] <= 1)):
+        if not _holds_at(m, (albedo >= 0) & (albedo <= 1)):
             raise ValueError("albedo must lie in [0, 1]")
-        if not np.all((occl[m] >= 0) & (occl[m] <= 1)):
+        if not _holds_at(m, (occl >= 0) & (occl <= 1)):
             raise ValueError("occlusion term must lie in [0, 1]")
-        if not np.all(np.isfinite(dist)[m]):
+        finite = np.isfinite(dist)
+        if not _holds_at(m, finite.all(axis=-1) if dist.ndim else finite):
             raise ValueError("distortion must be finite")
-        object.__setattr__(self, "albedo", albedo)
-        object.__setattr__(self, "occlusion", occl)
-        object.__setattr__(self, "distortion", dist)
+
+
+def _holds_at(mask: np.ndarray, flags: np.ndarray) -> bool:
+    """Whether flags that broadcast to the grid hold at every valid pixel."""
+    return bool(np.broadcast_to(flags, mask.shape)[mask].all())
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,8 @@ def render_lambert_discrete(
     led_gain: optional per-LED multiplicative intensity error, shape (N,);
     a zero gain switches an LED off for every pixel.
 
-    The pixels are summed in blocks of _CHUNK_BYTES of cosines, so memory
-    does not grow with N beyond one block.
+    The valid pixels are summed in blocks of core._CHUNK_BYTES of cosines,
+    so memory does not grow with N beyond one block; invalid pixels are 0.
     """
     dirs = stage.directions
     p = gradient_intensity(dirs, condition)
@@ -282,12 +289,14 @@ def render_lambert_discrete(
     nm = scene.true_normals
     n = len(dirs)
     normals = nm.normals.reshape(-1, 3)
-    total = np.empty(len(normals))
-    block = max(1, _CHUNK_BYTES // (8 * n))
-    for i in range(0, len(normals), block):
-        cos = normals[i : i + block] @ dirs.T
+    valid = np.flatnonzero(nm.mask)
+    total = np.zeros(len(normals))
+    block = _block_rows(1, n)  # one pixel a row
+    for i in range(0, len(valid), block):
+        pixels = valid[i : i + block]
+        cos = normals.take(pixels, axis=0) @ dirs.T
         np.maximum(cos, 0.0, out=cos)
-        total[i : i + block] = cos @ p
+        total[pixels] = cos @ p
     r = (4.0 * np.pi / n) * (scene.albedo / 2.0) * total.reshape(nm.shape)
     return Image(r, nm.mask & (r >= 0))
 

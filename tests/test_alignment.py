@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage, sparse
 from scipy.sparse.linalg import eigsh, spsolve
 
-from gradientstage import alignment
+from gradientstage import alignment, core
 from gradientstage.alignment import (
     FlowField,
     FlowParams,
@@ -158,7 +158,7 @@ class TestResample:
         lengths = (1, query_shape[1], next(k for k in range(2, n + 2) if n % k))
         for length in lengths:  # one query, one row, a length not dividing H W
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(alignment, "_CHUNK_BYTES", 8 * (channels or 1) * length)
+                patch.setattr(core, "_CHUNK_BYTES", 8 * (channels or 1) * length)
                 out_b, valid_b = resample(values, mask, xq, yq)
             np.testing.assert_array_equal(out_b, out)
             np.testing.assert_array_equal(valid_b, valid)

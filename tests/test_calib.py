@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from gradientstage import alignment
+from gradientstage import core
 from gradientstage.calib import (
     CameraIntrinsics,
     Conic,
@@ -470,7 +470,7 @@ class TestHomographyWarp:
         want = warp_by_homography(img, h)
         with pytest.MonkeyPatch.context() as patch:
             # rows of 13 queries per block; 7 does not divide the 20 rows
-            patch.setattr(alignment, "_CHUNK_BYTES", 8 * 13 * rows)
+            patch.setattr(core, "_CHUNK_BYTES", 8 * 13 * rows)
             got = warp_by_homography(img, h)
         np.testing.assert_array_equal(got.samples, want.samples)
         np.testing.assert_array_equal(got.mask, want.mask)

@@ -140,19 +140,33 @@ def test_calibrate_lights_closure(tmp_path, capsys):
         assert np.degrees(np.arccos(np.clip(v @ truth, -1, 1))) < 0.5
 
 
-@pytest.mark.parametrize("led_id", ["inf", "nan", "2.7", "1e300", "9223372036854775808"])
-def test_calibrate_lights_rejects_an_id_that_is_not_an_int64(tmp_path, capsys, led_id):
+def calibrate_lights_from_highlights(tmp_path, rows):
+    """Run `calibrate lights --highlights` on a CSV of `rows` ("id,x,y"
+    lines); returns the exit code and the output path."""
     k = np.diag([2000.0, 2000.0, 1.0])
     (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
     limb = project_sphere_limb(np.array([0.0, 0.0, 890.0]), 38.1, k)
     (tmp_path / "limb.csv").write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in limb))
-    (tmp_path / "hl.csv").write_text(f"id,x,y\n0,30,20\n{led_id},50,60\n")
+    (tmp_path / "hl.csv").write_text("id,x,y\n" + "".join(row + "\n" for row in rows))
     out = tmp_path / "lights.json"
     argv = ["calibrate", "lights", "--k", str(tmp_path / "k.json"), "--radius", "38.1",
             "--limb", str(tmp_path / "limb.csv"), "--highlights", str(tmp_path / "hl.csv"),
             "--out", str(out)]
-    assert run(argv) == 2
+    return run(argv), out
+
+
+@pytest.mark.parametrize("led_id", ["inf", "nan", "2.7", "1e300", "9223372036854775808"])
+def test_calibrate_lights_rejects_an_id_that_is_not_an_int64(tmp_path, capsys, led_id):
+    code, out = calibrate_lights_from_highlights(tmp_path, ["0,30,20", f"{led_id},50,60"])
+    assert code == 2
     assert "data row 2: LED id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_lights_rejects_a_repeated_id(tmp_path, capsys):
+    code, out = calibrate_lights_from_highlights(tmp_path, ["3,30,20", "3,50,60"])
+    assert code == 2
+    assert "repeated LED id 3" in capsys.readouterr().err
     assert not out.exists()
 
 

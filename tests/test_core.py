@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradientstage import core
 from gradientstage.alignment import FlowField
 from gradientstage.core import (
     COMPLEMENTS,
+    DARK_EPS,
     GRADIENTS,
     UNIT_TOL,
     Condition,
@@ -348,3 +352,143 @@ class TestInvalidPixelRule:
         img = Image(base[1:3])  # a contiguous view
         base[...] = 5.0
         assert np.all(img.samples == 1.0)
+
+
+# The whole-array NormalMap constructors that the row-block kernels replaced,
+# kept as their reference: the same arrays bitwise, or the same ValueError.
+
+
+def normal_map_reference(normals, magnitude, mask):
+    """(normals, magnitude, mask) of NormalMap(normals, magnitude, mask)."""
+    n = np.asarray(normals, dtype=float)
+    if n.ndim != 3 or n.shape[2] != 3 or n[..., 0].size == 0:
+        raise ValueError("normals must be an HxWx3 array")
+    with np.errstate(over="ignore"):
+        mag = np.linalg.norm(n, axis=2) if magnitude is None else np.asarray(magnitude, dtype=float)
+        if mag.shape != n.shape[:2]:
+            raise ValueError("magnitude shape must match normals grid")
+        m = np.ones(n.shape[:2], bool) if mask is None else np.array(mask, dtype=bool)
+        n = np.where(m[..., None], n, (0.0, 0.0, 1.0))
+        mag = np.where(m, mag, 0.0)
+        if not np.all(np.abs(np.linalg.norm(n, axis=2) - 1.0) <= UNIT_TOL):
+            raise ValueError("valid normals must have unit length within 1e-6")
+        if not (mag.min() >= 0 and mag.max() < np.inf):
+            raise ValueError("magnitude must be finite and >= 0 at valid pixels")
+    return n, mag, m
+
+
+def from_components_reference(vectors, mask=None):
+    """(normals, magnitude, mask) of NormalMap.from_components(vectors, mask)."""
+    v = np.asarray(vectors, dtype=float)
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(v, axis=2)
+    ok = np.isfinite(length) & (length > DARK_EPS)
+    if mask is not None:
+        ok &= np.asarray(mask, dtype=bool)
+    return normal_map_reference(v / np.where(ok, length, 1.0)[..., None], length, ok)
+
+
+def outcome(make):
+    """The arrays of a built map, or the text of the ValueError raised."""
+    try:
+        result = make()
+    except ValueError as e:
+        return str(e)
+    if isinstance(result, NormalMap):
+        result = (result.normals, result.magnitude, result.mask)
+    return [(a.dtype, a.shape, a.tobytes()) for a in result]
+
+
+# 1x1, 1xN and Nx1 grids drawn often, then any up to 9x9
+GRID_SHAPES = st.one_of(
+    st.sampled_from([(1, 1), (1, 9), (9, 1)]), st.tuples(st.integers(1, 9), st.integers(1, 9))
+)
+COMPONENTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e200, -1e200, np.nan, np.inf, -np.inf]),
+)
+
+
+def draw_mask(draw, kind, shape):
+    if kind == "none":
+        return None
+    return np.zeros(shape, bool) if kind == "all invalid" else draw(hnp.arrays(bool, shape))
+
+
+def patch_block_rows(patch, rows, width):
+    """Make the constructors' blocks `rows` rows of a grid `width` wide."""
+    patch.setattr(core, "_CHUNK_BYTES", 8 * 3 * width * rows)
+
+
+MASK_KINDS = st.sampled_from(["none", "partial", "all invalid"])
+
+
+class TestBlockedNormalMap:
+    @given(st.data(), GRID_SHAPES, MASK_KINDS)
+    @settings(max_examples=200, deadline=None)
+    def test_from_components_matches_the_whole_array_reference(self, data, shape, mask_kind):
+        vectors = data.draw(hnp.arrays(float, shape + (3,), elements=COMPONENTS))
+        mask = draw_mask(data.draw, mask_kind, shape)
+        rows = data.draw(st.integers(1, shape[0] + 1))  # may not divide the height
+        want = outcome(lambda: from_components_reference(vectors, mask))
+        with pytest.MonkeyPatch.context() as patch:
+            patch_block_rows(patch, rows, shape[1])
+            got = outcome(lambda: NormalMap.from_components(vectors, mask))
+        assert got == want
+
+    @given(st.data(), GRID_SHAPES, MASK_KINDS, st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_matches_the_whole_array_reference(
+        self, data, shape, mask_kind, no_magnitude, seed
+    ):
+        dirs = np.random.default_rng(seed).normal(size=shape + (3,))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        # unit, off-unit, zero, NaN, inf and 1e200 lengths
+        scale = grid(data.draw, shape, st.sampled_from(NORMAL_SCALES + [1e200]))
+        normals = dirs * scale[..., None]
+        magnitude = None if no_magnitude else grid(data.draw, shape, MAGNITUDES)
+        mask = draw_mask(data.draw, mask_kind, shape)
+        rows = data.draw(st.integers(1, shape[0] + 1))
+        want = outcome(lambda: normal_map_reference(normals, magnitude, mask))
+        with pytest.MonkeyPatch.context() as patch:
+            patch_block_rows(patch, rows, shape[1])
+            got = outcome(lambda: NormalMap(normals, magnitude, mask))
+        assert got == want
+
+    def test_off_unit_normal_in_a_later_block_is_reported_first(self):
+        normals = np.zeros((4, 2, 3))
+        normals[..., 2] = 1.0
+        normals[3, 1] = (0.0, 0.0, 2.0)
+        magnitude = np.ones((4, 2))
+        magnitude[0, 0] = -1.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch_block_rows(patch, 1, 2)
+            with pytest.raises(ValueError, match="unit length"):
+                NormalMap(normals, magnitude, None)
+
+    @pytest.mark.parametrize(
+        "vectors, mask, message",
+        [
+            (np.ones((2, 2)), None, "HxWx3"),
+            (np.ones((2, 2, 4)), None, "HxWx3"),
+            (np.ones((0, 3, 3)), None, "HxWx3"),
+            (np.ones((2, 2, 3)), np.ones((3, 2), bool), "mask shape"),
+        ],
+    )
+    def test_from_components_rejects_a_grid_of_the_wrong_shape(self, vectors, mask, message):
+        with pytest.raises(ValueError, match=message):
+            NormalMap.from_components(vectors, mask)
+
+    def test_memory_of_a_1024_px_from_components(self):
+        # the whole-array version peaked at 82 MiB: the unnormalized
+        # vectors, their filled copy, and full-frame lengths and divisors;
+        # the blocked one holds its 33 MiB result and the 33 MiB of vectors
+        # and lengths handed to the constructor
+        vectors = np.random.default_rng(0).standard_normal((1024, 1024, 3))
+        tracemalloc.start()
+        try:
+            NormalMap.from_components(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from gradientstage import core
 from gradientstage.core import Condition, GradientImageSet, Image, max_angular_error
 from gradientstage.photometric import recover_ma, recover_wilson
 from gradientstage.qp import (
@@ -105,6 +106,16 @@ class TestSolve:
         x2 = solve_normal_correction(b, x1)
         np.testing.assert_allclose(x2, x1, atol=1e-9)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-3, 10.0))
+    def test_folded_projector_matches_the_unfolded_formula(self, seed, pixels, scale):
+        rng = np.random.default_rng(seed)
+        b = scale * rng.normal(size=(pixels, 6))
+        x0 = rng.normal(size=(pixels, 9))
+        aat_inv = np.linalg.inv(A_MATRIX @ A_MATRIX.T)
+        unfolded = x0 + ((b - x0 @ A_MATRIX.T) @ aat_inv) @ A_MATRIX
+        got = solve_normal_correction(b, x0)
+        np.testing.assert_allclose(got, unfolded, rtol=0, atol=1e-12)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_minimality_against_null_space_moves(self, seed):
@@ -169,3 +180,19 @@ class TestCorrectNormalMap:
         holed = type(init)(init.normals, init.magnitude, hole_mask)
         corrected, _, _ = correct_normal_map(ideal_sphere_set, holed)
         assert not corrected.mask[3, 3]
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])  # 4 does not divide the 15 rows
+    def test_row_blocks_do_not_change_the_correction(self, rows):
+        _, imgset = distorted_set((0.1, -0.2, 0.05), (0.02, 0.01, 0.0))
+        init = recover_ma(imgset)
+
+        def arrays():
+            corrected, delta, delta_bar = correct_normal_map(imgset, init)
+            return [a.tobytes() for a in (corrected.normals, corrected.magnitude, corrected.mask,
+                                          delta, delta_bar)]
+
+        want = arrays()  # one block
+        with pytest.MonkeyPatch.context() as patch:
+            # blocks of 9 values per pixel, 15 pixels a row
+            patch.setattr(core, "_CHUNK_BYTES", 8 * 9 * 15 * rows)
+            assert arrays() == want

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gradientstage import stage as stage_module
+from gradientstage import core
 from gradientstage.core import Condition, Image, NormalMap, unit
 from gradientstage.stage import (
+    LedRecord,
     LightStage,
     SceneSpec,
     SpecularSceneSpec,
@@ -270,6 +271,33 @@ class TestAnalyticRender:
         with pytest.raises(ValueError):
             SceneSpec(nm, albedo, occlusion, distortion)
 
+    def test_scene_parameters_are_read_only_views_of_private_copies(self):
+        nm = make_sphere_scene(8, 8, 3).true_normals
+        albedo = np.full((8, 8), 0.5)
+        distortion = np.array([0.1, 0, 0, 0, 0, 0])
+        scene = SceneSpec(nm, albedo, 1.0, distortion)
+        albedo[...] = 0.25
+        distortion[0] = 0.3
+        assert np.all(scene.albedo == 0.5) and np.all(scene.distortion[..., 0] == 0.1)
+        for a in (scene.albedo, scene.occlusion, scene.distortion):
+            assert not a.flags.writeable
+        # a constant is one value broadcast over the grid, not a frame
+        assert scene.occlusion.strides == (0, 0)
+        assert scene.distortion.shape == (8, 8, 6) and scene.distortion.strides[:2] == (0, 0)
+
+    def test_scene_parameters_are_checked_at_valid_pixels_only(self):
+        nm = make_sphere_scene(8, 8, 3).true_normals
+        outside = ~nm.mask
+        distortion = np.zeros((8, 8, 6))
+        distortion[outside, 2] = np.nan
+        albedo = np.where(outside, 7.0, 0.5)
+        SceneSpec(nm, albedo, np.where(outside, np.nan, 1.0), distortion)
+        distortion[4, 4, 5] = np.inf
+        with pytest.raises(ValueError, match="distortion"):
+            SceneSpec(nm, albedo, 1.0, distortion)
+        with pytest.raises(ValueError, match="albedo"):
+            SceneSpec(nm, np.where(outside, 0.5, 7.0), 1.0, 0.0)
+
     def test_complement_constraint_ideal(self):
         scene = make_sphere_scene(33, 33, 15)
         for cond in (Condition.X, Condition.Y, Condition.Z):
@@ -387,13 +415,13 @@ class TestDiscreteRender:
         scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
         stage = LightStage.from_directions(stage_directions(count), quantization_levels=256)
         gain = data.draw(st.none() | st.lists(st.floats(0.5, 1.5), min_size=count, max_size=count))
-        pixels = width * height
+        pixels = max(1, int(normals.mask.sum()))  # the renderer walks the valid pixels
         with pytest.MonkeyPatch.context() as patch:
             if block == "one pixel":
-                patch.setattr(stage_module, "_CHUNK_BYTES", 8 * count)
+                patch.setattr(core, "_CHUNK_BYTES", 8 * count)
             elif block == "uneven":
                 per_block = data.draw(st.integers(2, pixels + 1).filter(lambda k: pixels % k))
-                patch.setattr(stage_module, "_CHUNK_BYTES", 8 * count * per_block)
+                patch.setattr(core, "_CHUNK_BYTES", 8 * count * per_block)
             kw = {"quantize": quantize, "led_gain": gain}
             got = render_lambert_discrete(scene, stage, cond, **kw)
         want = render_lambert_discrete_reference(scene, stage, cond, **kw)
@@ -469,3 +497,10 @@ class TestStageJson:
         assert [*json.loads(stage.to_json())[0]] == ["id", "lx", "ly", "lz"]
         back = LightStage.from_json(stage.to_json())
         np.testing.assert_allclose(back.directions, stage.directions, atol=1e-15)
+
+    def test_repeated_id_rejected(self):
+        text = json.dumps([{"id": 3, "lx": 0, "ly": 0, "lz": 1}, {"id": 3, "lx": 1, "ly": 0, "lz": 0}])
+        with pytest.raises(ValueError, match="repeated LED id 3"):
+            LightStage.from_json(text)
+        with pytest.raises(ValueError, match="repeated LED id 7"):
+            LightStage([LedRecord(7, (0, 0, 1)), LedRecord(1, (1, 0, 0)), LedRecord(7, (0, 1, 0))])

@@ -8,7 +8,6 @@ from .core import (
     angular_error_map,
     histogram,
     mean_angular_error,
-    max_angular_error,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "angular_error_map",
     "histogram",
     "mean_angular_error",
-    "max_angular_error",
 ]
 
 __version__ = "0.1.0"

@@ -203,7 +203,7 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
     if nm.shape != flow.shape:
         raise ValueError(f"dimension mismatch: {nm.shape} vs {flow.shape}")
     if not flow.vectors.any():
-        return NormalMap(nm.normals, nm.magnitude, nm.mask & flow.mask)
+        return nm._narrowed(flow.mask)
     vec, valid = resample(nm.normals, nm.mask, *_displaced_grid(flow.u, flow.v))
     return NormalMap.from_components(vec, valid & flow.mask)
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -12,9 +12,7 @@ import numpy as np
 # instead of being clamped.
 DARK_EPS = 1e-9
 
-UNIT_TOL = 1e-6
-
-# bytes of one block of a blocked full-frame pass (the grid constructors,
+# bytes of one block of a blocked full-frame pass (NormalMap.from_components,
 # the QP solve, the discrete renderer and the resampler): small enough that
 # a block's temporaries stay in cache between the passes over it
 _CHUNK_BYTES = 1 << 19
@@ -70,8 +68,9 @@ def unit(v) -> np.ndarray:
 
 # The invalid-pixel rule shared by Image, NormalMap and FlowField: each
 # constructor takes private read-only copies of its arrays with canonical
-# values at invalid pixels, so its checks run over the whole grid and
-# callers never mask before constructing.
+# values at invalid pixels, so callers never mask before constructing;
+# Image and FlowField then check the whole grid, and a NormalMap is valid
+# by construction.
 
 
 def _mask(mask, shape) -> np.ndarray:
@@ -118,16 +117,6 @@ def _block_rows(width: int, channels: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * channels * width))
 
 
-def _check_grid_shape(n: np.ndarray) -> None:
-    if n.ndim != 3 or n.shape[2] != 3 or n[..., 0].size == 0:
-        raise ValueError("normals must be an HxWx3 array")
-
-
-def _finite_nonnegative(a: np.ndarray) -> bool:
-    # min propagates NaN, which fails the comparison
-    return bool(a.min() >= 0 and a.max() < np.inf)
-
-
 @dataclass(frozen=True)
 class Image:
     """2D grid of linear radiance samples with a per-pixel validity mask.
@@ -145,7 +134,8 @@ class Image:
             raise ValueError("samples must be a non-empty 2D array")
         m = _mask(self.mask, s.shape)
         s = _filled(s, m, 0.0)
-        if not _finite_nonnegative(s):
+        # min propagates NaN, which fails the comparison
+        if not (s.min() >= 0 and s.max() < np.inf):
             raise ValueError("valid radiance samples must be finite and >= 0")
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "mask", m)
@@ -155,56 +145,19 @@ class Image:
         return self.samples.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormalMap:
     """Per-pixel unit normals plus the pre-normalization vector length.
 
     The magnitude channel carries the normalizing constant (lobe-size
     proxy) recorded before the final unit-length step. Invalid pixels hold
-    the normal (0, 0, 1) with magnitude 0.
+    the normal (0, 0, 1) with magnitude 0. Built only by from_components,
+    so every map is valid by construction.
     """
 
     normals: np.ndarray
     magnitude: np.ndarray
     mask: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.normals, dtype=float)
-        _check_grid_shape(n)
-        mag = self.magnitude
-        if mag is not None:
-            mag = np.asarray(mag, dtype=float)
-            if mag.shape != n.shape[:2]:
-                raise ValueError("magnitude shape must match normals grid")
-        m = _mask(self.mask, n.shape[:2])
-        h, w = m.shape
-        normals = np.empty((h, w, 3))
-        magnitude = np.empty((h, w))
-        rows = _block_rows(w, 3)
-        magnitude_ok = True
-        # one cache-sized block of rows at a time: copy, fill, check
-        for r in range(0, h, rows):
-            block = slice(r, r + rows)
-            nb, mb, invalid = normals[block], magnitude[block], ~m[block]
-            np.copyto(nb, n[block])
-            for c, fill in enumerate((0.0, 0.0, 1.0)):
-                np.copyto(nb[..., c], fill, where=invalid)
-            length = _length(nb)
-            np.copyto(mb, length if mag is None else mag[block])
-            np.copyto(mb, 0.0, where=invalid)
-            # written as "not within", so a NaN length fails too
-            length -= 1.0
-            if not np.all(np.abs(length, out=length) <= UNIT_TOL):
-                raise ValueError("valid normals must have unit length within 1e-6")
-            magnitude_ok = magnitude_ok and _finite_nonnegative(mb)
-        # raised after the walk, so an off-unit normal in a later block wins
-        if not magnitude_ok:
-            raise ValueError("magnitude must be finite and >= 0 at valid pixels")
-        normals.setflags(write=False)
-        magnitude.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "magnitude", magnitude)
-        object.__setattr__(self, "mask", m)
 
     @classmethod
     def from_components(cls, vectors, mask=None) -> "NormalMap":
@@ -214,7 +167,8 @@ class NormalMap:
         with a near-zero or non-finite length are masked invalid.
         """
         v = np.asarray(vectors, dtype=float)
-        _check_grid_shape(v)
+        if v.ndim != 3 or v.shape[2] != 3 or v[..., 0].size == 0:
+            raise ValueError("normals must be an HxWx3 array")
         h, w = v.shape[:2]
         m = None if mask is None else _mask(mask, (h, w))
         normals = np.empty((h, w, 3))
@@ -223,9 +177,10 @@ class NormalMap:
         rows = _block_rows(w, 3)
         # planar scratch, so that each channel is one contiguous run
         planes = np.empty((3, rows, w))
+        # one cache-sized block of rows at a time: length, validity, normal
         for r in range(0, h, rows):
             block = slice(r, r + rows)
-            lb, okb = length[block], ok[block]
+            nb, lb, okb = normals[block], length[block], ok[block]
             pb = planes[:, : lb.shape[0]]
             np.copyto(pb, v[block].transpose(2, 0, 1))
             lb[...] = _length(pb.transpose(1, 2, 0))
@@ -233,12 +188,38 @@ class NormalMap:
             okb &= lb > DARK_EPS
             if m is not None:
                 okb &= m[block]
-            np.divide(pb, np.where(okb, lb, 1.0), out=normals[block].transpose(2, 0, 1))
-        return cls(normals, length, ok)
+            np.divide(pb, lb, out=nb.transpose(2, 0, 1), where=okb)
+            _fill_invalid(nb, lb, ~okb)
+        return _normal_map(normals, length, ok)
+
+    def _narrowed(self, mask: np.ndarray) -> "NormalMap":
+        """This map, bit for bit, with the pixels outside `mask` invalid."""
+        m = self.mask & mask
+        normals, magnitude = self.normals.copy(), self.magnitude.copy()
+        _fill_invalid(normals, magnitude, ~m)
+        return _normal_map(normals, magnitude, m)
 
     @property
     def shape(self):
         return self.normals.shape[:2]
+
+
+def _fill_invalid(normals: np.ndarray, magnitude: np.ndarray, invalid: np.ndarray) -> None:
+    """Write the normal (0, 0, 1) and magnitude 0 at invalid pixels, one
+    scalar fill per channel."""
+    for c, fill in enumerate((0.0, 0.0, 1.0)):
+        np.copyto(normals[..., c], fill, where=invalid)
+    np.copyto(magnitude, 0.0, where=invalid)
+
+
+def _normal_map(normals, magnitude, mask) -> NormalMap:
+    """A NormalMap holding these arrays, made read-only; the caller has
+    already normalized and filled them."""
+    nm = object.__new__(NormalMap)
+    for name, a in (("normals", normals), ("magnitude", magnitude), ("mask", mask)):
+        a.setflags(write=False)
+        object.__setattr__(nm, name, a)
+    return nm
 
 
 @dataclass(frozen=True)
@@ -319,10 +300,3 @@ def mean_angular_error(a: NormalMap, b: NormalMap) -> float:
     if not err.mask.any():
         raise ValueError("no jointly valid pixels")
     return float(err.samples[err.mask].mean())
-
-
-def max_angular_error(a: NormalMap, b: NormalMap) -> float:
-    err = angular_error_map(a, b)
-    if not err.mask.any():
-        raise ValueError("no jointly valid pixels")
-    return float(err.samples[err.mask].max())

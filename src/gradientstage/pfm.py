@@ -129,7 +129,7 @@ def write_png(path, samples: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(b"\x89PNG\r\n\x1a\n")
         f.write(chunk(b"IHDR", ihdr))
-        f.write(chunk(b"IDAT", zlib.compress(raw, 9)))
+        f.write(chunk(b"IDAT", zlib.compress(raw)))
         f.write(chunk(b"IEND", b""))
 
 

@@ -324,7 +324,7 @@ def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -
     nx = np.tile(x / radius_px, (height, 1))
     inside = np.abs(nx) <= 1.0
     nz = np.sqrt(np.maximum(1.0 - nx**2, 0.0))
-    nm = NormalMap(np.stack([nx, np.zeros_like(nx), nz], axis=2), np.ones_like(nx), inside)
+    nm = NormalMap.from_components(np.stack([nx, np.zeros_like(nx), nz], axis=2), inside)
     return SceneSpec(nm, albedo, 1.0, np.zeros(6))
 
 
@@ -338,5 +338,5 @@ def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> 
     r2 = nx**2 + ny**2
     inside = r2 <= 1.0
     nz = np.sqrt(np.maximum(1.0 - r2, 0.0))
-    nm = NormalMap(np.stack([nx, ny, nz], axis=2), np.ones_like(nx), inside)
+    nm = NormalMap.from_components(np.stack([nx, ny, nz], axis=2), inside)
     return SceneSpec(nm, albedo, 1.0, np.zeros(6))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from gradientstage.core import Condition, GradientImageSet, Image, NormalMap
+from gradientstage.core import Condition, GradientImageSet, Image, NormalMap, angular_error_map
 from gradientstage.qp import A_MATRIX
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
 
@@ -28,6 +28,14 @@ def random_normal_map(rng, h, w):
     v = rng.normal(size=(h, w, 3))
     v[:, :, 2] = np.abs(v[:, :, 2]) + 0.1
     return NormalMap.from_components(v)
+
+
+def max_angular_error(a: NormalMap, b: NormalMap) -> float:
+    """Largest angle between two normal maps over jointly valid pixels, degrees."""
+    err = angular_error_map(a, b)
+    if not err.mask.any():
+        raise ValueError("no jointly valid pixels")
+    return float(err.samples[err.mask].max())
 
 
 def textured_radiance_scene(height, width, pad=20, seed=0, shift=(0, 0)):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     forward_highlight_point,
+    max_angular_error,
     project_point,
     project_sphere_limb,
     solve_kkt_dense,
@@ -30,7 +31,6 @@ from gradientstage.core import (
     GradientImageSet,
     Image,
     NormalMap,
-    max_angular_error,
     mean_angular_error,
 )
 from gradientstage.photometric import (

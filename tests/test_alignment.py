@@ -451,6 +451,22 @@ class TestWarpNormals:
         assert out.magnitude.tobytes() == nm.magnitude.tobytes()
         np.testing.assert_array_equal(out.mask, nm.mask)
 
+    @given(GRID_SHAPES, SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_flow_with_a_partial_mask_only_narrows(self, shape, seed):
+        nm = NormalMap.from_components(*random_grid(shape, seed, 3))
+        flow_mask = np.random.default_rng(seed + 1).random(shape) > 0.5
+        out = warp_normals(nm, FlowField(np.zeros(shape + (2,)), flow_mask))
+        kept = nm.mask & flow_mask
+        np.testing.assert_array_equal(out.mask, kept)
+        assert out.normals[kept].tobytes() == nm.normals[kept].tobytes()
+        assert out.magnitude[kept].tobytes() == nm.magnitude[kept].tobytes()
+        dropped = int((~kept).sum())
+        assert out.normals[~kept].tobytes() == np.tile([0.0, 0.0, 1.0], (dropped, 1)).tobytes()
+        assert out.magnitude[~kept].tobytes() == np.zeros(dropped).tobytes()
+        assert not (out.normals.flags.writeable or out.magnitude.flags.writeable
+                    or out.mask.flags.writeable)
+
     def test_uniform_field_invariant(self):
         vecs = np.zeros((8, 8, 3))
         vecs[...] = (0.0, 0.6, 0.8)

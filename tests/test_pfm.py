@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,21 @@ def test_png_signature(tmp_path):
     png = tmp_path / "a.png"
     pfm.write_png(png, np.linspace(0, 1, 12).reshape(3, 4))
     assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+
+
+def test_png_pixels_round_trip(tmp_path):
+    png = tmp_path / "a.png"
+    samples = np.random.default_rng(3).random((5, 7))
+    pfm.write_png(png, samples)
+    data, pos, idat = png.read_bytes(), 8, b""
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if data[pos + 4 : pos + 8] == b"IDAT":
+            idat += data[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    rows = np.frombuffer(zlib.decompress(idat), np.uint8).reshape(5, 1 + 7)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    np.testing.assert_array_equal(rows[:, 1:], pfm.to_8bit(samples))
 
 
 def test_gamma_applied_at_export_boundary():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import max_angular_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,7 +11,6 @@ from gradientstage.core import (
     GradientImageSet,
     Image,
     NormalMap,
-    max_angular_error,
 )
 from gradientstage.photometric import (
     _difference_components,

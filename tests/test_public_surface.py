@@ -7,6 +7,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "gradientstage").glob("*.py"))
 CALLERS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 TREES = {p: ast.parse(p.read_text()) for p in PACKAGE + CALLERS}
+# a re-export is not a caller: __init__.py only names what the modules define
+INIT = ROOT / "src" / "gradientstage" / "__init__.py"
 
 # public names that only tests call, each kept for the reason given
 KEEP = {
@@ -23,7 +25,7 @@ def names_used(node):
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    uses = {p: [names_used(stmt) for stmt in tree.body] for p, tree in TREES.items()}
+    uses = {p: [names_used(stmt) for stmt in tree.body] for p, tree in TREES.items() if p != INIT}
     uncalled = set()
     for path in PACKAGE:
         for i, node in enumerate(TREES[path].body):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from conftest import solve_kkt_dense
+from conftest import max_angular_error, solve_kkt_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from gradientstage import core
-from gradientstage.core import Condition, GradientImageSet, Image, max_angular_error
+from gradientstage.core import Condition, GradientImageSet, Image, NormalMap
 from gradientstage.photometric import recover_ma, recover_wilson
 from gradientstage.qp import (
     A_MATRIX,
@@ -176,10 +176,11 @@ class TestCorrectNormalMap:
     def test_invalid_init_passthrough(self, sphere_scene, ideal_sphere_set):
         init = recover_wilson(ideal_sphere_set)
         hole_mask = init.mask.copy()
-        hole_mask[3, 3] = False
-        holed = type(init)(init.normals, init.magnitude, hole_mask)
+        assert hole_mask[24, 24]  # the sphere's center
+        hole_mask[24, 24] = False
+        holed = NormalMap.from_components(init.normals, hole_mask)
         corrected, _, _ = correct_normal_map(ideal_sphere_set, holed)
-        assert not corrected.mask[3, 3]
+        assert not corrected.mask[24, 24]
 
     @pytest.mark.parametrize("rows", [1, 2, 4])  # 4 does not divide the 15 rows
     def test_row_blocks_do_not_change_the_correction(self, rows):

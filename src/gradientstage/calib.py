@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .alignment import resample
 from .core import Image, _block_rows, unit
@@ -141,6 +140,8 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
     top, left = max(rows[0] - pad, 0), max(cols[0] - pad, 0)
     window = np.s_[top : rows[-1] + pad + 1, left : cols[-1] + pad + 1]
     binary, vals = binary[window], vals[window]
+    from scipy import ndimage
+
     opened = ndimage.binary_dilation(ndimage.binary_erosion(binary, selem), selem)
     if not opened.any():
         # opening removed everything: the spot is smaller than the element

@@ -117,7 +117,7 @@ def _block_rows(width: int, channels: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * channels * width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
     """2D grid of linear radiance samples with a per-pixel validity mask.
 
@@ -145,7 +145,7 @@ class Image:
         return self.samples.shape
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class NormalMap:
     """Per-pixel unit normals plus the pre-normalization vector length.
 
@@ -222,7 +222,7 @@ def _normal_map(normals, magnitude, mask) -> NormalMap:
     return nm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientImageSet:
     """Mutually registered radiance images keyed by illumination condition."""
 

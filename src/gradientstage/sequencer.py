@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import FlowField, half_flow, joint_photometric_align, warp_image, warp_normals
+from .alignment import (
+    FlowField,
+    _flow_estimate,
+    half_flow,
+    joint_photometric_align,
+    warp_image,
+    warp_normals,
+)
 from .core import Condition, Image, NormalMap
 from .photometric import _difference_components
 
@@ -249,13 +256,38 @@ class SequenceResult:
     residuals: dict[int, list[float]] = field(default_factory=dict)
 
 
+def _tracking_start(
+    frames: list[Image], centers: list[int], c: int, ends: tuple[int, int]
+) -> tuple[FlowField, FlowField] | None:
+    """Flows of frames ends toward tracking frame c under constant velocity,
+    or None in a sequence with one tracking frame or where the tracking
+    frames are flat, which leaves the motion undetermined.
+
+    The nearest other tracking frame t shares c's constant illumination, so
+    one brightness-constant flow estimate of t toward c holds the motion;
+    frame i's start is that flow times (i - c) / (t - c) (Wilson et al.
+    2010 start the alignment from the tracking frames' flow).
+    """
+    others = [t for t in centers if t != c]
+    if not others:
+        return None
+    t = min(others, key=lambda t: abs(t - c))
+    flow = _flow_estimate(frames[t], frames[c])
+    if flow is None:
+        return None
+    # + 0.0 keeps a zero flow's zeros positive under a negative scale
+    return tuple(FlowField(flow.vectors * ((i - c) / (t - c)) + 0.0, flow.mask) for i in ends)
+
+
 def process_sequence(
     seq: CaptureSequence,
     frames: list[Image],
     iterations: int = 10,
 ) -> SequenceResult:
-    """Full pipeline: joint alignment per window, tracking-frame normals,
-    then temporal upsampling of every intermediate gradient frame."""
+    """Full pipeline: joint alignment per window, started from the
+    constant-velocity flow of the nearest tracking frame (_tracking_start),
+    tracking-frame normals, then temporal upsampling of every intermediate
+    gradient frame."""
     if len(frames) != len(seq.frames):
         raise ValueError("frame images do not match the sequence length")
     bad = validate_sequence(seq)
@@ -268,8 +300,9 @@ def process_sequence(
     for c in centers:
         first, last = c - 2, c + 2
         g, gbar = (last, first) if seq.frames[first].is_complement else (first, last)
+        start = _tracking_start(frames, centers, c, (g, gbar))
         u, v, result.residuals[c] = joint_photometric_align(
-            frames[g], frames[gbar], frames[c], iterations
+            frames[g], frames[gbar], frames[c], iterations, init=start
         )
         ends = {g: u, gbar: v}
         flows[c] = {**ends, c - 1: half_flow(ends[first]), c + 1: half_flow(ends[last])}

@@ -20,6 +20,8 @@ from gradientstage.alignment import (
     warp_image,
     warp_normals,
     CG_TOL,
+    MIN_IMPROVEMENT,
+    _constraint_target,
     _pcg,
 )
 from gradientstage.core import Image, NormalMap
@@ -679,3 +681,66 @@ class TestJointPhotometricAlign:
         g, gbar, c = textured_radiance_scene(20, 20)
         with pytest.raises(ValueError):
             joint_photometric_align(g, gbar, c, 0)
+
+    def test_init_warm_starts_the_first_iteration(self):
+        g, gbar, c = textured_radiance_scene(30, 30, shift=(1, 1))
+        start = (constant_flow(g.shape, 1.0, 1.0), constant_flow(g.shape, -1.0, -1.0))
+        inits, flows = [], []
+
+        def spy(src, tgt, params, init):
+            inits.append(init)
+            flows.append(flow_estimate(src, tgt, params, init))
+            return flows[-1]
+
+        joint_photometric_align(g, gbar, c, 3, estimator=spy, init=start)
+        assert inits[0] is start[0] and inits[1] is start[1]
+        for k in range(2, len(inits)):
+            assert inits[k] is flows[k - 2]
+
+    def test_failed_first_estimate_returns_the_init_flows(self):
+        g, gbar, c = textured_radiance_scene(30, 30)
+        start = (constant_flow(g.shape, 0.5, 0.0), constant_flow(g.shape, -0.5, 0.0))
+
+        def failing(src, tgt, params, init):
+            raise RuntimeError("no estimate")
+
+        with pytest.warns(UserWarning, match="best flows so far"):
+            u, v, residuals = joint_photometric_align(g, gbar, c, 3, estimator=failing, init=start)
+        assert (u, v) == start and residuals == []
+
+    def test_init_of_the_wrong_shape_raises(self):
+        g, gbar, c = textured_radiance_scene(20, 20)
+        zero = FlowField.zero((20, 19))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            joint_photometric_align(g, gbar, c, 1, init=(zero, zero))
+
+    def test_without_init_matches_the_alternation_from_zero_flow_bitwise(self):
+        # criterion 8's inputs; three iterations cover the cold first one
+        # and the warm later ones
+        g, gbar, c = textured_radiance_scene(182, 298, seed=0, shift=(3, 2))
+        u, v, residuals = joint_photometric_align(g, gbar, c, 3)
+        ref_u, ref_v, ref_residuals = reference_alternation(g, gbar, c, 3)
+        assert u.vectors.tobytes() == ref_u.vectors.tobytes()
+        assert v.vectors.tobytes() == ref_v.vectors.tobytes()
+        assert residuals == ref_residuals
+
+
+def reference_alternation(g, gbar, c, iterations):
+    """joint_photometric_align without init, written out: the first
+    outer iteration runs the pyramid from zero flow, every later one
+    warm-starts; the best flows by residual are returned."""
+    u = v = FlowField.zero(g.shape)
+    residuals, best, best_res = [], (u, v), np.inf
+    gbar_w = warp_image(gbar, v)
+    for i in range(iterations):
+        u = flow_estimate(g, _constraint_target(c, gbar_w, gbar), None, u if i else None)
+        g_w = warp_image(g, u)
+        v = flow_estimate(gbar, _constraint_target(c, g_w, g), None, v if i else None)
+        gbar_w = warp_image(gbar, v)
+        residuals.append(complement_residual(g_w, gbar_w, c))
+        if residuals[-1] < best_res:
+            best_res, best = residuals[-1], (u, v)
+        if i and (residuals[-2] - residuals[-1]) / residuals[-2] < MIN_IMPROVEMENT:
+            break
+    return *best, residuals
+

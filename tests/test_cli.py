@@ -1,14 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 
+import gradientstage
 from gradientstage import pfm
 from gradientstage.cli import run
 from gradientstage.core import Image, NormalMap, mean_angular_error
 from gradientstage.stage import LightStage, generate_icosphere_directions
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # in a fresh interpreter: this suite's conftest imports scipy itself
+    code = "import sys, gradientstage.cli; sys.exit('scipy' in sys.modules)"
+    src = str(Path(gradientstage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -89,6 +89,23 @@ class TestGradientImageSet:
             Condition.C.complement
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Image(np.ones((2, 2))),
+        lambda: nm_from_vectors(np.ones((2, 2, 3))),
+        lambda: GradientImageSet({Condition.X: Image(np.ones((2, 2)))}),
+        lambda: FlowField.zero((2, 2)),
+    ],
+    ids=["Image", "NormalMap", "GradientImageSet", "FlowField"],
+)
+def test_grids_compare_by_identity_and_hash(make):
+    # a generated __eq__ would compare tuples of arrays and raise
+    a, b = make(), make()
+    assert (a == b) is False and (a == a) is True
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 class TestAngularErrorMap:
     def test_identical_maps_zero(self):
         nm = nm_from_vectors([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])

@@ -1,0 +1,68 @@
+"""SHA-256 of every input and output file of the four benchmark chains.
+
+    python3 scripts/chain_digest.py --seed 3 > digests.txt
+
+Run from the root of a source checkout; like perfbench/run.py it imports
+the program from `src/`. For each workload of perfbench/workloads.py it
+generates the inputs from the seed and runs one op of the workload's CLI
+chain through `gradientstage.cli.run`. It then runs `align` on the
+capture's first x, xb and c frames. It prints one `<sha256>  <file>` line
+per file, sorted by path, so `diff` of the output of two checkouts shows
+every file whose bytes differ.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from gradientstage import cli  # noqa: E402
+
+
+def run_chain(chain: list[list[str]]) -> None:
+    for argv in chain:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(argv)
+        if code != 0:
+            raise SystemExit(f"exit code {code} from {' '.join(argv)}")
+
+
+def align_chain(inp, out: Path) -> list[list[str]]:
+    """`align` on the first x, xb and c frames of a capture."""
+    frames = [str(inp.directory / f"frame_{inp.conditions.index(c):03d}.pfm") for c in ("x", "xb", "c")]
+    return [["align", "--pair", "x", "--frames", *frames, "--iters", "10", "--out", str(out)]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, wl in WORKLOADS.items():
+            inputs = wl.generate(np.random.default_rng(args.seed), work / name / "inputs")
+            out = work / name / "outputs"
+            out.mkdir()
+            run_chain(wl.chain(inputs, out))
+            if name == "capture-seq":
+                run_chain(align_chain(inputs, out / "align"))
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(work)}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

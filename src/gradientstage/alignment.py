@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DARK_EPS, Image, NormalMap, _block_rows, _filled, _mask
+from .core import DARK_EPS, Image, NormalMap, _block_rows, _filled, _image, _mask, _radiance
 
 # flow displacements below this are numerical noise; snapped to exact zero
 ZERO_FLOW = 1e-9
@@ -131,12 +131,13 @@ def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np
 
 def _resample_block(grid, flags, w, h, xq, yq):
     """One block of resample on flat queries. The four neighbours are
-    gathered at the flat index y0 W + x0 plus the scalar offsets dx and dy,
+    gathered at the flat index y0 W + x0 of views offset by dx and dy,
     since x0 <= W - 2 and y0 <= H - 2 (dx, dy = 0 along a side one pixel
     long)."""
     inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
-    x0 = np.clip(np.floor(xq).astype(int), 0, w - 2) if w > 1 else np.zeros_like(xq, int)
-    y0 = np.clip(np.floor(yq).astype(int), 0, h - 2) if h > 1 else np.zeros_like(yq, int)
+    # truncation, not floor: the two differ only below 0, which the clip maps to 0
+    x0 = np.clip(xq.astype(int), 0, w - 2) if w > 1 else np.zeros_like(xq, int)
+    y0 = np.clip(yq.astype(int), 0, h - 2) if h > 1 else np.zeros_like(yq, int)
     fx = xq - x0
     fy = yq - y0
     index = y0  # y0 W + x0, in place
@@ -148,11 +149,12 @@ def _resample_block(grid, flags, w, h, xq, yq):
     if flags is not None:
         # all four neighbours valid: the weights, each in [0, 1] at an inside
         # query, sum to 1 within a few ulp, so the sampled mask exceeds
-        # 1 - 1e-12; only queries next to an invalid point interpolate it
-        valid = inside & flags.take(index)
-        for offset in (dx, dy, dx + dy):
-            valid &= flags.take(index + offset)
-        edge = np.flatnonzero(valid != inside)
+        # 1 - 1e-12; none valid: it is exactly 0. Only queries with both
+        # valid and invalid neighbours interpolate the mask
+        corners = np.array([flags[offset:].take(index) for offset in (0, dx, dy, dx + dy)])
+        every, some = corners.all(axis=0), corners.any(axis=0)
+        valid = inside & every
+        edge = np.flatnonzero(inside & some & ~every)
         if edge.size:
             sampled = _bilinear(flags, index[edge], dx, dy, fx[edge], fy[edge])
             valid[edge] = sampled > 1.0 - 1e-12
@@ -164,15 +166,18 @@ def _resample_block(grid, flags, w, h, xq, yq):
 
 
 def _bilinear(flat, index, dx, dy, fx, fy):
-    """The bilinear sum of flat's four gathered neighbours, in a fixed
-    per-element order of operations."""
+    """The bilinear sum of flat's four gathered neighbours, accumulated in
+    place in the fixed per-element order ((v00 gx) gy + (v10 fx) gy)
+    + (v01 gx) fy + (v11 fx) fy."""
     gx, gy = 1 - fx, 1 - fy
-    return (
-        flat.take(index, axis=0) * gx * gy
-        + flat.take(index + dx, axis=0) * fx * gy
-        + flat.take(index + dy, axis=0) * gx * fy
-        + flat.take(index + dx + dy, axis=0) * fx * fy
-    )
+    out = np.multiply(flat.take(index, axis=0), gx)
+    out *= gy
+    term = np.empty_like(out)
+    for offset, wx, wy in ((dx, fx, gy), (dy, gx, fy), (dx + dy, fx, fy)):
+        np.multiply(flat[offset:].take(index, axis=0), wx, out=term)
+        term *= wy
+        out += term
+    return out
 
 
 def _displaced_grid(u: np.ndarray, v: np.ndarray):
@@ -190,7 +195,10 @@ def warp_image(img: Image, flow: FlowField) -> Image:
     if not flow.vectors.any():
         return Image(img.samples, img.mask & flow.mask)
     out, valid = resample(img.samples, img.mask, *_displaced_grid(flow.u, flow.v))
-    return Image(np.maximum(out, 0.0), valid & flow.mask)
+    valid &= flow.mask
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, 0.0, where=~valid)
+    return _image(_radiance(out), valid)
 
 
 def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
@@ -448,9 +456,10 @@ def joint_photometric_align(
     from the previous u or v; with init = (u, v), every iteration, the
     first included, warm-starts, and init is what a failed first estimate
     returns. Stops early once the relative residual improvement drops
-    below MIN_IMPROVEMENT. An estimator that fails (ValueError,
-    FloatingPointError, RuntimeError or LinAlgError) returns the best flows
-    found so far; any other exception propagates.
+    below MIN_IMPROVEMENT. An iteration whose estimator fails (ValueError,
+    FloatingPointError, RuntimeError or LinAlgError), or whose flows leave
+    no pixel jointly valid, returns the best flows found so far; any other
+    exception propagates.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -479,13 +488,14 @@ def joint_photometric_align(
             g_w = warp_image(g, u)
             target_v = _constraint_target(c, g_w, g)
             v = est(gbar, target_v, params, v if warm else None)
+            gbar_w = warp_image(gbar, v)
+            # raises once the flows leave no pixel jointly valid
+            res = complement_residual(g_w, gbar_w, c)
         except (ValueError, FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
             # what a failed estimate raises; a programming error propagates
             warnings.warn(f"flow estimator failed; returning best flows so far ({exc})")
             u, v = best
             break
-        gbar_w = warp_image(gbar, v)
-        res = complement_residual(g_w, gbar_w, c)
         residuals.append(res)
         if res < best_res:
             best_res = res

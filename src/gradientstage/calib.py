@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import resample
-from .core import Image, _block_rows, unit
+from .core import Image, _block_rows, _image, _radiance, unit
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,9 @@ def estimate_homography_dlt(src, dst) -> tuple[Homography, float]:
         rows.append([0, 0, 0, -x, -y, -1, yp * x, yp * y, yp])
         rows.append([x, y, 1, 0, 0, 0, -xp * x, -xp * y, -xp])
     a = np.asarray(rows)
-    _, sv, vt = np.linalg.svd(a)
+    # the null vector is the last row of the 9x9 V^T; the thin SVD holds all
+    # of it only with at least 9 rows, so four pairs (8 rows) need the full one
+    _, sv, vt = np.linalg.svd(a, full_matrices=len(a) < 9)
     # a rank below 8 leaves no unique null vector, whatever the pair count
     if sv[7] < 1e-10 * sv[0]:
         raise ValueError("degenerate configuration for DLT")
@@ -439,31 +441,43 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
     if i0.shape != i1.shape:
         raise ValueError(f"dimension mismatch: {i0.shape} vs {i1.shape}")
     mask = i0.mask & i1.mask
+    invalid = ~mask
     diff = i0.samples - i1.samples
-    specular = Image(np.maximum(diff, 0.0), mask)
-    diffuse = Image(2.0 * i1.samples, mask)
-    return SeparationResult(specular, diffuse, int(np.count_nonzero(mask & (diff < 0))))
+    clamp_count = int(np.count_nonzero(mask & (diff < 0)))
+    # the difference of two finite samples >= 0 is finite; twice one can overflow
+    specular = np.maximum(diff, 0.0, out=diff)
+    diffuse = np.multiply(i1.samples, 2.0)
+    for a in (specular, diffuse):
+        np.copyto(a, 0.0, where=invalid)
+    return SeparationResult(_image(specular, mask), _image(_radiance(diffuse), mask), clamp_count)
 
 
 def warp_by_homography(img: Image, h: Homography) -> Image:
     """Resample an image through H (inverse mapping, bilinear).
 
     The inverse map is evaluated per block of whole rows, each at most one
-    resample block, and written into preallocated outputs, so no full-size
-    coordinate array exists.
+    resample block, into reused buffers, and the samples are written into
+    preallocated outputs, so no full-size coordinate array exists.
     """
     hh, ww = img.shape
     inv = Homography(np.linalg.inv(h.h)).h
     vals = np.empty((hh, ww))
     mask = np.empty((hh, ww), bool)
-    x = np.arange(ww, dtype=float)
     y = np.arange(hh, dtype=float)[:, None]
+    # each map row r is (r[0] x + r[1] y) + r[2]; its column terms r[0] x
+    # are the same for every block
+    cols = [r[0] * np.arange(ww, dtype=float) for r in inv]
     rows = _block_rows(ww, 1)
+    maps = np.empty((3, rows, ww))
     for top in range(0, hh, rows):
         block = slice(top, top + rows)
-        xs, ys, den = (r[0] * x + r[1] * y[block] + r[2] for r in inv)
+        xs, ys, den = maps[:, : min(rows, hh - top)]
+        for dst, col, r in zip((xs, ys, den), cols, inv):
+            np.add(col, r[1] * y[block], out=dst)
+            dst += r[2]
         xs /= den
         ys /= den
         out, mask[block] = resample(img.samples, img.mask, xs, ys)
         np.maximum(out, 0.0, out=vals[block])
-    return Image(vals, mask)
+        np.copyto(vals[block], 0.0, where=~mask[block])
+    return _image(_radiance(vals), mask)

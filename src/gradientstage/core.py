@@ -70,7 +70,8 @@ def unit(v) -> np.ndarray:
 # constructor takes private read-only copies of its arrays with canonical
 # values at invalid pixels, so callers never mask before constructing;
 # Image and FlowField then check the whole grid, and a NormalMap is valid
-# by construction.
+# by construction. A producer that already writes canonical arrays hands
+# them over without a copy, through _image or _normal_map.
 
 
 def _mask(mask, shape) -> np.ndarray:
@@ -133,16 +134,32 @@ class Image:
         if s.ndim != 2 or s.size == 0:
             raise ValueError("samples must be a non-empty 2D array")
         m = _mask(self.mask, s.shape)
-        s = _filled(s, m, 0.0)
-        # min propagates NaN, which fails the comparison
-        if not (s.min() >= 0 and s.max() < np.inf):
-            raise ValueError("valid radiance samples must be finite and >= 0")
+        s = _radiance(_filled(s, m, 0.0))
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "mask", m)
 
     @property
     def shape(self):
         return self.samples.shape
+
+
+def _radiance(samples: np.ndarray) -> np.ndarray:
+    """samples, holding 0 at invalid pixels, once checked finite and >= 0."""
+    # min propagates NaN, which fails the comparison
+    if not (samples.min() >= 0 and samples.max() < np.inf):
+        raise ValueError("valid radiance samples must be finite and >= 0")
+    return samples
+
+
+def _image(samples: np.ndarray, mask: np.ndarray) -> Image:
+    """An Image holding these arrays, made read-only; the caller has already
+    written 0 at every invalid sample and knows the valid ones finite and
+    >= 0, through _radiance where arithmetic could overflow."""
+    img = object.__new__(Image)
+    for name, a in (("samples", samples), ("mask", mask)):
+        a.setflags(write=False)
+        object.__setattr__(img, name, a)
+    return img
 
 
 @dataclass(frozen=True, init=False, eq=False)

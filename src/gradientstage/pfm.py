@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .core import Image, NormalMap, _filled
+from .core import Image, NormalMap, _image
 
 
 def _read_token(f) -> bytes:
@@ -51,32 +51,45 @@ def read_pfm_array(path) -> np.ndarray:
         if count * 4 > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError(f"truncated PFM payload: {width}x{height}x{channels} floats claimed")
         data = np.frombuffer(f.read(count * 4), dtype=endian + "f4", count=count)
-    arr = data.reshape(height, width, channels).astype(float)
-    arr = np.flipud(arr)
+    shape = (height, width) if channels == 1 else (height, width, channels)
+    # cast and flip in one pass, into a C-contiguous array that is scaled in place
+    arr = np.empty(shape)
+    np.copyto(arr, data.reshape(shape)[::-1])
     if abs(scale) != 1.0:
-        arr = arr * abs(scale)
-    return arr[:, :, 0] if channels == 1 else arr
+        arr *= abs(scale)
+    return arr
 
 
 def write_pfm_array(path, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float32)
+    """HxW or HxWx3 float32 PFM, rows bottom-to-top. An arr that is the
+    row-reversed view of a C-contiguous little-endian float32 buffer is
+    written from that buffer without a copy."""
+    arr = np.asarray(arr)
     if arr.ndim == 2:
-        ident, payload = b"Pf", arr[:, :, None]
+        ident = b"Pf"
     elif arr.ndim == 3 and arr.shape[2] == 3:
-        ident, payload = b"PF", arr
+        ident = b"PF"
     else:
         raise ValueError("PFM supports HxW or HxWx3 arrays")
-    h, w = payload.shape[:2]
+    h, w = arr.shape[:2]
+    payload = np.ascontiguousarray(arr[::-1], dtype="<f4")
     with open(path, "wb") as f:
         f.write(ident + b"\n")
         f.write(f"{w} {h}\n".encode("ascii"))
         f.write(b"-1.0\n")
-        f.write(np.flipud(payload).astype("<f4").tobytes())
+        f.write(payload)
 
 
 def write_masked(path, data: np.ndarray, mask: np.ndarray) -> None:
     """HxW or HxWx3 PFM with NaN at every invalid pixel."""
-    write_pfm_array(path, _filled(data, mask, np.nan))
+    # cast, flip and NaN-fill once, into the buffer that write_pfm_array writes
+    buf = np.empty(data.shape, "<f4")
+    np.copyto(buf, data[::-1], casting="same_kind")
+    invalid = ~mask[::-1]
+    # one scalar fill per channel, as in core._filled
+    for plane in [buf] if buf.ndim == 2 else buf.transpose(2, 0, 1):
+        np.copyto(plane, np.nan, where=invalid)
+    write_pfm_array(path, buf[::-1])
 
 
 def write_image(path, img: Image) -> None:
@@ -89,7 +102,10 @@ def read_image(path) -> Image:
     arr = read_pfm_array(path)
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 1-channel PFM radiance image")
-    return Image(arr, np.isfinite(arr) & (arr >= 0))
+    mask = np.isfinite(arr)
+    mask &= arr >= 0
+    np.copyto(arr, 0.0, where=~mask)
+    return _image(arr, mask)
 
 
 def write_normal_map(path, nm: NormalMap) -> None:

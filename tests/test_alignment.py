@@ -201,6 +201,48 @@ class TestResample:
             )
         np.testing.assert_array_equal(valid, inside & (sampled > 1.0 - 1e-12))
 
+    def test_mask_resampled_only_between_valid_and_invalid_neighbours(self, monkeypatch):
+        """A 64x64 frame with its left half masked, warped by a fractional
+        flow: the mask goes through _bilinear only at queries with both
+        valid and invalid neighbours, and validity is still the full-mask
+        interpolation's."""
+        h, w = 64, 64
+        values = textured_image(h, w, seed=4)
+        mask = np.ones((h, w), bool)
+        mask[:, : w // 2] = False
+        yy, xx = np.mgrid[0:h, 0:w]
+        xq, yq = xx + 0.3 + 0.02 * yy, yy - 0.45
+        masked = []
+
+        def spy(flat, index, dx, dy, fx, fy):
+            if flat.dtype == bool:
+                masked.append(index.copy())
+            return bilinear(flat, index, dx, dy, fx, fy)
+
+        bilinear = alignment._bilinear
+        monkeypatch.setattr(alignment, "_bilinear", spy)
+        out, valid = resample(values, mask, xq, yq)
+
+        x0 = np.clip(np.floor(xq).astype(int), 0, w - 2)
+        y0 = np.clip(np.floor(yq).astype(int), 0, h - 2)
+        fx, fy = xq - x0, yq - y0
+        inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
+        corners = [mask[y0, x0], mask[y0, x0 + 1], mask[y0 + 1, x0], mask[y0 + 1, x0 + 1]]
+        mixed = inside & np.any(corners, axis=0) & ~np.all(corners, axis=0)
+        assert mixed.sum() >= h - 1
+        np.testing.assert_array_equal(np.sort(np.concatenate(masked)), np.sort((y0 * w + x0)[mixed]))
+
+        def full(g):
+            return (
+                g[y0, x0] * (1 - fx) * (1 - fy)
+                + g[y0, x0 + 1] * fx * (1 - fy)
+                + g[y0 + 1, x0] * (1 - fx) * fy
+                + g[y0 + 1, x0 + 1] * fx * fy
+            )
+
+        np.testing.assert_array_equal(valid, inside & (full(mask.astype(float)) > 1.0 - 1e-12))
+        np.testing.assert_array_equal(out, full(values))
+
 
 _AVG_KERNEL = np.array(
     [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]]
@@ -423,6 +465,18 @@ class TestWarpImage:
         np.testing.assert_allclose(out.samples[:, :-2], ramp[:, 2:], atol=1e-12)
         assert not out.mask[:, -2:].any()  # border band invalid
         assert out.mask[:, :-2].all()
+
+    @given(GRID_SHAPES, SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_resampled_grid_through_the_constructor(self, shape, seed):
+        """Zeros at invalid pixels, those of the flow's mask included."""
+        values, mask = random_grid(shape, seed)
+        img = Image(np.abs(values), mask)
+        rng = np.random.default_rng(seed)
+        flow = FlowField(rng.uniform(-1.5, 1.5, shape + (2,)), rng.random(shape) > 0.2)
+        yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+        vals, valid = resample(img.samples, img.mask, xx + flow.u, yy + flow.v)
+        assert_same_image(warp_image(img, flow), Image(np.maximum(vals, 0.0), valid & flow.mask))
 
     def test_fully_off_image(self):
         img = Image(np.ones((5, 5)))
@@ -650,6 +704,23 @@ class TestJointPhotometricAlign:
             u, v, residuals = joint_photometric_align(g, gbar, c, 5, estimator=flaky)
         assert u.shape == g.shape
         assert len(calls) == 3
+
+    def test_flows_that_leave_no_pixel_valid_return_the_best(self):
+        g, gbar, c = textured_radiance_scene(30, 30)
+        flows = []
+
+        def drifting(src, tgt, params, init):
+            """The real estimate, then from the second outer iteration on
+            a flow that moves every pixel out of the frame."""
+            flows.append(flow_estimate(src, tgt, params, init))
+            if len(flows) > 2:
+                return constant_flow(g.shape, 100.0, 0.0)
+            return flows[-1]
+
+        with pytest.warns(UserWarning, match="best flows so far .*no jointly valid pixels"):
+            u, v, residuals = joint_photometric_align(g, gbar, c, 5, estimator=drifting)
+        assert len(residuals) == 1
+        assert (u, v) == (flows[0], flows[1])
 
     @pytest.mark.parametrize("error", [NameError, TypeError])
     def test_programming_error_in_the_estimator_propagates(self, error):

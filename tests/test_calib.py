@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from gradientstage import core
+from gradientstage.alignment import resample
 from gradientstage.calib import (
     CameraIntrinsics,
     Conic,
@@ -446,6 +447,23 @@ class TestSeparation:
         with pytest.raises(ValueError):
             separate_reflectance(Image(np.ones((2, 2))), Image(np.ones((3, 2))))
 
+    def test_outputs_equal_images_built_by_the_constructor(self):
+        rng = np.random.default_rng(5)
+        i0 = Image(2.0 * rng.random((6, 7)), rng.random((6, 7)) > 0.3)
+        i1 = Image(rng.random((6, 7)), rng.random((6, 7)) > 0.3)
+        result = separate_reflectance(i0, i1)
+        mask = i0.mask & i1.mask
+        want = (Image(np.maximum(i0.samples - i1.samples, 0.0), mask), Image(2.0 * i1.samples, mask))
+        for got, ref in zip((result.specular, result.diffuse), want):
+            np.testing.assert_array_equal(got.samples, ref.samples)
+            np.testing.assert_array_equal(got.mask, ref.mask)
+            assert not (got.samples.flags.writeable or got.mask.flags.writeable)
+
+    def test_diffuse_overflow_raises(self):
+        i1 = Image(np.array([[1e308, 1.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            separate_reflectance(Image(np.ones((1, 2))), i1)
+
 
 class TestHomographyWarp:
     def test_identity_warp(self):
@@ -461,6 +479,22 @@ class TestHomographyWarp:
         h[0, 2] = 2.0  # shift +x by 2
         out = warp_by_homography(Image(vals), Homography(h))
         assert out.samples[4, 6] == pytest.approx(1.0)
+
+    def test_output_equals_the_whole_frame_map_through_the_constructor(self):
+        """Zeros at invalid pixels, the queries outside the frame included,
+        and the bits of the map evaluated on the whole frame at once."""
+        rng = np.random.default_rng(6)
+        img = Image(rng.random((20, 13)), rng.random((20, 13)) > 0.1)
+        h = Homography(np.array([[1.1, 0.05, 3.5], [-0.04, 0.95, -2.2], [2e-3, -1e-3, 1.0]]))
+        out = warp_by_homography(img, h)
+        yy, xx = np.mgrid[0:20, 0:13].astype(float)
+        xs, ys, den = (r[0] * xx + r[1] * yy + r[2] for r in Homography(np.linalg.inv(h.h)).h)
+        vals, valid = resample(img.samples, img.mask, xs / den, ys / den)
+        want = Image(np.maximum(vals, 0.0), valid)
+        assert 0 < valid.sum() < valid.size
+        np.testing.assert_array_equal(out.samples, want.samples)
+        np.testing.assert_array_equal(out.mask, want.mask)
+        assert not (out.samples.flags.writeable or out.mask.flags.writeable)
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_row_blocks_do_not_change_the_warp(self, rows):

@@ -3,6 +3,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradientstage import pfm
 from gradientstage.alignment import FlowField
@@ -109,3 +112,114 @@ def test_rejects_non_finite_or_zero_scale(tmp_path, scale):
     path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + np.ones(4, "<f4").tobytes())
     with pytest.raises(ValueError, match="scale"):
         pfm.read_pfm_array(path)
+
+
+# The reader and writer as they were before each did its work in one pass:
+# the references that the properties below compare with bit for bit.
+
+
+def reference_read_pfm_array(path):
+    ident, size, scale, payload = path.read_bytes().split(b"\n", 3)
+    channels = 3 if ident == b"PF" else 1
+    width, height = map(int, size.split())
+    scale = float(scale)
+    endian = "<" if scale < 0 else ">"
+    data = np.frombuffer(payload, dtype=endian + "f4", count=width * height * channels)
+    arr = data.reshape(height, width, channels).astype(float)
+    arr = np.flipud(arr)
+    if abs(scale) != 1.0:
+        arr = arr * abs(scale)
+    return arr[:, :, 0] if channels == 1 else arr
+
+
+def reference_read_image(path):
+    arr = reference_read_pfm_array(path)
+    return Image(arr, np.isfinite(arr) & (arr >= 0))
+
+
+def reference_write_pfm_array(path, arr):
+    arr = np.asarray(arr, dtype=np.float32)
+    ident, payload = (b"Pf", arr[:, :, None]) if arr.ndim == 2 else (b"PF", arr)
+    h, w = payload.shape[:2]
+    header = ident + b"\n" + f"{w} {h}\n".encode("ascii") + b"-1.0\n"
+    path.write_bytes(header + np.flipud(payload).astype("<f4").tobytes())
+
+
+def reference_write_masked(path, data, mask):
+    reference_write_pfm_array(path, np.where(mask if data.ndim == 2 else mask[..., None], data, np.nan))
+
+
+def bits(a):
+    """The bytes of a as a C-contiguous array: equal iff every element is
+    bitwise equal, NaN payloads and the sign of zero included."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.5, 3.25, 1e-40]
+FRAMES = st.tuples(st.integers(1, 5), st.integers(1, 6), st.sampled_from([1, 3]))
+# every example overwrites the same files, so one tmp_path serves them all
+PROPERTY = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@given(
+    FRAMES,
+    st.sampled_from([-1.0, 1.0, -2.5, 2.5]),
+    st.data(),
+)
+@example((1, 6, 1), 2.5, None)
+@example((1, 4, 3), -1.0, None)
+@PROPERTY
+def test_reader_matches_the_reference_bitwise(tmp_path, frame, scale, data):
+    """NaN, infinities, -0.0 and negative samples; scales of either sign
+    (a positive one is big-endian) and magnitude; 1xN frames; 1 and 3
+    channels."""
+    h, w, channels = frame
+    elements = st.sampled_from(SPECIAL) | st.floats(width=32)
+    if data is None:
+        values = np.resize(np.array(SPECIAL, np.float32), h * w * channels)
+    else:
+        values = data.draw(arrays(np.float32, h * w * channels, elements=elements))
+    endian = "<" if scale < 0 else ">"
+    path = tmp_path / "frame.pfm"
+    header = f"{'PF' if channels == 3 else 'Pf'}\n{w} {h}\n{scale}\n".encode("ascii")
+    path.write_bytes(header + values.astype(endian + "f4").tobytes())
+
+    arr, ref = pfm.read_pfm_array(path), reference_read_pfm_array(path)
+    assert arr.shape == ref.shape and arr.dtype == ref.dtype
+    assert bits(arr) == bits(ref)
+    if channels == 1:
+        img, ref_img = pfm.read_image(path), reference_read_image(path)
+        assert bits(img.samples) == bits(ref_img.samples)
+        np.testing.assert_array_equal(img.mask, ref_img.mask)
+        assert not (img.samples.flags.writeable or img.mask.flags.writeable)
+
+
+@given(FRAMES, st.data())
+@example((1, 6, 1), None)
+@PROPERTY
+def test_writers_match_the_reference_bitwise(tmp_path, frame, data):
+    """write_masked and write_pfm_array, on float64 samples that include
+    NaN, infinities, -0.0, negative values and values beyond the float32
+    range, with a random mask; write_pfm_array also on float32 and on
+    non-contiguous arrays."""
+    h, w, channels = frame
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    elements = st.sampled_from(SPECIAL + [1e300, -1e300]) | st.floats()
+    if data is None:
+        values = np.resize(np.array(SPECIAL), shape)
+        mask = np.arange(h * w).reshape(h, w) % 2 == 0
+    else:
+        values = data.draw(arrays(np.float64, shape, elements=elements))
+        mask = data.draw(arrays(bool, (h, w)))
+    ours, theirs = tmp_path / "ours.pfm", tmp_path / "theirs.pfm"
+    with np.errstate(over="ignore"):  # the float32 cast of values beyond its range
+        pfm.write_masked(ours, values, mask)
+        reference_write_masked(theirs, values, mask)
+        assert ours.read_bytes() == theirs.read_bytes()
+        wide = np.concatenate([values, values], axis=1)
+        for arr in (values, values.astype(np.float32), wide[:, ::2], wide[::-1, 1::2]):
+            pfm.write_pfm_array(ours, arr)
+            reference_write_pfm_array(theirs, arr)
+            assert ours.read_bytes() == theirs.read_bytes()

@@ -332,6 +332,17 @@ class TestProcessSequence:
         with pytest.raises(ValueError):
             process_sequence(seq, [], iterations=1)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uniform_noise_one_pixel_high(self, seed):
+        """Flows on such frames can leave no pixel jointly valid; each
+        window then keeps its best flows so far instead of raising."""
+        seq = generate_sequence(2)
+        rng = np.random.default_rng(seed)
+        frames = [Image(rng.random((1, 8))) for _ in seq.frames]
+        with pytest.warns(UserWarning, match="no jointly valid pixels"):
+            result = process_sequence(seq, frames, 10)
+        assert sorted(result.tracking) == [2, 5]
+
     @pytest.mark.parametrize(
         "positions, start_bound, cold_bound",
         [

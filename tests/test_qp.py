@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import max_angular_error, solve_kkt_dense
+from conftest import A_MATRIX, closed_form, max_angular_error, qp_rhs, solve_kkt_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
@@ -8,16 +10,8 @@ from scipy.linalg import null_space
 from gradientstage import core
 from gradientstage.core import Condition, GradientImageSet, Image, NormalMap
 from gradientstage.photometric import recover_ma, recover_wilson
-from gradientstage.qp import (
-    A_MATRIX,
-    build_qp_system,
-    constraint_violation,
-    correct_normal_map,
-    solve_normal_correction,
-)
+from gradientstage.qp import constraint_violation, correct_normal_map
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
-
-finite_arrays = st.lists(st.floats(-2, 2), min_size=6, max_size=6)
 
 
 def distorted_set(delta, delta_bar=(0, 0, 0), size=15):
@@ -27,6 +21,7 @@ def distorted_set(delta, delta_bar=(0, 0, 0), size=15):
 
 
 class TestMatrix:
+    # the oracle's constraint matrix: the two rows of each axis, stacked
     def test_exact_layout(self):
         expected = np.array(
             [
@@ -43,78 +38,47 @@ class TestMatrix:
     def test_full_row_rank(self):
         assert np.linalg.matrix_rank(A_MATRIX) == 6
 
-
-class TestBuildSystem:
-    def test_ideal_frontal_pixel(self, sphere_scene, ideal_sphere_set):
-        b, mask = build_qp_system(ideal_sphere_set)
-        c = mask.shape[0] // 2
-        np.testing.assert_allclose(b[c, c], [0, 0, 1 / 3, 0, 0, 2 / 3], atol=1e-12)
-
-    def test_forward_model_oracle_with_distortion(self):
-        # b must equal A x_true when x_true holds the injected scene state
-        delta = (0.1, -0.05, 0.2)
-        delta_bar = (0.03, 0.0, -0.08)
-        scene, imgset = distorted_set(delta, delta_bar)
-        b, m = build_qp_system(imgset)
-        x_true = np.concatenate(
-            [
-                np.broadcast_to(delta, scene.true_normals.shape + (3,)),
-                np.broadcast_to(delta_bar, scene.true_normals.shape + (3,)),
-                scene.true_normals.normals,
-            ],
-            axis=2,
-        )
-        np.testing.assert_allclose(
-            b[m], x_true[m] @ A_MATRIX.T, atol=1e-10
-        )
-
-    def test_dark_constant_masked(self, sphere_scene):
-        imgs = dict(render_set(sphere_scene).images)
-        imgs[Condition.C] = Image(np.zeros(sphere_scene.true_normals.shape), None)
-        _, mask = build_qp_system(GradientImageSet(imgs))
-        assert not mask.any()
+    def test_constraint_violation_matches_the_matrix_form(self):
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(4, 7, 6))
+        x = rng.normal(size=(4, 7, 9))
+        want = np.abs(x @ A_MATRIX.T - b).max(axis=-1)
+        np.testing.assert_allclose(constraint_violation(b, x), want, rtol=0, atol=1e-14)
 
 
 class TestSolve:
+    # the closed-form kernel, on stacked (..., 6) b and (..., 9) x0
     def test_feasible_point_is_fixed(self):
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=9)
-        b = A_MATRIX @ x0
-        x = solve_normal_correction(b, x0)
-        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(closed_form(A_MATRIX @ x0, x0), x0)
+
+    def test_start_on_the_constraint_rows_is_exact(self):
+        # b formed elementwise from the two rows of each axis
+        x0 = np.random.default_rng(4).normal(size=(20_000, 9))
+        delta, delta_bar, n = x0[:, :3], x0[:, 3:6], x0[:, 6:]
+        b = np.concatenate([delta + n / 3.0, n * (2.0 / 3.0) - delta_bar], axis=1)
+        np.testing.assert_array_equal(closed_form(b, x0), x0)
 
     def test_feasibility_always(self):
         rng = np.random.default_rng(1)
         b = rng.normal(size=(50, 6))
-        x0 = rng.normal(size=(50, 9))
-        x = solve_normal_correction(b, x0)
+        x = closed_form(b, rng.normal(size=(50, 9)))
         assert constraint_violation(b, x).max() < 1e-9
 
-    def test_matches_dense_kkt_oracle(self):
-        rng = np.random.default_rng(2)
-        b = rng.normal(size=(500, 6))
-        x0 = rng.normal(size=(500, 9))
-        fast = solve_normal_correction(b, x0)
-        oracle = solve_kkt_dense(b, x0)
-        np.testing.assert_allclose(fast, oracle, atol=1e-9)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-3, 10.0))
+    def test_matches_dense_kkt_oracle(self, seed, pixels, scale):
+        # every start has non-zero deltas, as a fitted prior gives
+        rng = np.random.default_rng(seed)
+        b = scale * rng.normal(size=(pixels, 6))
+        x0 = rng.normal(size=(pixels, 9))
+        np.testing.assert_allclose(closed_form(b, x0), solve_kkt_dense(b, x0), rtol=0, atol=1e-9)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         b = rng.normal(size=(20, 6))
-        x0 = rng.normal(size=(20, 9))
-        x1 = solve_normal_correction(b, x0)
-        x2 = solve_normal_correction(b, x1)
-        np.testing.assert_allclose(x2, x1, atol=1e-9)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-3, 10.0))
-    def test_folded_projector_matches_the_unfolded_formula(self, seed, pixels, scale):
-        rng = np.random.default_rng(seed)
-        b = scale * rng.normal(size=(pixels, 6))
-        x0 = rng.normal(size=(pixels, 9))
-        aat_inv = np.linalg.inv(A_MATRIX @ A_MATRIX.T)
-        unfolded = x0 + ((b - x0 @ A_MATRIX.T) @ aat_inv) @ A_MATRIX
-        got = solve_normal_correction(b, x0)
-        np.testing.assert_allclose(got, unfolded, rtol=0, atol=1e-12)
+        x1 = closed_form(b, rng.normal(size=(20, 9)))
+        np.testing.assert_allclose(closed_form(b, x1), x1, atol=1e-9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -122,7 +86,7 @@ class TestSolve:
         rng = np.random.default_rng(seed)
         b = rng.normal(size=6)
         x0 = rng.normal(size=9)
-        x = solve_normal_correction(b, x0)
+        x = closed_form(b, x0)
         basis = null_space(A_MATRIX)
         for _ in range(5):
             y = x + basis @ rng.normal(size=basis.shape[1])
@@ -150,13 +114,64 @@ class TestCorrectNormalMap:
         scene, imgset = distorted_set((0.1, -0.2, 0.05), (0.02, 0.01, 0.0))
         init = recover_ma(imgset)
         corrected, delta, delta_bar = correct_normal_map(imgset, init)
-        b, _ = build_qp_system(imgset)
         m = corrected.mask
         x = np.concatenate(
             [delta, delta_bar, corrected.normals * corrected.magnitude[..., None]],
             axis=2,
         )
-        assert constraint_violation(b[m], x[m]).max() < 1e-9
+        assert constraint_violation(qp_rhs(imgset, m), x[m]).max() < 1e-9
+
+    def test_ideal_frontal_pixel(self, ideal_sphere_set):
+        # there b = (0, 0, 1/3, 0, 0, 2/3): the start (0, 0, n = z) is feasible
+        corrected, delta, delta_bar = correct_normal_map(
+            ideal_sphere_set, recover_wilson(ideal_sphere_set)
+        )
+        c = corrected.shape[0] // 2
+        np.testing.assert_allclose(corrected.normals[c, c], [0, 0, 1], atol=1e-12)
+        assert corrected.magnitude[c, c] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.r_[delta[c, c], delta_bar[c, c]], 0.0, atol=1e-12)
+
+    def test_forward_model_oracle_with_distortion(self):
+        # seeded with the true normals, the correction is the KKT solve
+        # for b = A x_true, x_true holding the injected scene state
+        delta_true, delta_bar_true = (0.1, -0.05, 0.2), (0.03, 0.0, -0.08)
+        scene, imgset = distorted_set(delta_true, delta_bar_true)
+        n_true = scene.true_normals
+        corrected, delta, delta_bar = correct_normal_map(imgset, n_true)
+        m = corrected.mask
+        assert m.sum() > 100
+        n = n_true.normals[m]
+        x_true = np.concatenate(
+            [np.broadcast_to(delta_true, n.shape), np.broadcast_to(delta_bar_true, n.shape), n], axis=1
+        )
+        x0 = np.concatenate([np.zeros_like(n), np.zeros_like(n), n], axis=1)
+        want = solve_kkt_dense(x_true @ A_MATRIX.T, x0)
+        got = np.concatenate(
+            [delta[m], delta_bar[m], corrected.normals[m] * corrected.magnitude[m][:, None]], axis=1
+        )
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_dark_constant_masked(self, sphere_scene):
+        imgs = dict(render_set(sphere_scene).images)
+        imgs[Condition.C] = Image(np.zeros(sphere_scene.true_normals.shape), None)
+        corrected, delta, delta_bar = correct_normal_map(
+            GradientImageSet(imgs), sphere_scene.true_normals
+        )
+        assert not corrected.mask.any()
+        assert not delta.any() and not delta_bar.any()
+
+    def test_traced_peak_on_a_1024_frame(self):
+        # outputs: three (H, W, 3) fields, the corrected map and the mask,
+        # about 108 MiB; a full-frame right-hand side adds 48 MiB or more
+        imgset = render_set(make_sphere_scene(1024, 1024, 500))
+        init = recover_wilson(imgset)
+        tracemalloc.start()
+        try:
+            correct_normal_map(imgset, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_single_pixel_perturbation_stays_local(self):
         scene, imgset = distorted_set((0.1, 0.1, 0.1))
@@ -194,6 +209,6 @@ class TestCorrectNormalMap:
 
         want = arrays()  # one block
         with pytest.MonkeyPatch.context() as patch:
-            # blocks of 9 values per pixel, 15 pixels a row
-            patch.setattr(core, "_CHUNK_BYTES", 8 * 9 * 15 * rows)
+            # blocks of 6 values per pixel (b_r and b_d), 15 pixels a row
+            patch.setattr(core, "_CHUNK_BYTES", 8 * 6 * 15 * rows)
             assert arrays() == want

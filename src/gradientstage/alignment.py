@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DARK_EPS, Image, NormalMap, _block_rows, _filled, _image, _mask, _radiance
+from .core import DARK_EPS, Image, NormalMap, _adopt, _block_rows, _fill, _image, _mask, _radiance
 
 # flow displacements below this are numerical noise; snapped to exact zero
 ZERO_FLOW = 1e-9
@@ -32,15 +32,14 @@ class FlowField:
     mask: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=float)
+        vec = np.array(self.vectors, dtype=float)
         if vec.ndim != 3 or vec.shape[2] != 2:
             raise ValueError("flow vectors must be HxWx2")
         m = _mask(self.mask, vec.shape[:2])
-        vec = _filled(vec, m, 0.0)
+        _fill(vec, ~m, 0.0)
         if not np.isfinite(vec).all():
             raise ValueError("valid flow vectors must be finite")
-        object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "mask", m)
+        _adopt(self, vectors=vec, mask=m)
 
     @classmethod
     def zero(cls, shape) -> "FlowField":
@@ -103,37 +102,20 @@ def resample(values: np.ndarray, mask: np.ndarray | None, xq: np.ndarray, yq: np
     point is valid. Fractional offsets are taken against the clipped base
     index so that integer query points reproduce grid values exactly.
 
-    The flattened queries are walked in blocks of _block_rows(1, C), one
-    query a row, into preallocated outputs; a single block is computed
-    directly. Such blocks bound the memory of the stencil indices, weights
-    and products, whatever the frame size, and the result does not depend
-    on the block length.
+    All queries are computed at once: each warp passes one block of
+    _block_rows rows at a time, which bounds the memory of the stencil
+    indices, weights and products whatever the frame size. Every output
+    element depends on its own query alone, so blocks do not change it.
+    The four neighbours are gathered at the flat index y0 W + x0 of views
+    offset by dx and dy, since x0 <= W - 2 and y0 <= H - 2 (dx, dy = 0
+    along a side one pixel long).
     """
     h, w = values.shape[:2]
     channels = values.shape[2:]
     grid = values.reshape(h * w, *channels)
-    flags = None if mask is None else np.asarray(mask, dtype=bool).reshape(h * w)
     xq, yq = np.broadcast_arrays(xq, yq)
     shape = xq.shape
     xq, yq = xq.ravel(), yq.ravel()
-    step = _block_rows(1, int(np.prod(channels)))
-    if xq.size <= step:
-        out, valid = _resample_block(grid, flags, w, h, xq, yq)
-    else:
-        # the dtype of values times weights from xq minus an integer index
-        out = np.empty(xq.shape + channels, np.result_type(grid.dtype, xq.dtype, np.int64))
-        valid = np.empty(xq.shape, bool)
-        for i in range(0, xq.size, step):
-            block = slice(i, i + step)
-            out[block], valid[block] = _resample_block(grid, flags, w, h, xq[block], yq[block])
-    return out.reshape(shape + channels), valid.reshape(shape)
-
-
-def _resample_block(grid, flags, w, h, xq, yq):
-    """One block of resample on flat queries. The four neighbours are
-    gathered at the flat index y0 W + x0 of views offset by dx and dy,
-    since x0 <= W - 2 and y0 <= H - 2 (dx, dy = 0 along a side one pixel
-    long)."""
     inside = (xq >= 0) & (yq >= 0) & (xq <= w - 1) & (yq <= h - 1)
     # truncation, not floor: the two differ only below 0, which the clip maps to 0
     x0 = np.clip(xq.astype(int), 0, w - 2) if w > 1 else np.zeros_like(xq, int)
@@ -146,7 +128,8 @@ def _resample_block(grid, flags, w, h, xq, yq):
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
     valid = inside
-    if flags is not None:
+    if mask is not None:
+        flags = np.asarray(mask, dtype=bool).reshape(h * w)
         # all four neighbours valid: the weights, each in [0, 1] at an inside
         # query, sum to 1 within a few ulp, so the sampled mask exceeds
         # 1 - 1e-12; none valid: it is exactly 0. Only queries with both
@@ -162,7 +145,8 @@ def _resample_block(grid, flags, w, h, xq, yq):
         # channels share the stencil; the per-element order of operations
         # is the same for every channel count
         fx, fy = fx[:, None], fy[:, None]
-    return _bilinear(grid, index, dx, dy, fx, fy), valid
+    out = _bilinear(grid, index, dx, dy, fx, fy)
+    return out.reshape(shape + channels), valid.reshape(shape)
 
 
 def _bilinear(flat, index, dx, dy, fx, fy):
@@ -180,10 +164,20 @@ def _bilinear(flat, index, dx, dy, fx, fy):
     return out
 
 
-def _displaced_grid(u: np.ndarray, v: np.ndarray):
-    """Query coordinates p + (u, v) for every pixel p."""
-    yy, xx = np.mgrid[0 : u.shape[0], 0 : u.shape[1]]
-    return xx + u, yy + v
+def _warp(values: np.ndarray, mask: np.ndarray | None, u: np.ndarray, v: np.ndarray):
+    """resample at p + (u, v)(p) for every pixel p, one block of
+    _block_rows rows at a time into preallocated outputs."""
+    h, w = u.shape
+    channels = values.shape[2:]
+    out = np.empty(u.shape + channels)
+    valid = np.empty(u.shape, bool)
+    x = np.arange(w, dtype=float)
+    y = np.arange(h, dtype=float)[:, None]
+    rows = _block_rows(w, int(np.prod(channels)))
+    for top in range(0, h, rows):
+        block = slice(top, top + rows)
+        out[block], valid[block] = resample(values, mask, x + u[block], y[block] + v[block])
+    return out, valid
 
 
 def warp_image(img: Image, flow: FlowField) -> Image:
@@ -194,11 +188,10 @@ def warp_image(img: Image, flow: FlowField) -> Image:
         raise ValueError(f"dimension mismatch: {img.shape} vs {flow.shape}")
     if not flow.vectors.any():
         return Image(img.samples, img.mask & flow.mask)
-    out, valid = resample(img.samples, img.mask, *_displaced_grid(flow.u, flow.v))
+    out, valid = _warp(img.samples, img.mask, flow.u, flow.v)
     valid &= flow.mask
     np.maximum(out, 0.0, out=out)
-    np.copyto(out, 0.0, where=~valid)
-    return _image(_radiance(out), valid)
+    return _radiance(_image(out, valid))
 
 
 def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
@@ -211,7 +204,7 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
         raise ValueError(f"dimension mismatch: {nm.shape} vs {flow.shape}")
     if not flow.vectors.any():
         return nm._narrowed(flow.mask)
-    vec, valid = resample(nm.normals, nm.mask, *_displaced_grid(flow.u, flow.v))
+    vec, valid = _warp(nm.normals, nm.mask, flow.u, flow.v)
     return NormalMap.from_components(vec, valid & flow.mask)
 
 
@@ -359,7 +352,7 @@ def _hs_single_level(src, tgt, u, v, params: FlowParams):
     tgt_x = _gradient(tgt, 1)
     tgt_y = _gradient(tgt, 0)
     for _ in range(params.warps):
-        warped, inside = resample(src, None, *_displaced_grid(u, v))
+        warped, inside = _warp(src, None, u, v)
         warped = np.where(inside, warped, tgt)
         ix = 0.5 * (_gradient(warped, 1) + tgt_x)
         iy = 0.5 * (_gradient(warped, 0) + tgt_y)

@@ -67,10 +67,6 @@ class CameraIntrinsics:
         object.__setattr__(self, "k", k)
 
     @classmethod
-    def from_focal(cls, focal: float, cx: float = 0.0, cy: float = 0.0):
-        return cls(np.array([[focal, 0, cx], [0, focal, cy], [0, 0, 1.0]]))
-
-    @classmethod
     def from_json(cls, text: str):
         return cls(np.asarray(json.loads(text), dtype=float))
 
@@ -441,15 +437,14 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
     if i0.shape != i1.shape:
         raise ValueError(f"dimension mismatch: {i0.shape} vs {i1.shape}")
     mask = i0.mask & i1.mask
-    invalid = ~mask
     diff = i0.samples - i1.samples
     clamp_count = int(np.count_nonzero(mask & (diff < 0)))
-    # the difference of two finite samples >= 0 is finite; twice one can overflow
+    # the difference of two finite samples >= 0 is finite; twice one can
+    # overflow, which is an error only at a jointly valid pixel
     specular = np.maximum(diff, 0.0, out=diff)
-    diffuse = np.multiply(i1.samples, 2.0)
-    for a in (specular, diffuse):
-        np.copyto(a, 0.0, where=invalid)
-    return SeparationResult(_image(specular, mask), _image(_radiance(diffuse), mask), clamp_count)
+    with np.errstate(over="ignore"):
+        diffuse = np.multiply(i1.samples, 2.0)
+    return SeparationResult(_image(specular, mask), _radiance(_image(diffuse, mask)), clamp_count)
 
 
 def warp_by_homography(img: Image, h: Homography) -> Image:
@@ -479,5 +474,4 @@ def warp_by_homography(img: Image, h: Homography) -> Image:
         ys /= den
         out, mask[block] = resample(img.samples, img.mask, xs, ys)
         np.maximum(out, 0.0, out=vals[block])
-        np.copyto(vals[block], 0.0, where=~mask[block])
-    return _image(_radiance(vals), mask)
+    return _radiance(_image(vals, mask))

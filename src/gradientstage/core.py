@@ -66,12 +66,13 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-# The invalid-pixel rule shared by Image, NormalMap and FlowField: each
-# constructor takes private read-only copies of its arrays with canonical
-# values at invalid pixels, so callers never mask before constructing;
-# Image and FlowField then check the whole grid, and a NormalMap is valid
-# by construction. A producer that already writes canonical arrays hands
-# them over without a copy, through _image or _normal_map.
+# The invalid-pixel rule shared by Image, NormalMap and FlowField: only this
+# module writes the canonical values at invalid pixels, so callers never
+# mask before constructing. Each constructor takes private read-only copies
+# of its arrays and fills them; Image and FlowField then check the whole
+# grid, and a NormalMap is valid by construction. A producer hands a raw
+# array of its own to _image, which fills it without a copy; a NormalMap
+# adopts its arrays only inside this module.
 
 
 def _mask(mask, shape) -> np.ndarray:
@@ -83,19 +84,23 @@ def _mask(mask, shape) -> np.ndarray:
     return m
 
 
-def _filled(values: np.ndarray, mask: np.ndarray, fill: float) -> np.ndarray:
-    """Private read-only copy of a grid with `fill` at every invalid pixel."""
-    if values.ndim == 2:
-        v = np.where(mask, values, fill)
-    else:
-        # one scalar fill per channel: a broadcast np.where is several
-        # times slower on an HxWxC grid
-        v = np.array(values, dtype=np.result_type(values, fill))
-        invalid = ~mask
-        for c in range(v.shape[2]):
-            np.copyto(v[..., c], fill, where=invalid)
-    v.setflags(write=False)
-    return v
+def _fill(array: np.ndarray, invalid: np.ndarray, value) -> None:
+    """Write value in place at the invalid pixels of an HxW or HxWxC
+    array: a scalar, or a tuple of one value per channel. One scalar fill
+    per channel: a broadcast fill is several times slower on HxWxC."""
+    if array.ndim == 2:
+        np.copyto(array, value, where=invalid)
+        return
+    for c in range(array.shape[2]):
+        np.copyto(array[..., c], value[c] if isinstance(value, tuple) else value, where=invalid)
+
+
+def _adopt(obj, **arrays):
+    """obj holding these arrays as its fields, each made read-only."""
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+    return obj
 
 
 def _length(v: np.ndarray) -> np.ndarray:
@@ -130,36 +135,33 @@ class Image:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
+        s = np.array(self.samples, dtype=float)
         if s.ndim != 2 or s.size == 0:
             raise ValueError("samples must be a non-empty 2D array")
         m = _mask(self.mask, s.shape)
-        s = _radiance(_filled(s, m, 0.0))
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "mask", m)
+        _fill(s, ~m, 0.0)
+        _radiance(_adopt(self, samples=s, mask=m))
 
     @property
     def shape(self):
         return self.samples.shape
 
 
-def _radiance(samples: np.ndarray) -> np.ndarray:
-    """samples, holding 0 at invalid pixels, once checked finite and >= 0."""
+def _radiance(img: Image) -> Image:
+    """img, holding 0 at invalid pixels, once its samples are checked finite
+    and >= 0."""
     # min propagates NaN, which fails the comparison
-    if not (samples.min() >= 0 and samples.max() < np.inf):
+    if not (img.samples.min() >= 0 and img.samples.max() < np.inf):
         raise ValueError("valid radiance samples must be finite and >= 0")
-    return samples
+    return img
 
 
 def _image(samples: np.ndarray, mask: np.ndarray) -> Image:
-    """An Image holding these arrays, made read-only; the caller has already
-    written 0 at every invalid sample and knows the valid ones finite and
-    >= 0, through _radiance where arithmetic could overflow."""
-    img = object.__new__(Image)
-    for name, a in (("samples", samples), ("mask", mask)):
-        a.setflags(write=False)
-        object.__setattr__(img, name, a)
-    return img
+    """An Image holding these arrays, made read-only, with 0 written at the
+    invalid samples; the caller knows the valid ones finite and >= 0, or
+    checks the result with _radiance where arithmetic could overflow."""
+    _fill(samples, ~mask, 0.0)
+    return _adopt(object.__new__(Image), samples=samples, mask=mask)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -206,37 +208,23 @@ class NormalMap:
             if m is not None:
                 okb &= m[block]
             np.divide(pb, lb, out=nb.transpose(2, 0, 1), where=okb)
-            _fill_invalid(nb, lb, ~okb)
-        return _normal_map(normals, length, ok)
+            invalid = ~okb
+            _fill(nb, invalid, (0.0, 0.0, 1.0))
+            _fill(lb, invalid, 0.0)
+        return _adopt(object.__new__(cls), normals=normals, magnitude=length, mask=ok)
 
     def _narrowed(self, mask: np.ndarray) -> "NormalMap":
         """This map, bit for bit, with the pixels outside `mask` invalid."""
         m = self.mask & mask
         normals, magnitude = self.normals.copy(), self.magnitude.copy()
-        _fill_invalid(normals, magnitude, ~m)
-        return _normal_map(normals, magnitude, m)
+        invalid = ~m
+        _fill(normals, invalid, (0.0, 0.0, 1.0))
+        _fill(magnitude, invalid, 0.0)
+        return _adopt(object.__new__(NormalMap), normals=normals, magnitude=magnitude, mask=m)
 
     @property
     def shape(self):
         return self.normals.shape[:2]
-
-
-def _fill_invalid(normals: np.ndarray, magnitude: np.ndarray, invalid: np.ndarray) -> None:
-    """Write the normal (0, 0, 1) and magnitude 0 at invalid pixels, one
-    scalar fill per channel."""
-    for c, fill in enumerate((0.0, 0.0, 1.0)):
-        np.copyto(normals[..., c], fill, where=invalid)
-    np.copyto(magnitude, 0.0, where=invalid)
-
-
-def _normal_map(normals, magnitude, mask) -> NormalMap:
-    """A NormalMap holding these arrays, made read-only; the caller has
-    already normalized and filled them."""
-    nm = object.__new__(NormalMap)
-    for name, a in (("normals", normals), ("magnitude", magnitude), ("mask", mask)):
-        a.setflags(write=False)
-        object.__setattr__(nm, name, a)
-    return nm
 
 
 @dataclass(frozen=True, eq=False)

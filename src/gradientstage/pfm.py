@@ -12,10 +12,12 @@ import zlib
 
 import numpy as np
 
-from .core import Image, NormalMap, _image
+from .core import Image, NormalMap, _fill, _image
 
 
 def _read_token(f) -> bytes:
+    """The next whitespace-delimited header token. A valid one (identifier,
+    size or scale) is a few bytes, so a longer one is rejected at once."""
     tok = b""
     while True:
         c = f.read(1)
@@ -25,6 +27,8 @@ def _read_token(f) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == 64:
+            raise ValueError("PFM header token longer than 64 bytes")
         tok += c
 
 
@@ -85,10 +89,7 @@ def write_masked(path, data: np.ndarray, mask: np.ndarray) -> None:
     # cast, flip and NaN-fill once, into the buffer that write_pfm_array writes
     buf = np.empty(data.shape, "<f4")
     np.copyto(buf, data[::-1], casting="same_kind")
-    invalid = ~mask[::-1]
-    # one scalar fill per channel, as in core._filled
-    for plane in [buf] if buf.ndim == 2 else buf.transpose(2, 0, 1):
-        np.copyto(plane, np.nan, where=invalid)
+    _fill(buf, ~mask[::-1], np.nan)
     write_pfm_array(path, buf[::-1])
 
 
@@ -104,7 +105,6 @@ def read_image(path) -> Image:
         raise ValueError(f"{path}: expected a 1-channel PFM radiance image")
     mask = np.isfinite(arr)
     mask &= arr >= 0
-    np.copyto(arr, 0.0, where=~mask)
     return _image(arr, mask)
 
 

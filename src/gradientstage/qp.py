@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEMENTS, GradientImageSet, NormalMap, _block_rows
+from .core import COMPLEMENTS, GradientImageSet, NormalMap, _block_rows, _fill
 from .photometric import RATIO_SET, _difference_components, _ratio_components
 
 _CONDITIONS = (*RATIO_SET, *COMPLEMENTS)
@@ -71,9 +71,8 @@ def correct_normal_map(
         b_d /= rc[..., None]
         _closed_form(b_r, b_d, 0.0, 0.0, init.normals[block],
                      (delta[block], delta_bar[block], vectors[block]))
-        invalid = ~mask[block, :, None]
-        np.copyto(delta[block], 0.0, where=invalid)
-        np.copyto(delta_bar[block], 0.0, where=invalid)
+        for a in (delta, delta_bar):
+            _fill(a[block], ~mask[block], 0.0)
     return NormalMap.from_components(vectors, mask), delta, delta_bar
 
 

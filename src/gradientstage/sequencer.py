@@ -57,13 +57,6 @@ class CaptureSequence:
     def tracking_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.frames) if f is Condition.C]
 
-    def window(self, center: int) -> list[Condition]:
-        if self.frames[center] is not Condition.C:
-            raise ValueError(f"frame {center} is not a tracking frame")
-        if center < 2 or center > len(self.frames) - 3:
-            raise ValueError(f"tracking frame {center} lacks a full 5-frame window")
-        return list(self.frames[center - 2 : center + 3])
-
     def to_csv(self) -> str:
         """One row per frame, labelled by its nearest tracking frame (the
         earlier one on a tie); tracking frames past the labels get none."""
@@ -79,16 +72,18 @@ class CaptureSequence:
 
     @classmethod
     def from_csv(cls, text: str) -> "CaptureSequence":
-        frames = []
-        labels: dict[int, str] = {}
+        """Inverse of to_csv; each row's frame_index must be its position,
+        since the frames of a sequence directory are taken in that order."""
+        frames, labels = [], []
         rows = [r for r in text.strip().splitlines()[1:] if r.strip()]
-        for row in rows:
+        for i, row in enumerate(rows):
             idx, cond, label = (row.split(",") + [""])[:3]
+            if int(idx) != i:
+                raise ValueError(f"sequence row {i + 1} has frame_index {idx}, expected {i}")
             frames.append(Condition(cond))
             if cond == "c" and label:
-                labels[int(idx)] = label
-        ordered = [labels[i] for i in sorted(labels)]
-        return cls(tuple(frames), tuple(ordered))
+                labels.append(label)
+        return cls(tuple(frames), tuple(labels))
 
 
 def image_count(n: int, method: str) -> int:

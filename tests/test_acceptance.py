@@ -225,7 +225,7 @@ def test_criterion_6_sequencer_table():
 
 
 def test_criterion_7_calibration_closure():
-    k = CameraIntrinsics.from_focal(2000.0)
+    k = CameraIntrinsics(np.diag([2000.0, 2000.0, 1.0]))
     center_true = np.array([0.0, 0.0, 890.0])
     radius = 38.1
     dirs = generate_icosphere_directions(2)

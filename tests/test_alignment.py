@@ -141,30 +141,6 @@ class TestResample:
             _, valid = resample(values, mask, np.array([x]), np.array([y]))
             assert not valid[0]
 
-    @given(
-        GRID_SHAPES,
-        st.tuples(st.integers(1, 9), st.integers(1, 9)),
-        SEEDS,
-        st.sampled_from([None, 1, 3]),
-        st.booleans(),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_block_length_invariant_bitwise(self, shape, query_shape, seed, channels, masked):
-        values, mask = random_grid(shape, seed, channels)
-        mask = mask if masked else None
-        rng = np.random.default_rng(seed)
-        xq = rng.uniform(-2.0, shape[1] + 1.0, query_shape)
-        yq = rng.uniform(-2.0, shape[0] + 1.0, query_shape)
-        out, valid = resample(values, mask, xq, yq)  # one block
-        n = xq.size
-        lengths = (1, query_shape[1], next(k for k in range(2, n + 2) if n % k))
-        for length in lengths:  # one query, one row, a length not dividing H W
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(core, "_CHUNK_BYTES", 8 * (channels or 1) * length)
-                out_b, valid_b = resample(values, mask, xq, yq)
-            np.testing.assert_array_equal(out_b, out)
-            np.testing.assert_array_equal(valid_b, valid)
-
     @given(GRID_SHAPES, SEEDS, st.sampled_from(["random", "holes", "full", "empty"]))
     @example((1, 1), 0, "holes")
     @example((1, 6), 1, "holes")
@@ -242,6 +218,38 @@ class TestResample:
 
         np.testing.assert_array_equal(valid, inside & (full(mask.astype(float)) > 1.0 - 1e-12))
         np.testing.assert_array_equal(out, full(values))
+
+
+class TestWarpBlocks:
+    @given(GRID_SHAPES, SEEDS, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_block_length_invariant_bitwise(self, shape, seed, masked):
+        """warp_image, warp_normals and the flow solve's warp walk blocks of
+        rows: one-row blocks and a block length that does not divide H give
+        the one-block result bit for bit."""
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        values, mask = random_grid(shape, seed)
+        mask = mask if masked else None
+        img = Image(np.abs(values), mask)
+        nm = NormalMap.from_components(rng.normal(size=shape + (3,)), mask)
+        flow = FlowField(rng.uniform(-2.0, 2.0, shape + (2,)), rng.random(shape) > 0.2)
+        src, tgt = rng.random(shape), rng.random(shape)
+        params = FlowParams(iterations=5, warps=2)
+
+        def warps(rows):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_CHUNK_BYTES", 8 * w * rows)
+                image = warp_image(img, flow)
+                u, v = alignment._hs_single_level(src, tgt, flow.u, flow.v, params)
+                patch.setattr(core, "_CHUNK_BYTES", 8 * 3 * w * rows)
+                normals = warp_normals(nm, flow)
+            return image.samples, image.mask, normals.normals, normals.magnitude, normals.mask, u, v
+
+        want = warps(h)  # one block
+        for rows in (1, next(k for k in range(2, h + 2) if h % k)):
+            for got, ref in zip(warps(rows), want):
+                assert got.tobytes() == ref.tobytes()
 
 
 _AVG_KERNEL = np.array(

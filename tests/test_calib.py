@@ -29,7 +29,7 @@ from gradientstage.calib import (
 from gradientstage.core import Image
 from gradientstage.stage import generate_icosphere_directions
 
-K2000 = CameraIntrinsics.from_focal(2000.0)
+K2000 = CameraIntrinsics(np.diag([2000.0, 2000.0, 1.0]))
 
 
 def gaussian_spot(h, w, cx, cy, sigma=3.0, amplitude=1.0):
@@ -463,6 +463,14 @@ class TestSeparation:
         i1 = Image(np.array([[1e308, 1.0]]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             separate_reflectance(Image(np.ones((1, 2))), i1)
+
+    def test_diffuse_overflow_outside_the_joint_mask_is_ignored(self):
+        """2 i1 overflows only where i0 is invalid: the output is invalid
+        there, so it holds 0, and no error or warning is raised."""
+        i0 = Image(np.ones((1, 2)), np.array([[False, True]]))
+        result = separate_reflectance(i0, Image(np.array([[1e308, 1.0]])))
+        assert result.diffuse.samples.tolist() == [[0.0, 2.0]]
+        assert result.diffuse.mask.tolist() == [[False, True]]
 
 
 class TestHomographyWarp:

@@ -367,6 +367,15 @@ def test_sequence_process_static(tmp_path):
     assert mean_angular_error(nm, truth) < 1e-3
 
 
+def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
+    from gradientstage.sequencer import generate_sequence
+
+    header, *rows = generate_sequence(2).to_csv().splitlines()
+    (tmp_path / "seq.csv").write_text("\n".join([header, *reversed(rows)]) + "\n")
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(tmp_path / "n")]) == 2
+    assert "frame_index" in capsys.readouterr().err
+
+
 def test_stimulus_subcommand(tmp_path):
     from gradientstage.stage import make_sphere_scene, render_lambert_analytic
 

@@ -16,6 +16,8 @@ from gradientstage.core import (
     GradientImageSet,
     Image,
     NormalMap,
+    _fill,
+    _image,
     _length,
     angular_error_map,
     histogram,
@@ -316,6 +318,26 @@ class TestInvalidPixelRule:
         img = Image(base[1:3])  # a contiguous view
         base[...] = 5.0
         assert np.all(img.samples == 1.0)
+
+    @given(st.data(), SHAPES, st.sampled_from([None, 1, 3]))
+    def test_fill_equals_a_where_reference_bitwise(self, data, shape, channels):
+        """A scalar (0 or NaN) on HxW or HxWxC, or one value per channel."""
+        scalars = st.sampled_from([0.0, np.nan])
+        value = data.draw(scalars if channels is None else scalars | st.tuples(*[FLOATS] * channels))
+        array = grid(data.draw, shape if channels is None else shape + (channels,))
+        invalid = data.draw(hnp.arrays(bool, shape))
+        want = np.where(invalid if channels is None else invalid[..., None], value, array)
+        _fill(array, invalid, value)
+        assert array.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("junk", [np.nan, 7.0, -np.inf])
+    def test_adopted_image_holds_zero_at_invalid_samples(self, junk):
+        samples = np.array([[junk, 1.5], [junk, junk]])
+        mask = np.array([[False, True], [False, False]])
+        img = _image(samples, mask)
+        assert img.samples.tobytes() == np.array([[0.0, 1.5], [0.0, 0.0]]).tobytes()
+        assert img.mask is mask
+        assert not (img.samples.flags.writeable or img.mask.flags.writeable)
 
 
 # The whole-array from_components that the row-block kernel replaced, kept

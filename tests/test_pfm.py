@@ -105,6 +105,15 @@ def test_rejects_bad_size_before_reading(tmp_path, header):
         pfm.read_pfm_array(path)
 
 
+@pytest.mark.parametrize("data", [b"P" * 300_000, b"Pf\n" + b"9" * 300_000], ids=["ident", "width"])
+def test_rejects_a_long_header_token_at_once(tmp_path, data):
+    # a token grown byte by byte to the end of such a file took seconds
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="PFM header token longer than 64 bytes"):
+        pfm.read_pfm_array(path)
+
+
 @pytest.mark.parametrize("scale", [b"nan", b"inf", b"0", b"-inf", b"-0"])
 def test_rejects_non_finite_or_zero_scale(tmp_path, scale):
     # nan or inf would invalidate every pixel, 0 would turn them into valid zeros

@@ -288,7 +288,7 @@ class TestComplementDifference:
         seq = generate_sequence(12)
         zero = FlowField.zero(imgset.shape)
         for center in seq.tracking_indices:
-            window = [(c, imgset[c]) for c in seq.window(center)]
+            window = [(c, imgset[c]) for c in seq.frames[center - 2 : center + 3]]
             assert_bitwise_equal(tracking_frame_normal(window, zero, zero), wilson)
 
     def test_one_sided_axes_use_the_constant(self):

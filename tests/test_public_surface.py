@@ -1,5 +1,6 @@
-"""Each public top-level function and class of the package has a caller
-outside the tests: elsewhere in the package, in a script or in the benchmark."""
+"""Each public top-level function and class of the package, and each public
+method, classmethod and property of a public class, has a caller outside
+the tests: elsewhere in the package, in a script or in the benchmark."""
 import ast
 from pathlib import Path
 
@@ -34,3 +35,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                            for j, used in enumerate(stmts) if (p, j) != (path, i)):
                     uncalled.add(node.name)
     assert uncalled == set(KEEP)
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    attributes = [n for p, tree in TREES.items() if p != INIT
+                  for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    uncalled = set()
+    for path in PACKAGE:
+        for cls in TREES[path].body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        own = set(ast.walk(node))
+                        if not any(a.attr == node.name and a not in own for a in attributes):
+                            uncalled.add(f"{cls.name}.{node.name}")
+    assert uncalled == set()

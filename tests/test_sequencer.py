@@ -94,7 +94,7 @@ class TestGenerateSequence:
         for n in range(1, 25):
             seq = generate_sequence(n)
             for c in seq.tracking_indices:
-                w = seq.window(c)
+                w = seq.frames[c - 2 : c + 3]
                 assert w[0].complement is w[4]
                 assert {w[0].axis, w[1].axis, w[3].axis} == {0, 1, 2}
 
@@ -166,6 +166,20 @@ class TestCsvRoundTrip:
     def test_long_sequence(self):
         seq = generate_sequence(100_000)
         assert len(seq.to_csv().splitlines()) == len(seq.frames) + 1
+
+    def test_rejects_reversed_rows(self):
+        # the reversed frames form a sequence that validate_sequence accepts,
+        # so taking them in row order would mislabel every frame file
+        header, *rows = generate_sequence(2).to_csv().splitlines()
+        reversed_frames = [Condition(r.split(",")[1]) for r in reversed(rows)]
+        assert validate_sequence(CaptureSequence(tuple(reversed_frames))) == []
+        with pytest.raises(ValueError, match="row 1 has frame_index 8, expected 0"):
+            CaptureSequence.from_csv("\n".join([header, *reversed(rows)]))
+
+    def test_rejects_a_repeated_index(self):
+        for rows in ("5,x,\n5,z,\n5,c,s_x", "0,x,\n1,z,\n1,c,s_x"):
+            with pytest.raises(ValueError, match="frame_index [15], expected [02]"):
+                CaptureSequence.from_csv("frame_index,condition,subsequence_label\n" + rows)
 
 
 def analytic_frames(scene, sequence):
@@ -284,7 +298,7 @@ class TestProcessSequence:
         assert sorted(result.tracking) == [2, 5, 8]
         # tracking frames reproduce recover_minimal bit for bit
         for center in result.tracking:
-            window_conds = seq.window(center)
+            window_conds = seq.frames[center - 2 : center + 3]
             imgs = {
                 c: frames[i]
                 for i, c in zip(range(center - 2, center + 3), window_conds)

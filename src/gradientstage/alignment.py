@@ -53,8 +53,9 @@ class FlowField:
     def v(self) -> np.ndarray:
         return self.vectors[:, :, 1]
 
-    def negated(self) -> "FlowField":
-        return FlowField(-self.vectors, self.mask)
+    def scaled(self, k: float) -> "FlowField":
+        """The flow times k; + 0.0 keeps zeros positive under a negative k."""
+        return FlowField(self.vectors * k + 0.0, self.mask)
 
     @property
     def shape(self):
@@ -164,20 +165,25 @@ def _bilinear(flat, index, dx, dy, fx, fy):
     return out
 
 
-def _warp(values: np.ndarray, mask: np.ndarray | None, u: np.ndarray, v: np.ndarray):
-    """resample at p + (u, v)(p) for every pixel p, one block of
-    _block_rows rows at a time into preallocated outputs."""
-    h, w = u.shape
-    channels = values.shape[2:]
-    out = np.empty(u.shape + channels)
-    valid = np.empty(u.shape, bool)
+def _warp(values: np.ndarray, mask: np.ndarray | None, coords):
+    """resample at coords(block, x, y) for each block of _block_rows rows,
+    into preallocated outputs the shape of values: x holds the column
+    coordinates and y the block's row coordinates, as a column."""
+    h, w = values.shape[:2]
+    out = np.empty(values.shape)
+    valid = np.empty((h, w), bool)
     x = np.arange(w, dtype=float)
     y = np.arange(h, dtype=float)[:, None]
-    rows = _block_rows(w, int(np.prod(channels)))
+    rows = _block_rows(w, int(np.prod(values.shape[2:])))
     for top in range(0, h, rows):
         block = slice(top, top + rows)
-        out[block], valid[block] = resample(values, mask, x + u[block], y[block] + v[block])
+        out[block], valid[block] = resample(values, mask, *coords(block, x, y[block]))
     return out, valid
+
+
+def _displaced(u: np.ndarray, v: np.ndarray):
+    """_warp's coords at p + (u, v)(p)."""
+    return lambda block, x, y: (x + u[block], y + v[block])
 
 
 def warp_image(img: Image, flow: FlowField) -> Image:
@@ -188,7 +194,7 @@ def warp_image(img: Image, flow: FlowField) -> Image:
         raise ValueError(f"dimension mismatch: {img.shape} vs {flow.shape}")
     if not flow.vectors.any():
         return Image(img.samples, img.mask & flow.mask)
-    out, valid = _warp(img.samples, img.mask, flow.u, flow.v)
+    out, valid = _warp(img.samples, img.mask, _displaced(flow.u, flow.v))
     valid &= flow.mask
     np.maximum(out, 0.0, out=out)
     return _radiance(_image(out, valid))
@@ -204,13 +210,8 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
         raise ValueError(f"dimension mismatch: {nm.shape} vs {flow.shape}")
     if not flow.vectors.any():
         return nm._narrowed(flow.mask)
-    vec, valid = _warp(nm.normals, nm.mask, flow.u, flow.v)
+    vec, valid = _warp(nm.normals, nm.mask, _displaced(flow.u, flow.v))
     return NormalMap.from_components(vec, valid & flow.mask)
-
-
-def half_flow(flow: FlowField) -> FlowField:
-    """Per-pixel vector halving; the linear-motion midpoint approximation."""
-    return FlowField(flow.vectors / 2.0, flow.mask)
 
 
 def complement_residual(g: Image, gbar: Image, c: Image) -> float:
@@ -352,7 +353,7 @@ def _hs_single_level(src, tgt, u, v, params: FlowParams):
     tgt_x = _gradient(tgt, 1)
     tgt_y = _gradient(tgt, 0)
     for _ in range(params.warps):
-        warped, inside = _warp(src, None, u, v)
+        warped, inside = _warp(src, None, _displaced(u, v))
         warped = np.where(inside, warped, tgt)
         ix = 0.5 * (_gradient(warped, 1) + tgt_x)
         iy = 0.5 * (_gradient(warped, 0) + tgt_y)

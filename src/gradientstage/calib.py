@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import resample
-from .core import Image, _block_rows, _image, _radiance, unit
+from .alignment import _warp
+from .core import Image, _image, _radiance, unit
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ class Conic:
     @property
     def is_ellipse(self) -> bool:
         return self.b**2 - 4 * self.a * self.c < 0
-
-    def evaluate(self, points) -> np.ndarray:
-        """Algebraic residual x~^T C x~ per point."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = p[:, 0], p[:, 1]
-        a, b, c, d, e, f = self.coefficients
-        return a * x * x + b * x * y + c * y * y + d * x + e * y + f
 
 
 @dataclass(frozen=True)
@@ -150,12 +143,9 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
     return float((xx * w).sum() / total), float((yy * w).sum() / total)
 
 
-def fit_conic(points) -> tuple[Conic, np.ndarray]:
-    """Direct least-squares ellipse fit (stable Halir-Flusser formulation).
-
-    Needs at least 6 non-degenerate points; returns the conic and the
-    per-point algebraic residuals.
-    """
+def fit_conic(points) -> Conic:
+    """Direct least-squares ellipse fit (stable Halir-Flusser formulation)
+    to at least 6 non-degenerate points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 6:
         raise ValueError("need at least 6 points to fit a conic")
@@ -202,7 +192,7 @@ def fit_conic(points) -> tuple[Conic, np.ndarray]:
     conic = Conic(*coeffs)
     if not conic.is_ellipse:
         raise ValueError("degenerate configuration: fit is not an ellipse")
-    return conic, conic.evaluate(pts)
+    return conic
 
 
 # the largest relative spread sphere_center accepts in the conic's double
@@ -450,28 +440,29 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
 def warp_by_homography(img: Image, h: Homography) -> Image:
     """Resample an image through H (inverse mapping, bilinear).
 
-    The inverse map is evaluated per block of whole rows, each at most one
-    resample block, into reused buffers, and the samples are written into
-    preallocated outputs, so no full-size coordinate array exists.
+    The inverse map is evaluated per block of rows of alignment._warp, in
+    place. Where its horizon crosses the frame it divides by zero; each
+    coordinate is then clamped to [-1, size], NaN to -1 (np.fmax), so every
+    query outside the frame stays outside it, finite, and in-frame queries
+    are unchanged.
     """
     hh, ww = img.shape
     inv = Homography(np.linalg.inv(h.h)).h
-    vals = np.empty((hh, ww))
-    mask = np.empty((hh, ww), bool)
-    y = np.arange(hh, dtype=float)[:, None]
     # each map row r is (r[0] x + r[1] y) + r[2]; its column terms r[0] x
     # are the same for every block
     cols = [r[0] * np.arange(ww, dtype=float) for r in inv]
-    rows = _block_rows(ww, 1)
-    maps = np.empty((3, rows, ww))
-    for top in range(0, hh, rows):
-        block = slice(top, top + rows)
-        xs, ys, den = maps[:, : min(rows, hh - top)]
-        for dst, col, r in zip((xs, ys, den), cols, inv):
-            np.add(col, r[1] * y[block], out=dst)
+
+    def coords(block, x, y):
+        xs, ys, den = (np.add(col, r[1] * y) for col, r in zip(cols, inv))
+        for dst, r in zip((xs, ys, den), inv):
             dst += r[2]
-        xs /= den
-        ys /= den
-        out, mask[block] = resample(img.samples, img.mask, xs, ys)
-        np.maximum(out, 0.0, out=vals[block])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs /= den
+            ys /= den
+        for q, size in ((xs, ww), (ys, hh)):
+            np.fmin(np.fmax(q, -1.0, out=q), size, out=q)
+        return xs, ys
+
+    vals, mask = _warp(img.samples, img.mask, coords)
+    np.maximum(vals, 0.0, out=vals)
     return _radiance(_image(vals, mask))

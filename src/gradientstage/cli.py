@@ -182,7 +182,7 @@ def _read_xy_csv(path, expected_cols: int):
 def _cmd_calibrate_lights(args) -> int:
     intrinsics = calib.CameraIntrinsics.from_json(Path(args.k).read_text())
     limb = _read_xy_csv(args.limb, 2)
-    conic, _ = calib.fit_conic(limb)
+    conic = calib.fit_conic(limb)
     center, dist = calib.sphere_center(conic, intrinsics, args.radius, args.pair_tol)
     if args.highlights:
         rows = _read_xy_csv(args.highlights, 3)

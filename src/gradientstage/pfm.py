@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import zlib
 
@@ -15,36 +16,41 @@ import numpy as np
 from .core import Image, NormalMap, _fill, _image
 
 
-def _read_token(f) -> bytes:
-    """The next whitespace-delimited header token. A valid one (identifier,
-    size or scale) is a few bytes, so a longer one is rejected at once."""
-    tok = b""
-    while True:
-        c = f.read(1)
-        if not c:
-            raise ValueError("unexpected end of PFM header")
-        if c.isspace():
-            if tok:
-                return tok
-            continue
-        if len(tok) == 64:
+# a valid header (identifier, size and scale) is a few dozen bytes
+_HEADER_BYTES = 256
+# optional whitespace, a token, and the whitespace byte that ends it
+_TOKEN = re.compile(rb"\s*(\S*)(\s?)")
+
+
+def _header_tokens(f):
+    """The whitespace-delimited header tokens of f, opened at its start,
+    from one read of at most _HEADER_BYTES. Before it yields a token, f is
+    moved past the token's first trailing whitespace byte: after the
+    scale, the payload starts there. A valid token is a few bytes."""
+    for match in _TOKEN.finditer(f.read(_HEADER_BYTES)):
+        token, space = match.groups()
+        if len(token) > 64:
             raise ValueError("PFM header token longer than 64 bytes")
-        tok += c
+        if not space:
+            raise ValueError(f"PFM header incomplete in its first {_HEADER_BYTES} bytes")
+        f.seek(match.end())
+        yield token
 
 
 def read_pfm_array(path) -> np.ndarray:
     """Read a PFM file into an (H, W) or (H, W, 3) float array (top-down rows)."""
     with open(path, "rb") as f:
-        ident = _read_token(f).decode("ascii")
+        tokens = _header_tokens(f)
+        ident = next(tokens).decode("ascii")
         if ident == "PF":
             channels = 3
         elif ident == "Pf":
             channels = 1
         else:
             raise ValueError(f"not a PFM file: identifier {ident!r}")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        scale = float(_read_token(f))
+        width = int(next(tokens))
+        height = int(next(tokens))
+        scale = float(next(tokens))
         endian = "<" if scale < 0 else ">"
         if width < 1 or height < 1:
             raise ValueError(f"PFM size {width}x{height} is not positive")

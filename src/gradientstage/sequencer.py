@@ -8,14 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import (
-    FlowField,
-    _flow_estimate,
-    half_flow,
-    joint_photometric_align,
-    warp_image,
-    warp_normals,
-)
+from .alignment import FlowField, _flow_estimate, joint_photometric_align, warp_image, warp_normals
 from .core import Condition, Image, NormalMap
 from .photometric import _difference_components
 
@@ -198,8 +191,8 @@ def tracking_frame_normal(
         raise ValueError("window ends must be a base complement pair")
     first_w = warp_image(imgs[0], flow_first)
     last_w = warp_image(imgs[4], flow_last)
-    inner_l = warp_image(imgs[1], half_flow(flow_first))
-    inner_r = warp_image(imgs[3], half_flow(flow_last))
+    inner_l = warp_image(imgs[1], flow_first.scaled(0.5))
+    inner_r = warp_image(imgs[3], flow_last.scaled(0.5))
     samples = {
         conds[0]: first_w.samples, conds[1]: inner_l.samples,
         conds[3]: inner_r.samples, conds[4]: last_w.samples,
@@ -228,8 +221,8 @@ def intermediate_warped_normal(
     """
     if t_prev < 1 or t_next < 1:
         raise ValueError("temporal distances must be >= 1")
-    a = warp_normals(n_prev, flow_prev.negated())
-    b = warp_normals(n_next, flow_next.negated())
+    a = warp_normals(n_prev, flow_prev.scaled(-1.0))
+    b = warp_normals(n_next, flow_next.scaled(-1.0))
     w_prev, w_next = float(t_next), float(t_prev)
     va = np.where(a.mask[..., None], a.normals, 0.0)
     vb = np.where(b.mask[..., None], b.normals, 0.0)
@@ -270,8 +263,7 @@ def _tracking_start(
     flow = _flow_estimate(frames[t], frames[c])
     if flow is None:
         return None
-    # + 0.0 keeps a zero flow's zeros positive under a negative scale
-    return tuple(FlowField(flow.vectors * ((i - c) / (t - c)) + 0.0, flow.mask) for i in ends)
+    return tuple(flow.scaled((i - c) / (t - c)) for i in ends)
 
 
 def process_sequence(
@@ -300,7 +292,7 @@ def process_sequence(
             frames[g], frames[gbar], frames[c], iterations, init=start
         )
         ends = {g: u, gbar: v}
-        flows[c] = {**ends, c - 1: half_flow(ends[first]), c + 1: half_flow(ends[last])}
+        flows[c] = {**ends, c - 1: ends[first].scaled(0.5), c + 1: ends[last].scaled(0.5)}
         window = [(seq.frames[i], frames[i]) for i in range(first, last + 1)]
         result.tracking[c] = tracking_frame_normal(window, ends[first], ends[last])
 
@@ -313,5 +305,5 @@ def process_sequence(
             )
         elif near:
             c = near[0]
-            result.upsampled[i] = warp_normals(result.tracking[c], flows[c][i].negated())
+            result.upsampled[i] = warp_normals(result.tracking[c], flows[c][i].scaled(-1.0))
     return result

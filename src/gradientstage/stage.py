@@ -39,23 +39,17 @@ def _icosahedron():
 
 
 def _subdivide(verts, faces):
-    verts = [tuple(v) for v in verts]
-    index = {}
-
-    def key(v):
-        return tuple(np.round(v, 12))
-
-    for i, v in enumerate(verts):
-        index[key(np.asarray(v))] = i
+    verts = list(verts)
+    index = {}  # edge (a, b), a < b: its midpoint's vertex index
 
     def midpoint(a, b):
-        m = np.asarray(verts[a]) + np.asarray(verts[b])
-        m /= np.linalg.norm(m)
-        k = key(m)
-        if k not in index:
-            index[k] = len(verts)
-            verts.append(tuple(m))
-        return index[k]
+        edge = (min(a, b), max(a, b))
+        if edge not in index:
+            m = verts[a] + verts[b]
+            m /= np.linalg.norm(m)
+            index[edge] = len(verts)
+            verts.append(m)
+        return index[edge]
 
     out = []
     for a, b, c in faces:
@@ -79,31 +73,16 @@ def generate_icosphere_directions(subdivisions: int) -> np.ndarray:
     return v
 
 
-def select_hemisphere(directions: np.ndarray, axis, count: int) -> np.ndarray:
-    """The `count` directions with the largest dot product against `axis`.
-
-    Ties broken by input order. Models a front-facing partial stage.
-    """
-    directions = np.asarray(directions, dtype=float)
-    ax = unit(axis)
-    dots = directions @ ax
-    if count > int(np.sum(dots > 0)):
-        raise ValueError(
-            f"count {count} exceeds the {int(np.sum(dots > 0))} "
-            "directions on the positive side of the axis"
-        )
-    order = np.argsort(-dots, kind="stable")
-    return directions[np.sort(order[:count])]
-
-
 def stage_directions(led_count: int) -> np.ndarray:
     """LED directions of a supported stage: the 12/42/162/642-vertex
-    icospheres, or the 41 front-facing (+z) directions of the 162."""
+    icospheres, or the 41 front-facing directions of the 162: those of
+    largest z, in icosphere order, ties broken by that order."""
     subdivisions = {count: sub for sub, count in _ICO_SUBDIV_COUNTS.items()}
     if led_count in subdivisions:
         return generate_icosphere_directions(subdivisions[led_count])
     if led_count == 41:
-        return select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
+        dirs = generate_icosphere_directions(2)
+        return dirs[np.sort(np.argsort(-dirs[:, 2], kind="stable")[:41])]
     raise ValueError(
         f"unsupported LED count {led_count}; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)"
     )

@@ -51,7 +51,6 @@ from gradientstage.stage import (
     make_sphere_scene,
     render_lambert_discrete,
     render_set,
-    select_hemisphere,
 )
 from gradientstage.stimulus import combined, shape_only, texture_only
 
@@ -233,7 +232,7 @@ def test_criterion_7_calibration_closure():
     lights = center_true + 790.0 * stage_dirs
 
     limb = project_sphere_limb(center_true, radius, k.k)
-    conic, _ = fit_conic(limb)
+    conic = fit_conic(limb)
     center_est, dist = sphere_center(conic, k, radius)
     center_err = np.linalg.norm(center_est - center_true)
 
@@ -253,7 +252,7 @@ def test_criterion_7_calibration_closure():
     # discrepancy must stay within tens of mm
     rng = np.random.default_rng(2)
     noisy_limb = limb + rng.normal(0, 0.5, limb.shape)
-    conic_n, _ = fit_conic(noisy_limb)
+    conic_n = fit_conic(noisy_limb)
     center_noisy, _ = sphere_center(conic_n, k, radius, pair_tol=1e-2)
     noisy_center_err = np.linalg.norm(center_noisy - center_true)
     noisy_angles = []

@@ -14,7 +14,6 @@ from gradientstage.alignment import (
     FlowParams,
     complement_residual,
     flow_estimate,
-    half_flow,
     joint_photometric_align,
     resample,
     warp_image,
@@ -499,7 +498,7 @@ class TestWarpImage:
         vals = textured_image(40, 40, seed=1)
         img = Image(vals)
         fwd = constant_flow((40, 40), 1.5, -2.25)
-        back = warp_image(warp_image(img, fwd), fwd.negated())
+        back = warp_image(warp_image(img, fwd), fwd.scaled(-1.0))
         inner = (slice(6, -6), slice(6, -6))
         err = np.abs(back.samples - vals)[inner].mean()
         assert err < 0.02 * vals[inner].mean()
@@ -552,7 +551,7 @@ class TestWarpNormals:
 class TestHalfFlow:
     def test_constant_halved(self):
         f = constant_flow((4, 4), 4.0, 2.0)
-        h = half_flow(f)
+        h = f.scaled(0.5)
         assert np.all(h.vectors[..., 0] == 2.0)
         assert np.all(h.vectors[..., 1] == 1.0)
 
@@ -560,9 +559,27 @@ class TestHalfFlow:
     @settings(max_examples=20, deadline=None)
     def test_half_of_half_is_quarter(self, u, v):
         f = constant_flow((3, 3), u, v)
-        np.testing.assert_array_equal(
-            half_flow(half_flow(f)).vectors, f.vectors / 4.0
-        )
+        np.testing.assert_array_equal(f.scaled(0.5).scaled(0.5).vectors, f.vectors / 4.0)
+
+
+class TestScaled:
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, -7.0]), min_size=8, max_size=8),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5]), st.floats(-4, 4)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_scaled_is_the_product_with_positive_zeros(self, vectors, mask, k):
+        """vectors * k, except that every zero, -0.0 in or a zero product
+        under a negative k, comes out +0.0; the mask is kept."""
+        vectors = np.array(vectors).reshape(2, 2, 2)
+        mask = np.array(mask).reshape(2, 2)
+        f = FlowField(vectors, mask)
+        out = f.scaled(k)
+        want = np.where(mask[..., None], vectors * k, 0.0)
+        want[want == 0.0] = 0.0
+        assert out.vectors.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(out.mask, mask)
 
 
 class TestComplementResidual:

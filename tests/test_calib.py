@@ -160,16 +160,19 @@ class TestFitConic:
         return np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=1)
 
     def test_exact_circle(self):
-        conic, residuals = fit_conic(self.circle_points(0.0, 0.0, 10.0))
+        pts = self.circle_points(0.0, 0.0, 10.0)
+        conic = fit_conic(pts)
         assert conic.a == pytest.approx(conic.c, rel=1e-9)
         assert conic.b == pytest.approx(0.0, abs=1e-9 * abs(conic.a))
         assert -conic.f / conic.a == pytest.approx(100.0, rel=1e-9)
+        homogeneous = np.c_[pts, np.ones(len(pts))]
+        residuals = np.einsum("ni,ij,nj->n", homogeneous, conic.matrix, homogeneous)
         assert np.abs(residuals).max() < 1e-9
 
     def test_ellipse_axis_ratio(self):
         t = np.linspace(0, 2 * np.pi, 24, endpoint=False)
         pts = np.stack([20.0 * np.cos(t), 10.0 * np.sin(t)], axis=1)
-        conic, _ = fit_conic(pts)
+        conic = fit_conic(pts)
         # axis-aligned: semi-axes sqrt(-f/a) along x and sqrt(-f/c) along y
         assert conic.b == pytest.approx(0.0, abs=1e-9 * abs(conic.a))
         assert np.sqrt(conic.c / conic.a) == pytest.approx(2.0, rel=1e-6)
@@ -188,7 +191,7 @@ class TestSphereCenter:
     def test_on_axis_recovery(self):
         true_center = np.array([0.0, 0.0, 890.0])
         pts = project_sphere_limb(true_center, 38.1, K2000.k)
-        conic, _ = fit_conic(pts)
+        conic = fit_conic(pts)
         center, dist = sphere_center(conic, K2000, 38.1)
         assert np.linalg.norm(center - true_center) < 0.5
         assert dist == pytest.approx(890.0, abs=0.5)
@@ -196,7 +199,7 @@ class TestSphereCenter:
     def test_off_axis_direction(self):
         true_center = np.array([55.0, -35.0, 910.0])
         pts = project_sphere_limb(true_center, 38.1, K2000.k)
-        conic, _ = fit_conic(pts)
+        conic = fit_conic(pts)
         center, dist = sphere_center(conic, K2000, 38.1)
         cosang = (center @ true_center) / (np.linalg.norm(center) * np.linalg.norm(true_center))
         assert np.degrees(np.arccos(min(1.0, cosang))) < 0.05
@@ -204,7 +207,7 @@ class TestSphereCenter:
 
     def test_norm_equals_distance(self):
         pts = project_sphere_limb([10.0, 5.0, 700.0], 38.1, K2000.k)
-        conic, _ = fit_conic(pts)
+        conic = fit_conic(pts)
         center, dist = sphere_center(conic, K2000, 38.1)
         assert np.linalg.norm(center) == pytest.approx(dist, abs=1e-9)
 
@@ -212,12 +215,12 @@ class TestSphereCenter:
         # an elongated ellipse cannot be a sphere projection
         t = np.linspace(0, 2 * np.pi, 30, endpoint=False)
         pts = np.stack([500 + 200 * np.cos(t), 300 + 40 * np.sin(t)], axis=1)
-        conic, _ = fit_conic(pts)
+        conic = fit_conic(pts)
         with pytest.raises(ValueError, match="not a sphere projection"):
             sphere_center(conic, K2000, 38.1)
 
     def test_radius_guard(self):
-        conic, _ = fit_conic(project_sphere_limb([0, 0, 890.0], 38.1, K2000.k))
+        conic = fit_conic(project_sphere_limb([0, 0, 890.0], 38.1, K2000.k))
         with pytest.raises(ValueError):
             sphere_center(conic, K2000, -1.0)
 
@@ -227,7 +230,7 @@ class TestSphereCenter:
         # the center error proportionally
         true_center = np.array([0.0, 0.0, 890.0])
         true_radius = 38.1
-        conic, _ = fit_conic(project_sphere_limb(true_center, true_radius, K2000.k))
+        conic = fit_conic(project_sphere_limb(true_center, true_radius, K2000.k))
         errors = []
         for rel in (0.0, 0.02, 0.05, 0.10):
             center, dist = sphere_center(conic, K2000, true_radius * (1 + rel))
@@ -503,6 +506,34 @@ class TestHomographyWarp:
         np.testing.assert_array_equal(out.samples, want.samples)
         np.testing.assert_array_equal(out.mask, want.mask)
         assert not (out.samples.flags.writeable or out.mask.flags.writeable)
+
+    def test_a_horizon_across_the_frame_warps_without_warnings(self):
+        """The inverse map divides by zero at pixels on the horizon and
+        maps those beyond it to finite points behind the camera: neither
+        raises a RuntimeWarning (an error in this suite), and the output
+        matches a per-pixel map and bilinear sum of its own."""
+        rng = np.random.default_rng(9)
+        img = Image(rng.random((64, 64)), rng.random((64, 64)) > 0.05)
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.05, 0.0, -1.5]]))
+        out = warp_by_homography(img, h)
+        inv = Homography(np.linalg.inv(h.h)).h
+        vals, mask = np.zeros((64, 64)), np.zeros((64, 64), bool)
+        for y in range(64):
+            for x in range(64):
+                xs, ys, den = ((r[0] * x + r[1] * y) + r[2] for r in inv)
+                if den == 0 or not (0 <= xs / den <= 63 and 0 <= ys / den <= 63):
+                    continue
+                px, py = xs / den, ys / den
+                x0, y0 = min(int(px), 62), min(int(py), 62)
+                fx, fy = px - x0, py - y0
+                stencil = [(y0, x0, (1 - fx) * (1 - fy)), (y0, x0 + 1, fx * (1 - fy)),
+                           (y0 + 1, x0, (1 - fx) * fy), (y0 + 1, x0 + 1, fx * fy)]
+                if sum(w for j, i, w in stencil if img.mask[j, i]) > 1 - 1e-12:
+                    mask[y, x] = True
+                    vals[y, x] = sum(w * img.samples[j, i] for j, i, w in stencil)
+        assert 0 < mask.sum() < mask.size
+        np.testing.assert_array_equal(out.mask, mask)
+        np.testing.assert_allclose(out.samples, vals, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_row_blocks_do_not_change_the_warp(self, rows):

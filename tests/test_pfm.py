@@ -1,3 +1,4 @@
+import io
 import struct
 import zlib
 
@@ -112,6 +113,80 @@ def test_rejects_a_long_header_token_at_once(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(ValueError, match="PFM header token longer than 64 bytes"):
         pfm.read_pfm_array(path)
+
+
+def test_a_long_header_is_rejected_after_one_bounded_read(tmp_path, monkeypatch):
+    # read one byte per call, 4 MB of spaces took half a second to reject
+    path = tmp_path / "spaces.pfm"
+    path.write_bytes(b"Pf" + b" " * 4_000_000)
+    limit = 256
+    total = 0
+
+    class Counting(io.BufferedReader):
+        def read(self, size=-1):
+            nonlocal total
+            data = super().read(size)
+            total += len(data)
+            assert total <= limit, f"read {total} bytes of a header"
+            return data
+
+    monkeypatch.setattr(pfm, "open", lambda p, mode: Counting(io.FileIO(p)), raising=False)
+    with pytest.raises(ValueError, match="PFM header incomplete in its first 256 bytes"):
+        pfm.read_pfm_array(path)
+    assert 0 < total <= limit
+
+
+def former_read_token(f) -> bytes:
+    """The former header reader, one byte per call: the next
+    whitespace-delimited token, and f just past its first trailing
+    whitespace byte."""
+    tok = b""
+    while True:
+        c = f.read(1)
+        if not c:
+            raise ValueError("unexpected end of PFM header")
+        if c.isspace():
+            if tok:
+                return tok
+            continue
+        if len(tok) == 64:
+            raise ValueError("PFM header token longer than 64 bytes")
+        tok += c
+
+
+WHITESPACE = st.text(" \t\r\n", min_size=1, max_size=8).map(str.encode)
+
+
+@given(
+    st.lists(WHITESPACE, min_size=5, max_size=5),
+    st.sampled_from([b"Pf", b"PF"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([b"-1.0", b"1", b"-0.5", b"2e0"]),
+    st.binary(max_size=8),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_header_parses_as_the_former_reader(tmp_path, gaps, ident, w, h, scale, junk):
+    """Runs of 1-8 whitespace bytes around the tokens: the same four tokens
+    and the same payload offset as the former reader, so the whitespace
+    after the scale's first trailing byte is payload."""
+    fields = [ident, str(w).encode(), str(h).encode(), scale]
+    header = gaps[0][1:] + b"".join(tok + gap for tok, gap in zip(fields, gaps[1:]))
+    count = w * h * (3 if ident == b"PF" else 1)
+    data = header + np.arange(count, dtype="<f4").tobytes() + junk
+    path = tmp_path / "gaps.pfm"
+    path.write_bytes(data)
+    with open(path, "rb") as f:
+        want = [former_read_token(f) for _ in range(4)]
+        offset = f.tell()
+    with open(path, "rb") as f:
+        tokens = pfm._header_tokens(f)
+        got = [next(tokens) for _ in range(4)]
+        assert (got, f.tell()) == (want, offset)
+    endian = "<" if scale.startswith(b"-") else ">"
+    payload = np.frombuffer(data, endian + "f4", count, offset).astype(float) * abs(float(scale))
+    shape = (h, w) if ident == b"Pf" else (h, w, 3)
+    assert pfm.read_pfm_array(path).tobytes() == payload.reshape(shape)[::-1].tobytes()
 
 
 @pytest.mark.parametrize("scale", [b"nan", b"inf", b"0", b"-inf", b"-0"])

@@ -150,13 +150,12 @@ class TestRecoverMinimal:
         # a few degrees on a cylinder
         from gradientstage.stage import (
             LightStage,
-            generate_icosphere_directions,
             make_cylinder_scene,
             render_lambert_discrete,
-            select_hemisphere,
+            stage_directions,
         )
 
-        dirs = select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
+        dirs = stage_directions(41)
         stage = LightStage.from_directions(dirs)
         scene = make_cylinder_scene(101, 3, 49)
         rng = np.random.default_rng(0)

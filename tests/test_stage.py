@@ -14,6 +14,7 @@ from gradientstage.stage import (
     LightStage,
     SceneSpec,
     SpecularSceneSpec,
+    _icosahedron,
     _ilt_levels,
     generate_icosphere_directions,
     gradient_intensity,
@@ -22,7 +23,6 @@ from gradientstage.stage import (
     render_lambert_analytic,
     render_lambert_discrete,
     render_specular_analytic,
-    select_hemisphere,
     stage_directions,
 )
 
@@ -37,14 +37,54 @@ unit_vectors = st.builds(
 # directions a LightStage can hold: unit() leaves them unchanged
 stage_unit_vectors = unit_vectors.map(unit).filter(lambda d: np.array_equal(unit(d), d))
 
-SUPPORTED_STAGES = {12: 0, 41: None, 42: 1, 162: 2, 642: 3}
+SUPPORTED_STAGES = {12: 0, 41: 2, 42: 1, 162: 2, 642: 3}
+
+
+def former_subdivide(verts, faces):
+    """The former icosphere subdivision: shared edge midpoints found by
+    their coordinates rounded to 12 digits."""
+    verts = [tuple(v) for v in verts]
+    index = {}
+
+    def key(v):
+        return tuple(np.round(v, 12))
+
+    for i, v in enumerate(verts):
+        index[key(np.asarray(v))] = i
+
+    def midpoint(a, b):
+        m = np.asarray(verts[a]) + np.asarray(verts[b])
+        m /= np.linalg.norm(m)
+        k = key(m)
+        if k not in index:
+            index[k] = len(verts)
+            verts.append(tuple(m))
+        return index[k]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    return np.asarray(verts), out
+
+
+def former_select_hemisphere(directions, axis, count):
+    """The former general selection: the count directions of largest dot
+    product against axis, in input order, ties broken by input order."""
+    order = np.argsort(-(directions @ unit(axis)), kind="stable")
+    return directions[np.sort(order[:count])]
 
 
 def supported_directions(count):
-    """The LED directions of each supported stage, built by hand."""
+    """The LED directions of each supported stage, built by the former
+    construction."""
+    v, f = _icosahedron()
+    for _ in range(SUPPORTED_STAGES[count]):
+        v, f = former_subdivide(v, f)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
     if count == 41:
-        return select_hemisphere(generate_icosphere_directions(2), (0, 0, 1), 41)
-    return generate_icosphere_directions(SUPPORTED_STAGES[count])
+        return former_select_hemisphere(v, (0, 0, 1), 41)
+    return v
 
 
 def gradient_intensity_reference(direction, condition):
@@ -129,26 +169,14 @@ class TestIcosphere:
 
 
 class TestSelectHemisphere:
+    """The 41-LED stage: the front (+z) hemisphere of the 162."""
+
     def test_41_front_facing(self):
         dirs = generate_icosphere_directions(2)
-        sel = select_hemisphere(dirs, (0, 0, 1), 41)
+        sel = stage_directions(41)
         assert len(sel) == 41
         cutoff = np.sort(dirs[:, 2])[-41]
         assert np.all(sel[:, 2] >= cutoff - 1e-12)
-
-    def test_identity_selection(self):
-        dirs = generate_icosphere_directions(0)
-        sel = select_hemisphere(dirs, (0, 0, 1), 4)
-        assert len(sel) == 4
-
-    def test_count_zero(self):
-        dirs = generate_icosphere_directions(0)
-        assert len(select_hemisphere(dirs, (0, 0, 1), 0)) == 0
-
-    def test_count_too_large(self):
-        dirs = generate_icosphere_directions(0)
-        with pytest.raises(ValueError):
-            select_hemisphere(dirs, (0, 0, 1), 13)
 
 
 class TestStageDirections:
@@ -156,7 +184,7 @@ class TestStageDirections:
     def test_supported_counts(self, count):
         dirs = stage_directions(count)
         assert dirs.shape == (count, 3)
-        np.testing.assert_array_equal(dirs, supported_directions(count))
+        assert dirs.tobytes() == supported_directions(count).tobytes()
 
     @given(st.integers(-1000, 100_000).filter(lambda n: n not in SUPPORTED_STAGES))
     def test_other_counts_raise(self, count):

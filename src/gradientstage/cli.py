@@ -146,6 +146,7 @@ def _cmd_correct(args) -> int:
     imgset = _load_set(args.indir, args.prefix, Condition)  # the QP reads all seven
     init = recover(imgset)
     corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
+    del imgset, init  # freed before the writes allocate their float32 buffers
     out = Path(args.out)
     pfm.write_normal_map(out, corrected)
     pfm.write_masked(args.delta_out or out.with_name(out.stem + "_delta.pfm"), delta, corrected.mask)

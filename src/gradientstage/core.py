@@ -12,9 +12,9 @@ import numpy as np
 # instead of being clamped.
 DARK_EPS = 1e-9
 
-# bytes of one block of a blocked full-frame pass (NormalMap.from_components,
-# the QP solve, the discrete renderer and the resampler): small enough that
-# a block's temporaries stay in cache between the passes over it
+# bytes of one block of a blocked full-frame pass (the NormalMap walker,
+# which the QP solve runs in, the discrete renderer and the resampler): small
+# enough that a block's temporaries stay in cache between the passes over it
 _CHUNK_BYTES = 1 << 19
 
 
@@ -170,8 +170,8 @@ class NormalMap:
 
     The magnitude channel carries the normalizing constant (lobe-size
     proxy) recorded before the final unit-length step. Invalid pixels hold
-    the normal (0, 0, 1) with magnitude 0. Built only by from_components,
-    so every map is valid by construction.
+    the normal (0, 0, 1) with magnitude 0. Built only by the walker _walk
+    (from_components, the QP), so every map is valid by construction.
     """
 
     normals: np.ndarray
@@ -188,30 +188,12 @@ class NormalMap:
         v = np.asarray(vectors, dtype=float)
         if v.ndim != 3 or v.shape[2] != 3 or v[..., 0].size == 0:
             raise ValueError("normals must be an HxWx3 array")
-        h, w = v.shape[:2]
-        m = None if mask is None else _mask(mask, (h, w))
-        normals = np.empty((h, w, 3))
-        length = np.empty((h, w))
-        ok = np.empty((h, w), dtype=bool)
-        rows = _block_rows(w, 3)
-        # planar scratch, so that each channel is one contiguous run
-        planes = np.empty((3, rows, w))
-        # one cache-sized block of rows at a time: length, validity, normal
-        for r in range(0, h, rows):
-            block = slice(r, r + rows)
-            nb, lb, okb = normals[block], length[block], ok[block]
-            pb = planes[:, : lb.shape[0]]
-            np.copyto(pb, v[block].transpose(2, 0, 1))
-            lb[...] = _length(pb.transpose(1, 2, 0))
-            np.isfinite(lb, out=okb)
-            okb &= lb > DARK_EPS
-            if m is not None:
-                okb &= m[block]
-            np.divide(pb, lb, out=nb.transpose(2, 0, 1), where=okb)
-            invalid = ~okb
-            _fill(nb, invalid, (0.0, 0.0, 1.0))
-            _fill(lb, invalid, 0.0)
-        return _adopt(object.__new__(cls), normals=normals, magnitude=length, mask=ok)
+        shape = v.shape[:2]
+
+        def copy(block, planes):
+            np.copyto(planes, v[block].transpose(2, 0, 1))
+
+        return _walk(shape, copy, None if mask is None else _mask(mask, shape))
 
     def _narrowed(self, mask: np.ndarray) -> "NormalMap":
         """This map, bit for bit, with the pixels outside `mask` invalid."""
@@ -225,6 +207,35 @@ class NormalMap:
     @property
     def shape(self):
         return self.normals.shape[:2]
+
+
+def _walk(shape, kernel, mask) -> NormalMap:
+    """The NormalMap of the vectors that kernel(block, planes) writes for
+    each slice `block` of rows into planar (3, rows, W) scratch, one
+    contiguous run per channel, normalized straight into the map's arrays.
+    `mask` (None: all valid) is read after the kernel, which may narrow it.
+    """
+    h, w = shape
+    normals = np.empty((h, w, 3))
+    length = np.empty((h, w))
+    ok = np.empty((h, w), dtype=bool)
+    rows = _block_rows(w, 3)
+    planes = np.empty((3, rows, w))
+    for r in range(0, h, rows):
+        block = slice(r, r + rows)
+        nb, lb, okb = normals[block], length[block], ok[block]
+        pb = planes[:, : lb.shape[0]]
+        kernel(block, pb)
+        lb[...] = _length(pb.transpose(1, 2, 0))
+        np.isfinite(lb, out=okb)
+        okb &= lb > DARK_EPS
+        if mask is not None:
+            okb &= mask[block]
+        np.divide(pb, lb, out=nb.transpose(2, 0, 1), where=okb)
+        invalid = ~okb
+        _fill(nb, invalid, (0.0, 0.0, 1.0))
+        _fill(lb, invalid, 0.0)
+    return _adopt(object.__new__(NormalMap), normals=normals, magnitude=length, mask=ok)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,7 +141,11 @@ def write_png(path, samples: np.ndarray) -> None:
     """Minimal 8-bit grayscale PNG writer (no external imaging deps)."""
     b = to_8bit(samples)
     h, w = b.shape
-    raw = b"".join(b"\x00" + b[r].tobytes() for r in range(h))
+    rows = np.zeros((h, w + 1), np.uint8)  # each row behind filter type 0
+    rows[:, 1:] = b
+    # run-length matches only: the default search deflates the stimulus
+    # images three times slower for 5 % fewer bytes
+    deflate = zlib.compressobj(strategy=zlib.Z_RLE)
 
     def chunk(tag: bytes, payload: bytes) -> bytes:
         data = tag + payload
@@ -151,7 +155,7 @@ def write_png(path, samples: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(b"\x89PNG\r\n\x1a\n")
         f.write(chunk(b"IHDR", ihdr))
-        f.write(chunk(b"IDAT", zlib.compress(raw)))
+        f.write(chunk(b"IDAT", deflate.compress(rows) + deflate.flush()))
         f.write(chunk(b"IEND", b""))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEMENTS, GradientImageSet, NormalMap, _block_rows, _fill
+from .core import COMPLEMENTS, GradientImageSet, NormalMap, _fill, _walk
 from .photometric import RATIO_SET, _difference_components, _ratio_components
 
 _CONDITIONS = (*RATIO_SET, *COMPLEMENTS)
@@ -51,29 +51,29 @@ def correct_normal_map(
     pixels. Pixels invalid in either input, or with a dark constant image,
     pass through as invalid.
 
-    One walk over blocks of rows reads the seven images' samples and
-    writes the closed form into the preallocated outputs.
+    The map's walk over blocks of rows reads the seven images' samples and
+    writes the closed form's n into its scratch and delta, delta_bar into
+    the preallocated outputs, so no full-frame vector field exists.
     """
     mask = imgset.joint_mask(_CONDITIONS)
     if init.shape != mask.shape:
         raise ValueError("init normal map dimensions do not match the image set")
     mask &= init.mask
-    h, w = mask.shape
-    delta = np.empty((h, w, 3))
-    delta_bar = np.empty((h, w, 3))
-    vectors = np.empty((h, w, 3))
-    rows = _block_rows(w, 6)
-    for r in range(0, h, rows):
-        block = slice(r, r + rows)
+    delta = np.empty(mask.shape + (3,))
+    delta_bar = np.empty(mask.shape + (3,))
+
+    def solve(block, planes):
         samples = {c: imgset[c].samples[block] for c in _CONDITIONS}
+        # narrows mask[block] at dark constant pixels, before the walk reads it
         b_r, rc = _ratio_components(samples, mask[block])
         b_d = _difference_components(samples)
         b_d /= rc[..., None]
         _closed_form(b_r, b_d, 0.0, 0.0, init.normals[block],
-                     (delta[block], delta_bar[block], vectors[block]))
+                     (delta[block], delta_bar[block], planes.transpose(1, 2, 0)))
         for a in (delta, delta_bar):
             _fill(a[block], ~mask[block], 0.0)
-    return NormalMap.from_components(vectors, mask), delta, delta_bar
+
+    return _walk(mask.shape, solve, mask), delta, delta_bar
 
 
 def constraint_violation(b: np.ndarray, x: np.ndarray) -> np.ndarray:

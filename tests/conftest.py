@@ -3,9 +3,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from gradientstage.core import Condition, GradientImageSet, Image, NormalMap, angular_error_map
+from gradientstage.core import (
+    DARK_EPS,
+    Condition,
+    GradientImageSet,
+    Image,
+    NormalMap,
+    angular_error_map,
+)
 from gradientstage.qp import _closed_form
-from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
+from gradientstage.stage import make_sphere_scene, render_set
 
 
 @pytest.fixture
@@ -28,6 +35,18 @@ def random_normal_map(rng, h, w):
     v = rng.normal(size=(h, w, 3))
     v[:, :, 2] = np.abs(v[:, :, 2]) + 0.1
     return NormalMap.from_components(v)
+
+
+def from_components_reference(vectors, mask=None):
+    """(normals, magnitude, mask) of NormalMap.from_components(vectors, mask)."""
+    v = np.asarray(vectors, dtype=float)
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(v, axis=2)
+    ok = np.isfinite(length) & (length > DARK_EPS)
+    if mask is not None:
+        ok &= np.asarray(mask, dtype=bool)
+    normals = np.where(ok[..., None], v / np.where(ok, length, 1.0)[..., None], (0.0, 0.0, 1.0))
+    return normals, np.where(ok, length, 0.0), ok
 
 
 def max_angular_error(a: NormalMap, b: NormalMap) -> float:

@@ -6,7 +6,6 @@ per-criterion lines.
 import time
 
 import numpy as np
-import pytest
 from conftest import (
     A_MATRIX,
     closed_form,

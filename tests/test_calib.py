@@ -11,7 +11,6 @@ from gradientstage import core
 from gradientstage.alignment import resample
 from gradientstage.calib import (
     CameraIntrinsics,
-    Conic,
     Homography,
     detect_highlight_centroid,
     estimate_homography_dlt,
@@ -22,7 +21,6 @@ from gradientstage.calib import (
     sampson_error,
     separate_reflectance,
     sphere_center,
-    symmetric_transfer_error,
     warp_by_homography,
     _disk,
 )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from conftest import forward_highlight_point, project_point, project_sphere_limb
 import gradientstage
 from gradientstage import pfm
 from gradientstage.cli import run
-from gradientstage.core import Image, NormalMap, mean_angular_error
+from gradientstage.core import Image, mean_angular_error
 from gradientstage.stage import LightStage, generate_icosphere_directions
 
 
@@ -116,6 +117,23 @@ def test_correct_subcommand(tmp_path):
     assert out.exists()
     assert (tmp_path / "corrected_delta.pfm").exists()
     assert (tmp_path / "corrected_deltabar.pfm").exists()
+
+
+def test_correct_traced_peak_on_a_1024_frame(tmp_path):
+    # the seven images and the seed (about 80 MiB), the corrected map and
+    # the two distortion fields (about 82 MiB) and one float32 write buffer;
+    # the images and the seed are freed before the writes
+    data = tmp_path / "d"
+    assert run(["simulate", "--size", "1024", "1024", "--delta", "0.02", "0.01", "-0.01",
+                "--pixel-noise", "0.01", "--out", str(data)]) == 0
+    tracemalloc.start()
+    try:
+        code = run(["correct", "--in", str(data), "--out", str(tmp_path / "c.pfm")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 186 * 2**20
 
 
 def test_calibrate_lights_closure(tmp_path, capsys):

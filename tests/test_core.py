@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import from_components_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,7 +11,6 @@ from gradientstage import core
 from gradientstage.alignment import FlowField
 from gradientstage.core import (
     COMPLEMENTS,
-    DARK_EPS,
     GRADIENTS,
     Condition,
     GradientImageSet,
@@ -342,18 +342,6 @@ class TestInvalidPixelRule:
 
 # The whole-array from_components that the row-block kernel replaced, kept
 # as its reference: the same arrays bitwise.
-
-
-def from_components_reference(vectors, mask=None):
-    """(normals, magnitude, mask) of NormalMap.from_components(vectors, mask)."""
-    v = np.asarray(vectors, dtype=float)
-    with np.errstate(over="ignore"):
-        length = np.linalg.norm(v, axis=2)
-    ok = np.isfinite(length) & (length > DARK_EPS)
-    if mask is not None:
-        ok &= np.asarray(mask, dtype=bool)
-    normals = np.where(ok[..., None], v / np.where(ok, length, 1.0)[..., None], (0.0, 0.0, 1.0))
-    return normals, np.where(ok, length, 0.0), ok
 
 
 def arrays(result):

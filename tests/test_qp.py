@@ -2,13 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import A_MATRIX, closed_form, max_angular_error, qp_rhs, solve_kkt_dense
+from conftest import (
+    A_MATRIX,
+    closed_form,
+    from_components_reference,
+    max_angular_error,
+    qp_rhs,
+    random_normal_map,
+    solve_kkt_dense,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from gradientstage import core
-from gradientstage.core import Condition, GradientImageSet, Image, NormalMap
+from gradientstage.core import DARK_EPS, GRADIENTS, Condition, GradientImageSet, Image, NormalMap
 from gradientstage.photometric import recover_ma, recover_wilson
 from gradientstage.qp import constraint_violation, correct_normal_map
 from gradientstage.stage import SceneSpec, make_sphere_scene, render_set
@@ -161,8 +169,9 @@ class TestCorrectNormalMap:
         assert not delta.any() and not delta_bar.any()
 
     def test_traced_peak_on_a_1024_frame(self):
-        # outputs: three (H, W, 3) fields, the corrected map and the mask,
-        # about 108 MiB; a full-frame right-hand side adds 48 MiB or more
+        # outputs: two (H, W, 3) fields, the corrected map and the mask,
+        # about 82 MiB; a full-frame vector field adds 24 MiB, a full-frame
+        # right-hand side 48 MiB or more
         imgset = render_set(make_sphere_scene(1024, 1024, 500))
         init = recover_wilson(imgset)
         tracemalloc.start()
@@ -171,7 +180,7 @@ class TestCorrectNormalMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < 90 * 2**20
 
     def test_single_pixel_perturbation_stays_local(self):
         scene, imgset = distorted_set((0.1, 0.1, 0.1))
@@ -197,6 +206,38 @@ class TestCorrectNormalMap:
         corrected, _, _ = correct_normal_map(ideal_sphere_set, holed)
         assert not corrected.mask[24, 24]
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_full_frame_closed_form(self, seed, h, w, rows):
+        # invalid pixels, dark constants and an init with holes, in blocks
+        # of any number of rows
+        rng = np.random.default_rng(seed)
+        images = {}
+        for c in Condition:
+            samples = rng.random((h, w))
+            if c is Condition.C:
+                samples[rng.random((h, w)) < 0.2] = rng.choice([0.0, 1e-12, DARK_EPS])
+            images[c] = Image(samples, rng.random((h, w)) < 0.9)
+        imgset = GradientImageSet(images)
+        init = NormalMap.from_components(random_normal_map(rng, h, w).normals,
+                                         rng.random((h, w)) < 0.9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_CHUNK_BYTES", 8 * 3 * w * rows)
+            corrected, delta, delta_bar = correct_normal_map(imgset, init)
+
+        s = {c: imgset[c].samples for c in Condition}
+        mask = imgset.joint_mask(Condition) & init.mask & (s[Condition.C] > DARK_EPS)
+        rc = np.where(mask, s[Condition.C], 1.0)
+        b_r = [s[g] / rc - 0.5 for g in GRADIENTS]
+        b_d = [(s[g] - s[g.complement]) / rc for g in GRADIENTS]
+        x0 = np.concatenate([np.zeros((h, w, 6)), init.normals], axis=2)
+        x = closed_form(np.stack(b_r + b_d, axis=2), x0)
+        want = (*from_components_reference(x[..., 6:], mask),
+                np.where(mask[..., None], x[..., :3], 0.0),
+                np.where(mask[..., None], x[..., 3:6], 0.0))
+        got = (corrected.normals, corrected.magnitude, corrected.mask, delta, delta_bar)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     @pytest.mark.parametrize("rows", [1, 2, 4])  # 4 does not divide the 15 rows
     def test_row_blocks_do_not_change_the_correction(self, rows):
         _, imgset = distorted_set((0.1, -0.2, 0.05), (0.02, 0.01, 0.0))
@@ -209,6 +250,6 @@ class TestCorrectNormalMap:
 
         want = arrays()  # one block
         with pytest.MonkeyPatch.context() as patch:
-            # blocks of 6 values per pixel (b_r and b_d), 15 pixels a row
-            patch.setattr(core, "_CHUNK_BYTES", 8 * 6 * 15 * rows)
+            # blocks of the map's 3 values per pixel, 15 pixels a row
+            patch.setattr(core, "_CHUNK_BYTES", 8 * 3 * 15 * rows)
             assert arrays() == want

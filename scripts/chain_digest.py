@@ -6,9 +6,10 @@ Run from the root of a source checkout; like perfbench/run.py it imports
 the program from `src/`. For each workload of perfbench/workloads.py it
 generates the inputs from the seed and runs one op of the workload's CLI
 chain through `gradientstage.cli.run`. It then runs `align` on the
-capture's first x, xb and c frames. It prints one `<sha256>  <file>` line
-per file, sorted by path, so `diff` of the output of two checkouts shows
-every file whose bytes differ.
+capture's first x, xb and c frames, and the still chain (simulate,
+recover, correct, report, stimulus) on a noisy, distorted 160x96 cylinder.
+It prints one `<sha256>  <file>` line per file, sorted by path, so `diff`
+of the output of two checkouts shows every file whose bytes differ.
 """
 from __future__ import annotations
 
@@ -43,6 +44,23 @@ def align_chain(inp, out: Path) -> list[list[str]]:
     return [["align", "--pair", "x", "--frames", *frames, "--iters", "10", "--out", str(out)]]
 
 
+def cylinder_chain(seed: int, out: Path) -> list[list[str]]:
+    """The still-frame chain on a non-square cylinder, its constant image as
+    the stimulus texture."""
+    sim, corrected = out / "sim", str(out / "corrected.pfm")
+    return [
+        ["simulate", "--scene", "cylinder", "--size", "160", "96", "--delta", "0.02", "0.01", "-0.01",
+         "--deltabar", "0.01", "-0.02", "0.015", "--pixel-noise", "0.01", "--seed", str(seed),
+         "--out", str(sim)],
+        ["recover", "--method", "wilson", "--in", str(sim), "--out", str(out / "wilson.pfm")],
+        ["correct", "--init", "wilson", "--in", str(sim), "--out", corrected],
+        ["report", "--a", corrected, "--b", str(sim / "gt_normals.pfm"), "--bin-width", "0.1",
+         "--out", str(out / "report.csv")],
+        ["stimulus", "--normals", corrected, "--texture", str(sim / "grad_c.pfm"),
+         "--out", str(out / "stimulus")],
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -57,6 +75,7 @@ def main(argv=None) -> int:
             run_chain(wl.chain(inputs, out))
             if name == "capture-seq":
                 run_chain(align_chain(inputs, out / "align"))
+        run_chain(cylinder_chain(args.seed, work / "cylinder"))
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {path.relative_to(work)}")

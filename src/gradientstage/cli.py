@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, calib, photometric, qp, sequencer, stage, stimulus
-from .core import Condition, GradientImageSet, Image, angular_error_map, histogram
+from .core import Condition, GradientImageSet, _image, _radiance, angular_error_map, histogram
 from . import pfm
 
 
@@ -100,9 +100,14 @@ def _cmd_simulate(args) -> int:
                 scene, light_stage, cond, quantize=args.quantize, led_gain=led_gain
             )
         if args.pixel_noise > 0:
-            noisy = img.samples * (1.0 + args.pixel_noise * rng.standard_normal(img.shape))
-            img = Image(np.maximum(noisy, 0.0), img.mask)
+            noisy = rng.standard_normal(img.shape)
+            noisy *= args.pixel_noise
+            noisy += 1.0
+            noisy *= img.samples
+            np.maximum(noisy, 0.0, out=noisy)
+            img = _radiance(_image(noisy, img.mask))
         pfm.write_image(_set_path(out, args.prefix, cond), img)
+        del img  # freed before the next render allocates its frame
     pfm.write_normal_map(out / "gt_normals.pfm", scene.true_normals)
     print(f"wrote {len(conditions)} condition images to {out}")
     return 0

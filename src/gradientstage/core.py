@@ -159,7 +159,8 @@ def _radiance(img: Image) -> Image:
 def _image(samples: np.ndarray, mask: np.ndarray) -> Image:
     """An Image holding these arrays, made read-only, with 0 written at the
     invalid samples; the caller knows the valid ones finite and >= 0, or
-    checks the result with _radiance where arithmetic could overflow."""
+    checks the result with _radiance where arithmetic could overflow. The
+    mask may be another grid's: no grid writes its read-only mask."""
     _fill(samples, ~mask, 0.0)
     return _adopt(object.__new__(Image), samples=samples, mask=mask)
 
@@ -171,7 +172,8 @@ class NormalMap:
     The magnitude channel carries the normalizing constant (lobe-size
     proxy) recorded before the final unit-length step. Invalid pixels hold
     the normal (0, 0, 1) with magnitude 0. Built only by the walker _walk
-    (from_components, the QP), so every map is valid by construction.
+    (from_components, the QP, the scene makers), so every map is valid by
+    construction.
     """
 
     normals: np.ndarray
@@ -285,9 +287,13 @@ def angular_error_map(a: NormalMap, b: NormalMap) -> Image:
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    chord = np.linalg.norm(a.normals - b.normals, axis=2)
-    deg = 2.0 * np.degrees(np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
-    return Image(deg, a.mask & b.mask)
+    deg = _length(a.normals - b.normals)
+    deg /= 2.0
+    np.clip(deg, 0.0, 1.0, out=deg)
+    np.arcsin(deg, out=deg)
+    np.degrees(deg, out=deg)
+    deg *= 2.0
+    return _image(deg, a.mask & b.mask)
 
 
 def histogram(values: Image, bin_width: float) -> list[tuple[float, int]]:

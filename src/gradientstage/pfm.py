@@ -132,8 +132,12 @@ GAMMA = 2.2
 
 
 def to_8bit(samples: np.ndarray) -> np.ndarray:
-    """Gamma-2.2 encode linear [0,1] values to uint8. Export boundary only."""
+    """Gamma-2.2 encode linear [0,1] values to uint8, clipping values outside
+    [0, 1]; a NaN sample raises ValueError. Export boundary only."""
     v = np.clip(np.asarray(samples, dtype=float), 0.0, 1.0)
+    # clip passes NaN through, and NaN has no uint8 value
+    if np.isnan(v).any():
+        raise ValueError("cannot encode NaN samples in 8 bits")
     return np.round(255.0 * np.power(v, 1.0 / GAMMA)).astype(np.uint8)
 
 

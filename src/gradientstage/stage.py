@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, GradientImageSet, Image, NormalMap, _block_rows, unit
+from .core import (
+    Condition, GradientImageSet, Image, NormalMap, _block_rows, _image, _radiance, _walk, unit,
+)
 
 _ICO_SUBDIV_COUNTS = {0: 12, 1: 42, 2: 162, 3: 642}
 
@@ -216,6 +218,12 @@ class SpecularSceneSpec:
         object.__setattr__(self, "lobe_strength", s)
 
 
+def _compact(a: np.ndarray) -> np.ndarray:
+    """The smallest array that broadcasts to `a`: its stride-0 axes cut to
+    length 1, so arithmetic on a broadcast constant costs one value."""
+    return a[tuple(slice(None) if stride else slice(0, 1) for stride in a.strides)]
+
+
 def render_lambert_analytic(scene: SceneSpec, condition) -> Image:
     """Closed-form radiance under continuous spherical illumination.
 
@@ -224,19 +232,21 @@ def render_lambert_analytic(scene: SceneSpec, condition) -> Image:
     constant:      (pi rho V / 2)
     """
     condition = Condition(condition)
-    k = np.pi * scene.albedo * scene.occlusion / 2.0
+    k = np.pi * _compact(scene.albedo) * _compact(scene.occlusion) / 2.0
     mask = scene.true_normals.mask
     if condition is Condition.C:
-        return Image(k, mask)
-    axis = condition.axis
-    n_a = scene.true_normals.normals[:, :, axis]
-    d_a = scene.distortion[:, :, axis]
-    if condition.is_complement:
-        term = d_a + scene.distortion[:, :, axis + 3] - n_a / 3.0 + 0.5
+        r = np.broadcast_to(k, mask.shape).copy()
     else:
-        term = d_a + n_a / 3.0 + 0.5
-    r = k * term
-    return Image(r, mask & (r >= 0))
+        axis = condition.axis
+        d_a = _compact(scene.distortion[:, :, axis])
+        r = scene.true_normals.normals[:, :, axis] / 3.0
+        if condition.is_complement:
+            np.subtract(d_a + _compact(scene.distortion[:, :, axis + 3]), r, out=r)
+        else:
+            np.add(d_a, r, out=r)
+        r += 0.5
+        r *= k
+    return _radiance(_image(r, mask & (r >= 0)))
 
 
 def render_lambert_discrete(
@@ -276,8 +286,8 @@ def render_lambert_discrete(
         cos = normals.take(pixels, axis=0) @ dirs.T
         np.maximum(cos, 0.0, out=cos)
         total[pixels] = cos @ p
-    r = (4.0 * np.pi / n) * (scene.albedo / 2.0) * total.reshape(nm.shape)
-    return Image(r, nm.mask & (r >= 0))
+    r = (4.0 * np.pi / n) * (_compact(scene.albedo) / 2.0) * total.reshape(nm.shape)
+    return _radiance(_image(r, nm.mask & (r >= 0)))
 
 
 def render_specular_analytic(scene: SpecularSceneSpec, condition) -> Image:
@@ -295,27 +305,45 @@ def render_set(scene: SceneSpec, conditions=None) -> GradientImageSet:
     return GradientImageSet({Condition(c): render_lambert_analytic(scene, c) for c in conditions})
 
 
+def _centred(size: int, radius_px: float) -> np.ndarray:
+    """Pixel centres along one axis, in radii from the frame's centre."""
+    return (np.arange(size) - (size - 1) / 2.0) / radius_px
+
+
 def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
     """Vertical cylinder with analytically exact normals (n_z >= 0)."""
     if not 0 < 2 * radius_px <= width:
         raise ValueError("cylinder radius must be positive and fit in the image")
-    x = np.arange(width) - (width - 1) / 2.0
-    nx = np.tile(x / radius_px, (height, 1))
-    inside = np.abs(nx) <= 1.0
+    if height < 1:
+        raise ValueError(f"cylinder height must be >= 1 pixel, got {height}")
+    nx = _centred(width, radius_px)
     nz = np.sqrt(np.maximum(1.0 - nx**2, 0.0))
-    nm = NormalMap.from_components(np.stack([nx, np.zeros_like(nx), nz], axis=2), inside)
-    return SceneSpec(nm, albedo, 1.0, np.zeros(6))
+
+    def cylinder(block, planes):
+        planes[0], planes[1], planes[2] = nx, 0.0, nz
+
+    # every row of the walker's mask is this one: a broadcast view
+    inside = np.broadcast_to(np.abs(nx) <= 1.0, (height, width))
+    return SceneSpec(_walk((height, width), cylinder, inside), albedo, 1.0, np.zeros(6))
 
 
 def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
     """Orthographic sphere with analytically exact normals."""
     if not 0 < 2 * radius_px <= min(width, height):
         raise ValueError("sphere radius must be positive and fit in the image")
-    y, x = np.mgrid[0:height, 0:width].astype(float)
-    nx = (x - (width - 1) / 2.0) / radius_px
-    ny = (y - (height - 1) / 2.0) / radius_px
-    r2 = nx**2 + ny**2
-    inside = r2 <= 1.0
-    nz = np.sqrt(np.maximum(1.0 - r2, 0.0))
-    nm = NormalMap.from_components(np.stack([nx, ny, nz], axis=2), inside)
-    return SceneSpec(nm, albedo, 1.0, np.zeros(6))
+    nx = _centred(width, radius_px)
+    ny = _centred(height, radius_px)[:, None]
+    nx2, ny2 = nx**2, ny**2
+    inside = np.empty((height, width), dtype=bool)
+
+    # the kernel writes its block's rows of the mask, which the walker
+    # reads after it
+    def sphere(block, planes):
+        planes[0], planes[1] = nx, ny[block]
+        r2 = np.add(nx2, ny2[block], out=planes[2])
+        np.less_equal(r2, 1.0, out=inside[block])
+        np.subtract(1.0, r2, out=r2)
+        np.maximum(r2, 0.0, out=r2)
+        np.sqrt(r2, out=r2)
+
+    return SceneSpec(_walk((height, width), sphere, inside), albedo, 1.0, np.zeros(6))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import DARK_EPS, Image, NormalMap, unit
+from .core import DARK_EPS, Image, NormalMap, _image, unit
 
 DEFAULT_LIGHT_1 = np.array([0.3, 0.3, 0.906])
 DEFAULT_LIGHT_2 = np.array([-0.3, 0.3, 0.906])
@@ -22,10 +22,10 @@ def shape_only(nm: NormalMap, l1=DEFAULT_LIGHT_1, l2=DEFAULT_LIGHT_2) -> Image:
     l2 = unit(l2)
     if l1[2] <= 0 or l2[2] <= 0:
         warnings.warn("shape-only lights should face the camera (positive z)")
-    shade1 = np.maximum(0.0, nm.normals @ l1)
-    shade2 = np.maximum(0.0, nm.normals @ l2)
-    vals = 0.5 * (shade1 + shade2)
-    return Image(vals, nm.mask)
+    shade = np.maximum(0.0, nm.normals @ l1)
+    shade += np.maximum(0.0, nm.normals @ l2)
+    shade *= 0.5
+    return _image(shade, nm.mask)
 
 
 def texture_only(diffuse_c: Image) -> Image:
@@ -33,16 +33,17 @@ def texture_only(diffuse_c: Image) -> Image:
 
     Ratios between pixels are preserved exactly.
     """
-    vals = diffuse_c.samples[diffuse_c.mask]
-    peak = vals.max() if vals.size else 0.0
+    # invalid samples are 0 and valid ones >= 0: this is the valid maximum
+    peak = diffuse_c.samples.max()
     if peak < DARK_EPS:
         raise ValueError("texture image is all zero")
-    return Image(diffuse_c.samples / peak, diffuse_c.mask)
+    return _image(diffuse_c.samples / peak, diffuse_c.mask)
 
 
 def combined(shape: Image, texture: Image) -> Image:
     """Per-pixel product of shape and texture, clamped to [0, 1]."""
     if shape.shape != texture.shape:
         raise ValueError(f"dimension mismatch: {shape.shape} vs {texture.shape}")
-    vals = np.clip(shape.samples * texture.samples, 0.0, 1.0)
-    return Image(vals, shape.mask & texture.mask)
+    vals = shape.samples * texture.samples
+    np.clip(vals, 0.0, 1.0, out=vals)
+    return _image(vals, shape.mask & texture.mask)

@@ -49,6 +49,17 @@ def from_components_reference(vectors, mask=None):
     return normals, np.where(ok, length, 0.0), ok
 
 
+def outcome(f, *args):
+    """f(*args)'s array fields as (name, dtype, shape, bytes), or the type and
+    text of the ValueError or RuntimeWarning it raises: two functions agree
+    on args when their outcomes are equal."""
+    try:
+        result = f(*args)
+    except (ValueError, RuntimeWarning) as e:
+        return type(e).__name__, str(e)
+    return [(name, a.dtype, a.shape, a.tobytes()) for name, a in vars(result).items()]
+
+
 def max_angular_error(a: NormalMap, b: NormalMap) -> float:
     """Largest angle between two normal maps over jointly valid pixels, degrees."""
     err = angular_error_map(a, b)

@@ -14,7 +14,13 @@ import gradientstage
 from gradientstage import pfm
 from gradientstage.cli import run
 from gradientstage.core import Image, mean_angular_error
-from gradientstage.stage import LightStage, generate_icosphere_directions
+from gradientstage.stage import (
+    LightStage,
+    SceneSpec,
+    generate_icosphere_directions,
+    make_sphere_scene,
+    render_lambert_analytic,
+)
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -58,6 +64,23 @@ def test_simulate_recover_end_to_end(tmp_path, capsys):
     recovered = pfm.read_normal_map(out)
     truth = pfm.read_normal_map(data / "gt_normals.pfm")
     assert mean_angular_error(recovered, truth) < 1.0
+
+
+def test_pixel_noise_is_one_draw_per_condition_in_order(tmp_path):
+    # sample * (1 + level * a standard normal), clipped at 0: the former
+    # whole-frame expression, on the renders of the same scene
+    data = tmp_path / "d"
+    assert run(["simulate", "--size", "12", "9", "--delta", "0.1", "0", "-0.2", "--conditions", "x", "c",
+                "--pixel-noise", "0.5", "--seed", "5", "--out", str(data)]) == 0
+    scene = SceneSpec(make_sphere_scene(12, 9, 3.6).true_normals, 1.0, 1.0, [0.1, 0, -0.2, 0, 0, 0])
+    rng = np.random.default_rng(5)
+    for cond in ("x", "c"):
+        img = render_lambert_analytic(scene, cond)
+        noisy = img.samples * (1.0 + 0.5 * rng.standard_normal(img.shape))
+        want = Image(np.maximum(noisy, 0.0).astype(np.float32), img.mask)
+        got = pfm.read_image(data / f"grad_{cond}.pfm")
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def test_recover_missing_condition_is_data_error(tmp_path, capsys):

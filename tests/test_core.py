@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import from_components_reference
+from conftest import from_components_reference, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -108,6 +108,16 @@ def test_grids_compare_by_identity_and_hash(make):
     assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
+def former_angular_error_map(a, b):
+    """The former angular-error map: np.linalg.norm over an HxWx3 difference,
+    whole-frame temporaries, copied by Image."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    chord = np.linalg.norm(a.normals - b.normals, axis=2)
+    deg = 2.0 * np.degrees(np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
+    return Image(deg, a.mask & b.mask)
+
+
 class TestAngularErrorMap:
     def test_identical_maps_zero(self):
         nm = nm_from_vectors([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
@@ -138,6 +148,18 @@ class TestAngularErrorMap:
         b = nm_from_vectors(np.ones((2, 3, 3)))
         with pytest.raises(ValueError):
             angular_error_map(a, b)
+
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12), st.booleans())
+    def test_equals_the_former_map(self, data, h, w, same_shape):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(size=(h, w, 3))
+        # scaled copies of v give parallel normals, -v antiparallel ones:
+        # chords at both ends of the clip
+        u = v * rng.uniform(0.5, 2.0, (h, w, 1)) if data.draw(st.booleans()) else -v
+        u[rng.random((h, w)) < 0.3] = rng.normal(size=3)
+        a = NormalMap.from_components(v, rng.random((h, w)) < 0.8)
+        b = NormalMap.from_components(u if same_shape else np.concatenate([u, u[:, :1]], axis=1))
+        assert outcome(angular_error_map, a, b) == outcome(former_angular_error_map, a, b)
 
     def test_invalid_where_either_invalid(self):
         vecs = np.zeros((1, 2, 3))

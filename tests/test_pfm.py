@@ -86,6 +86,17 @@ def test_gamma_applied_at_export_boundary():
     assert pfm.to_8bit(np.array([[0.5]]))[0, 0] == 186
 
 
+def test_nan_sample_is_rejected_not_exported_black(tmp_path):
+    with pytest.raises(ValueError, match="NaN"):
+        pfm.to_8bit(np.array([[np.nan, 0.5, np.inf, -np.inf]]))
+    png = tmp_path / "nan.png"
+    with pytest.raises(ValueError, match="NaN"):
+        pfm.write_png(png, np.array([[0.5, np.nan]]))
+    assert not png.exists()
+    # infinities clip to the ends of the range
+    assert pfm.to_8bit(np.array([[0.5, np.inf, -np.inf]])).tolist() == [[186, 255, 0]]
+
+
 def test_rejects_non_pfm(tmp_path):
     path = tmp_path / "bad.pfm"
     path.write_bytes(b"P5\n2 2\n255\n....")

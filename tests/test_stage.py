@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import outcome
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -85,6 +86,51 @@ def supported_directions(count):
     if count == 41:
         return former_select_hemisphere(v, (0, 0, 1), 41)
     return v
+
+
+def former_make_cylinder_scene(width, height, radius_px, albedo=1.0):
+    """The former cylinder maker: a tiled row, stacked, then normalized."""
+    if not 0 < 2 * radius_px <= width:
+        raise ValueError("cylinder radius must be positive and fit in the image")
+    x = np.arange(width) - (width - 1) / 2.0
+    nx = np.tile(x / radius_px, (height, 1))
+    inside = np.abs(nx) <= 1.0
+    nz = np.sqrt(np.maximum(1.0 - nx**2, 0.0))
+    nm = NormalMap.from_components(np.stack([nx, np.zeros_like(nx), nz], axis=2), inside)
+    return SceneSpec(nm, albedo, 1.0, np.zeros(6))
+
+
+def former_make_sphere_scene(width, height, radius_px, albedo=1.0):
+    """The former sphere maker: two mgrid frames, stacked, then normalized."""
+    if not 0 < 2 * radius_px <= min(width, height):
+        raise ValueError("sphere radius must be positive and fit in the image")
+    y, x = np.mgrid[0:height, 0:width].astype(float)
+    nx = (x - (width - 1) / 2.0) / radius_px
+    ny = (y - (height - 1) / 2.0) / radius_px
+    r2 = nx**2 + ny**2
+    inside = r2 <= 1.0
+    nz = np.sqrt(np.maximum(1.0 - r2, 0.0))
+    nm = NormalMap.from_components(np.stack([nx, ny, nz], axis=2), inside)
+    return SceneSpec(nm, albedo, 1.0, np.zeros(6))
+
+
+def former_render_lambert_analytic(scene, condition):
+    """The former analytic renderer: whole-frame arithmetic on the broadcast
+    scene parameters, copied by Image."""
+    condition = Condition(condition)
+    k = np.pi * scene.albedo * scene.occlusion / 2.0
+    mask = scene.true_normals.mask
+    if condition is Condition.C:
+        return Image(k, mask)
+    axis = condition.axis
+    n_a = scene.true_normals.normals[:, :, axis]
+    d_a = scene.distortion[:, :, axis]
+    if condition.is_complement:
+        term = d_a + scene.distortion[:, :, axis + 3] - n_a / 3.0 + 0.5
+    else:
+        term = d_a + n_a / 3.0 + 0.5
+    r = k * term
+    return Image(r, mask & (r >= 0))
 
 
 def gradient_intensity_reference(direction, condition):
@@ -338,6 +384,38 @@ class TestAnalyticRender:
             )
 
 
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12), st.sampled_from(list(Condition)))
+    def test_equals_the_former_renderer(self, data, h, w, cond):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(size=(h, w, 3))
+        mask = rng.random((h, w)) < 0.8
+        nm = NormalMap.from_components(v, mask)
+
+        def parameter(low, high, channels=()):
+            """A constant, a row or one value per pixel; NaN at invalid pixels
+            of a per-pixel value."""
+            form = data.draw(st.sampled_from(["constant", "row", "column", "pixel"]))
+            if form == "constant":
+                return rng.uniform(low, high, channels)
+            if form == "row":
+                return rng.uniform(low, high, (w,) + channels)
+            if form == "column":
+                return rng.uniform(low, high, (h, 1) + channels)
+            values = rng.uniform(low, high, (h, w) + channels)
+            values[~nm.mask] = np.nan
+            return values
+
+        # distortions of either sign, so that r < 0 at some valid pixels
+        special = data.draw(st.sampled_from([None, 0.0, -0.0, 1e308, -1e308]))
+        distortion = parameter(-1.0, 1.0, (6,))
+        if special is not None:
+            distortion = np.full(6, special)
+        scene = SceneSpec(nm, parameter(0.0, 1.0), parameter(0.0, 1.0), distortion)
+        assert outcome(render_lambert_analytic, scene, cond) == outcome(
+            former_render_lambert_analytic, scene, cond
+        )
+
+
 class TestDiscreteRender:
     def make_stage(self, sub):
         return LightStage.from_directions(generate_icosphere_directions(sub))
@@ -512,6 +590,44 @@ class TestScenes:
             make_sphere_scene(21, 21, 0)
         with pytest.raises(ValueError):
             make_cylinder_scene(10, 10, 20)
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.data())
+    @pytest.mark.parametrize(
+        "maker, former",
+        [(make_sphere_scene, former_make_sphere_scene),
+         (make_cylinder_scene, former_make_cylinder_scene)],
+    )
+    def test_equals_the_former_maker(self, maker, former, width, height, data):
+        bound = (min(width, height) if maker is make_sphere_scene else width) / 2.0
+        radius = data.draw(st.one_of(
+            st.sampled_from([bound, np.nextafter(bound, np.inf), 0.0, -1.0, np.nan, 5e-324]),
+            st.floats(0.0, bound, exclude_min=True),
+        ))
+
+        def normals(*args):
+            return maker(*args).true_normals
+
+        def former_normals(*args):
+            return former(*args).true_normals
+
+        assert outcome(normals, width, height, radius) == outcome(
+            former_normals, width, height, radius
+        )
+
+    @pytest.mark.parametrize("height", [0, -3])
+    def test_cylinder_rejects_an_empty_frame(self, height):
+        with pytest.raises(ValueError, match="height"):
+            make_cylinder_scene(10, height, 2)
+
+    def test_sphere_traced_peak_at_1024(self):
+        # the map's own arrays are 33 MiB; the former maker peaked at 108
+        tracemalloc.start()
+        try:
+            make_sphere_scene(1024, 1024, 409.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     @pytest.mark.parametrize("maker", [make_sphere_scene, make_cylinder_scene])
     def test_nan_radius_rejected(self, maker):

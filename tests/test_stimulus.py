@@ -1,9 +1,62 @@
 import numpy as np
 import pytest
+from conftest import outcome
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gradientstage.core import Image, NormalMap
+from gradientstage.core import DARK_EPS, Image, NormalMap, unit
 from gradientstage.stage import make_sphere_scene
 from gradientstage.stimulus import combined, shape_only, texture_only
+
+
+def former_shape_only(nm, l1, l2):
+    """The former shape-only image: two shades summed into a third frame,
+    copied by Image."""
+    l1, l2 = unit(l1), unit(l2)
+    shade1 = np.maximum(0.0, nm.normals @ l1)
+    shade2 = np.maximum(0.0, nm.normals @ l2)
+    return Image(0.5 * (shade1 + shade2), nm.mask)
+
+
+def former_texture_only(diffuse_c):
+    """The former texture-only image: the peak over the valid samples alone."""
+    vals = diffuse_c.samples[diffuse_c.mask]
+    peak = vals.max() if vals.size else 0.0
+    if peak < DARK_EPS:
+        raise ValueError("texture image is all zero")
+    return Image(diffuse_c.samples / peak, diffuse_c.mask)
+
+
+def former_combined(shape, texture):
+    """The former combined image: clipped into a fresh frame, copied by Image."""
+    if shape.shape != texture.shape:
+        raise ValueError(f"dimension mismatch: {shape.shape} vs {texture.shape}")
+    return Image(np.clip(shape.samples * texture.samples, 0.0, 1.0), shape.mask & texture.mask)
+
+
+# valid radiance: zeros of either sign, subnormals and values whose products
+# overflow or leave [0, 1]
+SAMPLES = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, -0.0, 5e-324, 1e-9, 1e300]))
+SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+def images(shape):
+    return st.builds(Image, hnp.arrays(float, shape, elements=SAMPLES), hnp.arrays(bool, shape))
+
+
+@given(st.data(), SHAPES)
+def test_stimuli_equal_the_former_stimuli(data, shape):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nm = NormalMap.from_components(rng.normal(size=shape + (3,)), rng.random(shape) < 0.8)
+    l1, l2 = rng.normal(size=3), rng.normal(size=3)
+    l1[2], l2[2] = abs(l1[2]) + 0.1, abs(l2[2]) + 0.1
+    assert outcome(shape_only, nm, l1, l2) == outcome(former_shape_only, nm, l1, l2)
+    texture = data.draw(images(shape))
+    assert outcome(texture_only, texture) == outcome(former_texture_only, texture)
+    other = data.draw(st.sampled_from([shape, (shape[0], shape[1] + 1)]))
+    a, b = data.draw(images(shape)), data.draw(images(other))
+    assert outcome(combined, a, b) == outcome(former_combined, a, b)
 
 
 def frontal_map():

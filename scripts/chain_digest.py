@@ -6,8 +6,10 @@ Run from the root of a source checkout; like perfbench/run.py it imports
 the program from `src/`. For each workload of perfbench/workloads.py it
 generates the inputs from the seed and runs one op of the workload's CLI
 chain through `gradientstage.cli.run`. It then runs `align` on the
-capture's first x, xb and c frames, and the still chain (simulate,
-recover, correct, report, stimulus) on a noisy, distorted 160x96 cylinder.
+capture's first x, xb and c frames, `sequence process` on a three-window
+capture, whose third window is mixed (zb, yb, c, x, z), and the still chain
+(simulate, recover, correct, report, stimulus) on a noisy, distorted 160x96
+cylinder.
 It prints one `<sha256>  <file>` line per file, sorted by path, so `diff`
 of the output of two checkouts shows every file whose bytes differ.
 """
@@ -25,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+import scenes  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from gradientstage import cli  # noqa: E402
@@ -42,6 +45,14 @@ def align_chain(inp, out: Path) -> list[list[str]]:
     """`align` on the first x, xb and c frames of a capture."""
     frames = [str(inp.directory / f"frame_{inp.conditions.index(c):03d}.pfm") for c in ("x", "xb", "c")]
     return [["align", "--pair", "x", "--frames", *frames, "--iters", "10", "--out", str(out)]]
+
+
+def mixed_capture_chain(seed: int, work: Path) -> list[list[str]]:
+    """`sequence process` on a three-window capture; capture-seq's two
+    windows are a pure and a dual one."""
+    inp = scenes.make_capture(np.random.default_rng(seed), work / "inputs", windows=3)
+    return [["sequence", "process", "--dir", str(inp.directory), "--iters", "10",
+             "--out", str(work / "normals")]]
 
 
 def cylinder_chain(seed: int, out: Path) -> list[list[str]]:
@@ -75,6 +86,7 @@ def main(argv=None) -> int:
             run_chain(wl.chain(inputs, out))
             if name == "capture-seq":
                 run_chain(align_chain(inputs, out / "align"))
+        run_chain(mixed_capture_chain(args.seed, work / "capture-3"))
         run_chain(cylinder_chain(args.seed, work / "cylinder"))
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -73,14 +73,12 @@ def _check_simulate_values(args) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_simulate_values(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     size = args.size
     radius = 0.4 * min(size) if args.radius is None else args.radius
     maker = stage.make_sphere_scene if args.scene == "sphere" else stage.make_cylinder_scene
-    scene = maker(size[0], size[1], radius, albedo=args.albedo)
+    normals = maker(size[0], size[1], radius).true_normals
     distortion = np.array(list(args.delta) + list(args.deltabar))
-    scene = stage.SceneSpec(scene.true_normals, args.albedo, args.vp, distortion)
+    scene = stage.SceneSpec(normals, args.albedo, args.vp, distortion)
     rng = np.random.default_rng(args.seed)
     conditions = [Condition(c) for c in args.conditions]
     light_stage = None
@@ -89,6 +87,9 @@ def _cmd_simulate(args) -> int:
         light_stage = stage.LightStage.from_directions(
             stage.stage_directions(args.leds), quantization_levels=args.quantization
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if light_stage is not None:
         (out / "stage.json").write_text(light_stage.to_json())
     for cond in conditions:
         if light_stage is None:
@@ -300,11 +301,11 @@ def _cmd_sequence_process(args) -> int:
 def _cmd_stimulus(args) -> int:
     nm = pfm.read_normal_map(args.normals)
     texture_img = pfm.read_image(args.texture)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     shape_img = stimulus.shape_only(nm, np.asarray(args.l1), np.asarray(args.l2))
     texture = stimulus.texture_only(texture_img)
     combo = stimulus.combined(shape_img, texture)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, img in [("shape", shape_img), ("texture", texture), ("combined", combo)]:
         pfm.write_png(out / f"{name}.png", img.samples)
         pfm.write_image(out / f"{name}.pfm", img)

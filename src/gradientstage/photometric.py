@@ -98,12 +98,19 @@ def recover_wilson(imgset: GradientImageSet) -> NormalMap:
 def recover_minimal(imgset: GradientImageSet, base, dual: bool = False) -> NormalMap:
     """Minimal four-image recovery.
 
-    The base pair's sum stands in for the constant image, so both the set
-    and its dual reduce to the difference method whenever r_a + r_abar = r_c
-    holds.
+    Reads the base pair and, for each other axis, the side that
+    minimal_set(base, dual) names, or the other side where the set holds
+    only that one: pure, dual and mixed sets, such as a capture window's,
+    are all minimal sets. The base pair's sum stands in for the constant
+    image, so each reduces to the difference method whenever
+    r_a + r_abar = r_c holds.
     """
     base = Condition(base)
-    conditions = minimal_set(base, dual)
+    held = imgset.images
+    conditions = [
+        c.complement if c.axis != base.axis and c not in held and c.complement in held else c
+        for c in minimal_set(base, dual)
+    ]
     mask = imgset.joint_mask(conditions)
     comp = _difference_components(
         {c: imgset[c].samples for c in conditions},

@@ -1,16 +1,18 @@
 """Performance-capture planning and processing: minimal-image-set capture
-sequences, placement-rule validation, tracking-frame normals via half-flow
-warps, and temporal upsampling of normals to intermediate frames."""
+sequences, placement-rule validation, tracking-frame normals as warped
+minimal image sets, and temporal upsampling of normals to intermediate
+frames."""
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from .alignment import FlowField, _flow_estimate, joint_photometric_align, warp_image, warp_normals
-from .core import Condition, Image, NormalMap
-from .photometric import _difference_components
+from .core import GRADIENTS, Condition, GradientImageSet, Image, NormalMap
+from .photometric import recover_minimal
 
 # Base-frame cycle of the capture chain. Window k (1-based) runs
 # [F_k, comp(F_{k-1}), C, F_{k+1}, comp(F_k)]; the chain opens [X, Z, C, ...]
@@ -167,39 +169,20 @@ def validate_sequence(seq: CaptureSequence) -> list[str]:
 
 
 def tracking_frame_normal(
-    window: list[tuple[Condition, Image]],
-    flow_first: FlowField,
-    flow_last: FlowField,
+    frames: Mapping[Condition, Image], flows: Mapping[Condition, FlowField]
 ) -> NormalMap:
-    """Normal map at a tracking frame from its 5-frame window.
-
-    The outer base pair is warped by its full alignment flows; the two
-    frames adjacent to the tracking frame by the corresponding half flows
-    (linear-motion approximation). The warped end pair's sum stands in
-    for the constant image, so pure minimal, dual and mixed windows share
-    one combination; a window that misses an axis raises.
-    """
-    if flow_first is None or flow_last is None:
-        raise ValueError("missing flow for the window's base pair")
-    if len(window) != 5:
-        raise ValueError("window must contain exactly 5 frames")
-    conds = [Condition(c) for c, _ in window]
-    imgs = [img for _, img in window]
-    if conds[2] is not Condition.C:
-        raise ValueError("window center must be the tracking frame")
-    if conds[0].complement is not conds[4]:
-        raise ValueError("window ends must be a base complement pair")
-    first_w = warp_image(imgs[0], flow_first)
-    last_w = warp_image(imgs[4], flow_last)
-    inner_l = warp_image(imgs[1], flow_first.scaled(0.5))
-    inner_r = warp_image(imgs[3], flow_last.scaled(0.5))
-    samples = {
-        conds[0]: first_w.samples, conds[1]: inner_l.samples,
-        conds[3]: inner_r.samples, conds[4]: last_w.samples,
-    }
-    comp = _difference_components(samples, first_w.samples + last_w.samples)
-    mask = first_w.mask & last_w.mask & inner_l.mask & inner_r.mask
-    return NormalMap.from_components(comp, mask)
+    """Normal map at a tracking frame from its window's four gradient
+    frames, keyed by condition, each warped toward the tracking frame by its
+    own flow: recover_minimal of the warped set, whose base is the one axis
+    the window holds from both sides."""
+    missing = [c.value for c in frames if c not in flows]
+    if missing:
+        raise ValueError(f"missing flow for frame {', '.join(missing)}")
+    pairs = [g for g in GRADIENTS if g in frames and g.complement in frames]
+    if len(pairs) != 1:
+        raise ValueError(f"window holds {len(pairs)} complement pairs, expected 1")
+    warped = GradientImageSet({c: warp_image(img, flows[c]) for c, img in frames.items()})
+    return recover_minimal(warped, pairs[0])
 
 
 def intermediate_warped_normal(
@@ -282,7 +265,9 @@ def process_sequence(
         raise ValueError("invalid sequence: " + "; ".join(bad))
     centers = seq.tracking_indices
     result = SequenceResult()
-    # flows[c][i]: flow from frame i of the window around c toward c
+    # flows[c][i]: flow from gradient frame i of the window around c toward
+    # c; the ends' from the alignment, the inner frames' from the nearer
+    # end's under constant velocity, as in _tracking_start
     flows: dict[int, dict[int, FlowField]] = {}
     for c in centers:
         first, last = c - 2, c + 2
@@ -291,10 +276,13 @@ def process_sequence(
         u, v, result.residuals[c] = joint_photometric_align(
             frames[g], frames[gbar], frames[c], iterations, init=start
         )
-        ends = {g: u, gbar: v}
-        flows[c] = {**ends, c - 1: ends[first].scaled(0.5), c + 1: ends[last].scaled(0.5)}
-        window = [(seq.frames[i], frames[i]) for i in range(first, last + 1)]
-        result.tracking[c] = tracking_frame_normal(window, ends[first], ends[last])
+        window = flows[c] = {g: u, gbar: v}
+        for i, j in ((c - 1, first), (c + 1, last)):
+            window[i] = window[j].scaled((i - c) / (j - c))
+        result.tracking[c] = tracking_frame_normal(
+            {seq.frames[i]: frames[i] for i in window},
+            {seq.frames[i]: flow for i, flow in window.items()},
+        )
 
     for i in range(len(frames)):
         near = [c for c in centers if i in flows[c]]  # at most one on each side

@@ -310,7 +310,7 @@ def _centred(size: int, radius_px: float) -> np.ndarray:
     return (np.arange(size) - (size - 1) / 2.0) / radius_px
 
 
-def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
+def make_cylinder_scene(width: int, height: int, radius_px: float) -> SceneSpec:
     """Vertical cylinder with analytically exact normals (n_z >= 0)."""
     if not 0 < 2 * radius_px <= width:
         raise ValueError("cylinder radius must be positive and fit in the image")
@@ -324,10 +324,10 @@ def make_cylinder_scene(width: int, height: int, radius_px: float, albedo=1.0) -
 
     # every row of the walker's mask is this one: a broadcast view
     inside = np.broadcast_to(np.abs(nx) <= 1.0, (height, width))
-    return SceneSpec(_walk((height, width), cylinder, inside), albedo, 1.0, np.zeros(6))
+    return SceneSpec(_walk((height, width), cylinder, inside), 1.0, 1.0, np.zeros(6))
 
 
-def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> SceneSpec:
+def make_sphere_scene(width: int, height: int, radius_px: float) -> SceneSpec:
     """Orthographic sphere with analytically exact normals."""
     if not 0 < 2 * radius_px <= min(width, height):
         raise ValueError("sphere radius must be positive and fit in the image")
@@ -346,4 +346,4 @@ def make_sphere_scene(width: int, height: int, radius_px: float, albedo=1.0) -> 
         np.maximum(r2, 0.0, out=r2)
         np.sqrt(r2, out=r2)
 
-    return SceneSpec(_walk((height, width), sphere, inside), albedo, 1.0, np.zeros(6))
+    return SceneSpec(_walk((height, width), sphere, inside), 1.0, 1.0, np.zeros(6))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import DARK_EPS, Image, NormalMap, _image, unit
+from .core import Image, NormalMap, _image, unit
 
 DEFAULT_LIGHT_1 = np.array([0.3, 0.3, 0.906])
 DEFAULT_LIGHT_2 = np.array([-0.3, 0.3, 0.906])
@@ -33,9 +33,10 @@ def texture_only(diffuse_c: Image) -> Image:
 
     Ratios between pixels are preserved exactly.
     """
-    # invalid samples are 0 and valid ones >= 0: this is the valid maximum
+    # invalid samples are 0 and valid ones >= 0: this is the valid maximum;
+    # radiance has no fixed scale, so any positive peak will do
     peak = diffuse_c.samples.max()
-    if peak < DARK_EPS:
+    if not peak > 0:
         raise ValueError("texture image is all zero")
     return _image(diffuse_c.samples / peak, diffuse_c.mask)
 

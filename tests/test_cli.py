@@ -433,6 +433,20 @@ def test_stimulus_subcommand(tmp_path):
         assert img.samples.min() >= 0.0 and img.samples.max() <= 1.0
 
 
+def test_stimulus_rejects_an_all_zero_texture_before_writing(tmp_path, capsys):
+    from gradientstage.core import Image
+    from gradientstage.stage import make_sphere_scene
+
+    scene = make_sphere_scene(16, 16, 7)
+    pfm.write_normal_map(tmp_path / "n.pfm", scene.true_normals)
+    pfm.write_image(tmp_path / "c.pfm", Image(np.zeros((16, 16))))
+    out = tmp_path / "stim"
+    argv = ["stimulus", "--normals", str(tmp_path / "n.pfm"), "--texture", str(tmp_path / "c.pfm")]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "texture image is all zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_subcommand(tmp_path, capsys):
     from gradientstage.stage import make_sphere_scene
 
@@ -574,10 +588,12 @@ def test_memory_error_is_data_error(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
-    assert run(["simulate", "--leds", "7", "--size", "8", "8", "--out", str(tmp_path / "d")]) == 2
+    out = tmp_path / "d"
+    assert run(["simulate", "--leds", "7", "--size", "8", "8", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: unsupported LED count 7; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)\n"
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -601,6 +617,9 @@ def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
         (["--led-noise", "0.5"], "--led-noise"),
         (["--quantization", "2"], "--quantization"),
         (["--leds", "12", "--quantization", "2"], "--quantization"),
+        (["--albedo", "2"], "albedo must lie in [0, 1]"),
+        (["--vp", "1.5"], "occlusion term must lie in [0, 1]"),
+        (["--radius", "100"], "sphere radius must be positive and fit in the image"),
     ],
 )
 def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):

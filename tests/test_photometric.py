@@ -176,6 +176,25 @@ class TestRecoverMinimal:
         with pytest.raises(ValueError, match="missing condition: xb"):
             recover_minimal(partial, Condition.X)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_mixed_set_is_a_minimal_set(self, sphere_scene, ideal_sphere_set, dual):
+        # the mixed capture window {zb, yb, x, z}: the other side of an axis
+        # is read where the set lacks the side minimal_set names
+        mixed = GradientImageSet({c: ideal_sphere_set[c] for c in ("zb", "yb", "x", "z")})
+        nm = recover_minimal(mixed, Condition.Z, dual)
+        assert max_angular_error(nm, sphere_scene.true_normals) < 1e-9
+        # a four-image set is read from the sides it holds, whatever dual names
+        gradients = GradientImageSet({c: ideal_sphere_set[c] for c in ("zb", "y", "x", "z")})
+        assert_bitwise_equal(
+            recover_minimal(gradients, Condition.Z, dual), recover_minimal(ideal_sphere_set, Condition.Z)
+        )
+
+    @pytest.mark.parametrize("dual, named", [(False, "y"), (True, "yb")])
+    def test_axis_without_either_side_names_the_minimal_side(self, ideal_sphere_set, dual, named):
+        partial = GradientImageSet({c: ideal_sphere_set[c] for c in ("x", "xb", "z", "zb")})
+        with pytest.raises(ValueError, match=f"missing condition: {named}$"):
+            recover_minimal(partial, Condition.X, dual)
+
     def test_bad_base(self, ideal_sphere_set):
         with pytest.raises(ValueError):
             recover_minimal(ideal_sphere_set, Condition.C)
@@ -287,8 +306,8 @@ class TestComplementDifference:
         seq = generate_sequence(12)
         zero = FlowField.zero(imgset.shape)
         for center in seq.tracking_indices:
-            window = [(c, imgset[c]) for c in seq.frames[center - 2 : center + 3]]
-            assert_bitwise_equal(tracking_frame_normal(window, zero, zero), wilson)
+            window = {c: imgset[c] for c in seq.frames[center - 2 : center + 3] if c is not Condition.C}
+            assert_bitwise_equal(tracking_frame_normal(window, dict.fromkeys(window, zero)), wilson)
 
     def test_one_sided_axes_use_the_constant(self):
         a, b, c = np.full((1, 1), 3.0), np.full((1, 1), 1.0), np.full((1, 1), 5.0)

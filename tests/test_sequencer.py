@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from conftest import max_angular_error
-from hypothesis import given
+from conftest import max_angular_error, outcome
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from gradientstage import sequencer
-from gradientstage.alignment import FlowField
+from gradientstage.alignment import FlowField, warp_image
 from gradientstage.core import Condition, GradientImageSet, Image, NormalMap, angular_error_map
-from gradientstage.photometric import recover_minimal
+from gradientstage.photometric import _difference_components, recover_minimal
 from gradientstage.sequencer import (
     CaptureSequence,
     generate_sequence,
@@ -186,62 +187,141 @@ def analytic_frames(scene, sequence):
     return [render_lambert_analytic(scene, cond if cond is not C.C else C.C) for cond in sequence.frames]
 
 
+def former_tracking_frame_normal(window, flow_first, flow_last):
+    """The former tracking-frame normal: a 5-frame (condition, image) list,
+    its inner frames warped by half the end flows, and the complement
+    differences combined by hand rather than through recover_minimal."""
+    if flow_first is None or flow_last is None:
+        raise ValueError("missing flow for the window's base pair")
+    if len(window) != 5:
+        raise ValueError("window must contain exactly 5 frames")
+    conds = [Condition(c) for c, _ in window]
+    imgs = [img for _, img in window]
+    if conds[2] is not Condition.C:
+        raise ValueError("window center must be the tracking frame")
+    if conds[0].complement is not conds[4]:
+        raise ValueError("window ends must be a base complement pair")
+    first_w = warp_image(imgs[0], flow_first)
+    last_w = warp_image(imgs[4], flow_last)
+    inner_l = warp_image(imgs[1], flow_first.scaled(0.5))
+    inner_r = warp_image(imgs[3], flow_last.scaled(0.5))
+    samples = {
+        conds[0]: first_w.samples, conds[1]: inner_l.samples,
+        conds[3]: inner_r.samples, conds[4]: last_w.samples,
+    }
+    comp = _difference_components(samples, first_w.samples + last_w.samples)
+    mask = first_w.mask & last_w.mask & inner_l.mask & inner_r.mask
+    return NormalMap.from_components(comp, mask)
+
+
+def window_flows(conditions, flow_first, flow_last):
+    """The four gradient frames' flows of a 5-frame window, as
+    process_sequence builds them: the inner frames move half as far."""
+    first, inner_l, _, inner_r, last = conditions
+    return {
+        first: flow_first, inner_l: flow_first.scaled(0.5),
+        inner_r: flow_last.scaled(0.5), last: flow_last,
+    }
+
+
+@st.composite
+def flow_fields(draw, shape):
+    """Zero, sub-pixel, integer or partly out-of-frame flows with a partial
+    mask."""
+    vec_shape = shape + (2,)
+    kind = draw(st.sampled_from(["zero", "sub-pixel", "integer", "out of frame"]))
+    if kind == "zero":
+        vec = np.zeros(vec_shape)
+    elif kind == "sub-pixel":
+        vec = draw(hnp.arrays(float, vec_shape, elements=st.floats(-1.0, 1.0)))
+    elif kind == "integer":
+        vec = draw(hnp.arrays(np.int64, vec_shape, elements=st.integers(-2, 2))).astype(float)
+    else:
+        reach = float(max(shape) + 2)
+        vec = draw(hnp.arrays(float, vec_shape, elements=st.floats(-reach, reach)))
+    return FlowField(vec, draw(hnp.arrays(bool, shape)))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_windows_equal_the_former_tracking_frame_normal(data):
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    images = {
+        c: Image(
+            data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 4.0))),
+            data.draw(hnp.arrays(bool, shape)),
+        )
+        for c in Condition
+    }
+    seq = generate_sequence(12)  # pure, dual and mixed windows
+    for c in seq.tracking_indices:
+        conditions = seq.frames[c - 2 : c + 3]
+        first, last = data.draw(flow_fields(shape)), data.draw(flow_fields(shape))
+        flows = window_flows(conditions, first, last)
+        window = [(k, images[k]) for k in conditions]
+        assert outcome(tracking_frame_normal, {k: images[k] for k in flows}, flows) == outcome(
+            former_tracking_frame_normal, window, first, last
+        )
+
+
 class TestTrackingFrameNormal:
     def setup_method(self):
         self.scene = make_sphere_scene(31, 31, 13)
         self.zero = FlowField.zero(self.scene.true_normals.shape)
 
     def images(self, *names):
-        return [(Condition(n), render_lambert_analytic(self.scene, n)) for n in names]
+        return {Condition(n): render_lambert_analytic(self.scene, n) for n in names}
+
+    def zero_flows(self, frames):
+        return dict.fromkeys(frames, self.zero)
 
     def test_static_equals_recover_minimal_bitwise(self):
-        window = self.images("x", "z", "c", "y", "xb")
-        nm = tracking_frame_normal(window, self.zero, self.zero)
-        imgset = GradientImageSet({c: img for c, img in window if c is not C.C})
-        ref = recover_minimal(imgset, C.X)
+        frames = self.images("x", "z", "y", "xb")
+        nm = tracking_frame_normal(frames, self.zero_flows(frames))
+        ref = recover_minimal(GradientImageSet(frames), C.X)
         np.testing.assert_array_equal(nm.normals, ref.normals)
         np.testing.assert_array_equal(nm.magnitude, ref.magnitude)
         np.testing.assert_array_equal(nm.mask, ref.mask)
 
     def test_dual_window_matches_dual_formula(self):
-        window = self.images("y", "xb", "c", "zb", "yb")
-        nm = tracking_frame_normal(window, self.zero, self.zero)
-        imgs = {c: img for c, img in window if c is not C.C}
-        ref = recover_minimal(GradientImageSet(imgs), C.Y, dual=True)
+        frames = self.images("y", "xb", "zb", "yb")
+        nm = tracking_frame_normal(frames, self.zero_flows(frames))
+        ref = recover_minimal(GradientImageSet(frames), C.Y, dual=True)
         np.testing.assert_array_equal(nm.normals, ref.normals)
 
     def test_mixed_window_recovers_truth_on_ideal_data(self):
         # the third window of the unit sequence: {zb, yb, x, z}
-        window = self.images("zb", "yb", "c", "x", "z")
-        nm = tracking_frame_normal(window, self.zero, self.zero)
+        frames = self.images("zb", "yb", "x", "z")
+        nm = tracking_frame_normal(frames, self.zero_flows(frames))
         assert max_angular_error(nm, self.scene.true_normals) < 1e-9
 
     def test_missing_flow_rejected(self):
-        window = self.images("x", "z", "c", "y", "xb")
+        frames = self.images("x", "z", "y", "xb")
+        flows = self.zero_flows(frames)
+        del flows[C.X]
         with pytest.raises(ValueError, match="missing flow"):
-            tracking_frame_normal(window, None, self.zero)
+            tracking_frame_normal(frames, flows)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            tracking_frame_normal(self.images("x", "z", "c", "y", "yb"), self.zero, self.zero)
+        for names, pairs in [(("x", "xb", "y", "yb"), 2), (("x", "y", "z"), 0)]:
+            frames = self.images(*names)
+            with pytest.raises(ValueError, match=f"holds {pairs} complement pairs"):
+                tracking_frame_normal(frames, self.zero_flows(frames))
 
     def test_uniform_translation_recovered_within_degree(self):
         # scene translates 1 px/frame along +x; frames sampled accordingly
         big = make_sphere_scene(41, 41, 13)
-        offsets = {0: -2, 1: -1, 2: 0, 3: 1, 4: 2}
-        names = ["x", "z", "c", "y", "xb"]
+        conditions = conds("x", "z", "c", "y", "xb")
         window = []
-        for i, name in enumerate(names):
-            img = render_lambert_analytic(big, name)
-            shifted = np.roll(img.samples, offsets[i], axis=1)
-            mask = np.roll(img.mask, offsets[i], axis=1)
-            from gradientstage.core import Image
-
-            window.append((Condition(name), Image(shifted, mask)))
+        for offset, cond in zip(range(-2, 3), conditions):
+            img = render_lambert_analytic(big, cond)
+            shifted = np.roll(img.samples, offset, axis=1)
+            window.append((cond, Image(shifted, np.roll(img.mask, offset, axis=1))))
         h, w = big.true_normals.shape
         flow_first = FlowField(np.broadcast_to([-2.0, 0.0], (h, w, 2)).copy(), np.ones((h, w), bool))
         flow_last = FlowField(np.broadcast_to([2.0, 0.0], (h, w, 2)).copy(), np.ones((h, w), bool))
-        nm = tracking_frame_normal(window, flow_first, flow_last)
+        flows = window_flows(conditions, flow_first, flow_last)
+        nm = tracking_frame_normal({c: img for c, img in window if c in flows}, flows)
         from gradientstage.core import mean_angular_error
 
         assert mean_angular_error(nm, big.true_normals) < 1.0
@@ -296,23 +376,12 @@ class TestProcessSequence:
         frames = [render_lambert_analytic(scene, f) for f in seq.frames]
         result = process_sequence(seq, frames, iterations=2)
         assert sorted(result.tracking) == [2, 5, 8]
-        # tracking frames reproduce recover_minimal bit for bit
+        # tracking frames reproduce their zero-flow tracking normal bit for
+        # bit, the mixed third window included
+        zero = FlowField.zero(frames[0].shape)
         for center in result.tracking:
-            window_conds = seq.frames[center - 2 : center + 3]
-            imgs = {
-                c: frames[i]
-                for i, c in zip(range(center - 2, center + 3), window_conds)
-                if c is not Condition.C
-            }
-            base = window_conds[0] if not window_conds[0].is_complement else window_conds[4]
-            # mixed windows fall outside recover_minimal's contract; compare
-            # against the shared kernel through tracking_frame_normal instead
-            zero = FlowField.zero(frames[0].shape)
-            ref = tracking_frame_normal(
-                [(c, frames[i]) for i, c in zip(range(center - 2, center + 3), window_conds)],
-                zero,
-                zero,
-            )
+            window = {seq.frames[i]: frames[i] for i in (center - 2, center - 1, center + 1, center + 2)}
+            ref = tracking_frame_normal(window, dict.fromkeys(window, zero))
             got = result.tracking[center]
             np.testing.assert_array_equal(got.normals, ref.normals)
         # pure window at the first tracking frame: bitwise equal to recover_minimal

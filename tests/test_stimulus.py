@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradientstage.core import DARK_EPS, Image, NormalMap, unit
+from gradientstage.core import Image, NormalMap, unit
 from gradientstage.stage import make_sphere_scene
 from gradientstage.stimulus import combined, shape_only, texture_only
 
@@ -20,10 +20,11 @@ def former_shape_only(nm, l1, l2):
 
 
 def former_texture_only(diffuse_c):
-    """The former texture-only image: the peak over the valid samples alone."""
+    """The former texture-only image: the peak over the valid samples alone,
+    rejected only when no valid sample is positive."""
     vals = diffuse_c.samples[diffuse_c.mask]
     peak = vals.max() if vals.size else 0.0
-    if peak < DARK_EPS:
+    if not peak > 0:
         raise ValueError("texture image is all zero")
     return Image(diffuse_c.samples / peak, diffuse_c.mask)
 
@@ -129,6 +130,12 @@ class TestTextureOnly:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             texture_only(Image(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("level", [5e-10, 5e-324])
+    def test_faint_texture_normalized(self, level):
+        # below DARK_EPS but positive: ratios are still well defined
+        img = texture_only(Image(np.array([[level, 0.0]])))
+        assert img.samples.tolist() == [[1.0, 0.0]]
 
 
 class TestCombined:

@@ -7,9 +7,10 @@ the program from `src/`. For each workload of perfbench/workloads.py it
 generates the inputs from the seed and runs one op of the workload's CLI
 chain through `gradientstage.cli.run`. It then runs `align` on the
 capture's first x, xb and c frames, `sequence process` on a three-window
-capture, whose third window is mixed (zb, yb, c, x, z), and the still chain
+capture, whose third window is mixed (zb, yb, c, x, z), the still chain
 (simulate, recover, correct, report, stimulus) on a noisy, distorted 160x96
-cylinder.
+cylinder, and a 64x64 sphere under the 42-LED stage at 256 ILT levels
+(simulate, recover, correct).
 It prints one `<sha256>  <file>` line per file, sorted by path, so `diff`
 of the output of two checkouts shows every file whose bytes differ.
 """
@@ -72,6 +73,17 @@ def cylinder_chain(seed: int, out: Path) -> list[list[str]]:
     ]
 
 
+def quantized_chain(seed: int, out: Path) -> list[list[str]]:
+    """A coarse ILT on a small stage: stage-512 renders 4096 levels only."""
+    sim = out / "sim"
+    return [
+        ["simulate", "--size", "64", "64", "--leds", "42", "--quantize", "--quantization", "256",
+         "--led-noise", "0.01", "--seed", str(seed), "--out", str(sim)],
+        ["recover", "--method", "minimal:x:dual", "--in", str(sim), "--out", str(out / "minimal.pfm")],
+        ["correct", "--init", "minimal:x:dual", "--in", str(sim), "--out", str(out / "corrected.pfm")],
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -88,6 +100,7 @@ def main(argv=None) -> int:
                 run_chain(align_chain(inputs, out / "align"))
         run_chain(mixed_capture_chain(args.seed, work / "capture-3"))
         run_chain(cylinder_chain(args.seed, work / "cylinder"))
+        run_chain(quantized_chain(args.seed, work / "quantized"))
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {path.relative_to(work)}")

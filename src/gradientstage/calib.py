@@ -15,35 +15,6 @@ from .core import Image, _image, _radiance, unit
 
 
 @dataclass(frozen=True)
-class Conic:
-    """x~^T C x~ = 0 with C = [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]]."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self):
-        if not any(abs(v) > 0 for v in self.coefficients):
-            raise ValueError("conic coefficients are all zero")
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a, b, c, d, e, f = self.coefficients
-        return np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
-
-    @property
-    def is_ellipse(self) -> bool:
-        return self.b**2 - 4 * self.a * self.c < 0
-
-
-@dataclass(frozen=True)
 class CameraIntrinsics:
     """Upper-triangular pinhole calibration matrix, K[2,2] = 1."""
 
@@ -143,9 +114,15 @@ def detect_highlight_centroid(img: Image, threshold: float = 0.5, morph_radius: 
     return float((xx * w).sum() / total), float((yy * w).sum() / total)
 
 
-def fit_conic(points) -> Conic:
+def _is_ellipse(m: np.ndarray) -> bool:
+    """Whether the conic x~^T m x~ = 0 is an ellipse: (b/2)^2 < ac."""
+    return bool(m[0, 1] ** 2 - m[0, 0] * m[1, 1] < 0)
+
+
+def fit_conic(points) -> np.ndarray:
     """Direct least-squares ellipse fit (stable Halir-Flusser formulation)
-    to at least 6 non-degenerate points."""
+    to at least 6 non-degenerate points: the symmetric 3x3 matrix C of
+    x~^T C x~ = 0, [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]], (a..f) of unit norm."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 6:
         raise ValueError("need at least 6 points to fit a conic")
@@ -188,9 +165,9 @@ def fit_conic(points) -> Conic:
             f - (d * cx + e * cy) / s + (a * cx**2 + b * cx * cy + c * cy**2) / s**2,
         ]
     )
-    coeffs /= np.linalg.norm(coeffs)
-    conic = Conic(*coeffs)
-    if not conic.is_ellipse:
+    a, b, c, d, e, f = coeffs / np.linalg.norm(coeffs)
+    conic = np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
+    if not _is_ellipse(conic):
         raise ValueError("degenerate configuration: fit is not an ellipse")
     return conic
 
@@ -201,9 +178,10 @@ PAIR_TOL = 1e-3
 
 
 def sphere_center(
-    conic: Conic, intrinsics: CameraIntrinsics, radius: float, pair_tol: float = PAIR_TOL
+    conic: np.ndarray, intrinsics: CameraIntrinsics, radius: float, pair_tol: float = PAIR_TOL
 ) -> tuple[np.ndarray, float]:
-    """Sphere center and camera distance from the limb conic.
+    """Sphere center and camera distance from the limb conic's symmetric
+    3x3 matrix C (as fit_conic returns it).
 
     Normalizing the conic by K gives C^ = K^T C K, whose eigenvalues for a
     true sphere projection form a double pair plus a single value of
@@ -212,12 +190,15 @@ def sphere_center(
     normalized so the pair is positive (equivalently R sqrt((a+b)/b) with
     |b|). Sign of the axis is chosen for positive depth.
     """
+    conic = np.asarray(conic, dtype=float)
+    if conic.shape != (3, 3) or not np.isfinite(conic).all():
+        raise ValueError("conic must be a finite 3x3 matrix")
     if radius <= 0:
         raise ValueError("mirror-ball radius must be positive")
-    if not conic.is_ellipse:
+    if not _is_ellipse(conic):
         raise ValueError("not a sphere projection: conic is not an ellipse")
     k = intrinsics.k
-    chat = k.T @ conic.matrix @ k
+    chat = k.T @ conic @ k
     evals, evecs = np.linalg.eigh(chat)
     pair_spread = [abs(evals[1] - evals[2]), abs(evals[0] - evals[2]), abs(evals[0] - evals[1])]
     single = int(np.argmin(pair_spread))

@@ -44,17 +44,20 @@ def _load_set(directory, prefix, conditions) -> GradientImageSet:
 
 
 def _check_simulate_values(args) -> None:
-    """Reject values that would silently write empty images, skip the noise,
-    or be ignored by the chosen renderer."""
+    """Reject, by flag name, values outside their range and values that
+    would silently write empty images, skip the noise, or be ignored by the
+    chosen renderer."""
     noise = {"--led-noise": args.led_noise, "--pixel-noise": args.pixel_noise}
-    values = {"--radius": [] if args.radius is None else [args.radius], "--albedo": [args.albedo],
-              "--vp": [args.vp], "--delta": args.delta, "--deltabar": args.deltabar,
-              **{flag: [level] for flag, level in noise.items()}}
+    values = {"--radius": [] if args.radius is None else [args.radius], "--delta": args.delta,
+              "--deltabar": args.deltabar, **{flag: [level] for flag, level in noise.items()}}
     for flag, vals in values.items():
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"{flag} must be finite")
     if args.radius is not None and args.radius <= 0:
         raise ValueError("--radius must be > 0")
+    for flag, value in {"--albedo": args.albedo, "--vp": args.vp}.items():
+        if not 0 <= value <= 1:  # NaN too
+            raise ValueError(f"{flag} must lie in [0, 1]")
     for flag, level in noise.items():
         if level < 0:
             raise ValueError(f"{flag} must be >= 0")
@@ -69,6 +72,8 @@ def _check_simulate_values(args) -> None:
             raise ValueError(f"{flag} needs {renderer}")
     if args.quantization != stage.ILT_LEVELS and not args.quantize:
         raise ValueError("--quantization needs --quantize")
+    if args.quantization < 2:
+        raise ValueError("--quantization must be >= 2")
 
 
 def _cmd_simulate(args) -> int:
@@ -84,9 +89,8 @@ def _cmd_simulate(args) -> int:
     light_stage = None
     led_gain = None
     if args.leds > 0:
-        light_stage = stage.LightStage.from_directions(
-            stage.stage_directions(args.leds), quantization_levels=args.quantization
-        )
+        light_stage = stage.LightStage.from_directions(stage.stage_directions(args.leds))
+    levels = args.quantization if args.quantize else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if light_stage is not None:
@@ -97,9 +101,7 @@ def _cmd_simulate(args) -> int:
         else:
             if args.led_noise > 0:
                 led_gain = 1.0 + args.led_noise * rng.standard_normal(len(light_stage.leds))
-            img = stage.render_lambert_discrete(
-                scene, light_stage, cond, quantize=args.quantize, led_gain=led_gain
-            )
+            img = stage.render_lambert_discrete(scene, light_stage, cond, levels, led_gain)
         if args.pixel_noise > 0:
             noisy = rng.standard_normal(img.shape)
             noisy *= args.pixel_noise

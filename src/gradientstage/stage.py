@@ -13,7 +13,7 @@ from .core import (
 
 _ICO_SUBDIV_COUNTS = {0: 12, 1: 42, 2: 162, 3: 642}
 
-# brightness levels of a stage's intensity lookup table (ILT) by default
+# ILT level count of a quantized render by default (`simulate --quantization`)
 ILT_LEVELS = 4096
 
 
@@ -102,7 +102,6 @@ class LedRecord:
 @dataclass(frozen=True)
 class LightStage:
     leds: tuple[LedRecord, ...]
-    quantization_levels: int = ILT_LEVELS
 
     def __post_init__(self):
         leds = tuple(self.leds)
@@ -113,16 +112,12 @@ class LightStage:
             if led.id in seen:
                 raise ValueError(f"repeated LED id {led.id}")
             seen.add(led.id)
-        if self.quantization_levels < 2:
-            raise ValueError("need at least 2 quantization levels")
         object.__setattr__(self, "leds", leds)
 
     @classmethod
-    def from_directions(cls, directions, quantization_levels=ILT_LEVELS):
-        leds = tuple(
-            LedRecord(i, d) for i, d in enumerate(np.asarray(directions, dtype=float))
-        )
-        return cls(leds, quantization_levels)
+    def from_directions(cls, directions):
+        dirs = np.asarray(directions, dtype=float)
+        return cls(tuple(LedRecord(i, d) for i, d in enumerate(dirs)))
 
     @property
     def directions(self) -> np.ndarray:
@@ -160,9 +155,17 @@ def gradient_intensity(directions, condition):
     return (g + 1.0) / 2.0
 
 
-def _ilt_levels(p: np.ndarray, levels: int) -> np.ndarray:
-    """ILT levels 0..levels-1 for intensities p in [0,1], rounding half up."""
-    return np.floor(p * (levels - 1) + 0.5)
+def _ilt_levels(directions, condition, levels: int) -> np.ndarray:
+    """ILT levels 0..levels-1 of each LED's drive under one condition.
+
+    A gradient's intensity is rounded half up; a complement drives each LED
+    at the levels its gradient leaves, (levels - 1) minus the gradient's, so
+    the two sum to the constant's level at every LED.
+    """
+    condition = Condition(condition)
+    if condition.is_complement:
+        return (levels - 1) - _ilt_levels(directions, condition.complement, levels)
+    return np.floor(gradient_intensity(directions, condition) * (levels - 1) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ def render_lambert_discrete(
     scene: SceneSpec,
     stage: LightStage,
     condition,
-    quantize: bool = False,
+    levels: int | None = None,
     led_gain: np.ndarray | None = None,
 ) -> Image:
     """Equal-weight quadrature over the LED constellation.
@@ -262,6 +265,9 @@ def render_lambert_discrete(
     factor is the Lambert response in the same radiometric scale as the
     analytic renderer, so the sum converges to it as N grows.
 
+    levels: the ILT level count each LED's drive is rounded to (see
+    _ilt_levels), at least 2; None drives the LEDs continuously.
+
     led_gain: optional per-LED multiplicative intensity error, shape (N,);
     a zero gain switches an LED off for every pixel.
 
@@ -269,10 +275,12 @@ def render_lambert_discrete(
     so memory does not grow with N beyond one block; invalid pixels are 0.
     """
     dirs = stage.directions
-    p = gradient_intensity(dirs, condition)
-    if quantize:
-        levels = stage.quantization_levels
-        p = _ilt_levels(p, levels) / (levels - 1)
+    if levels is None:
+        p = gradient_intensity(dirs, condition)
+    elif levels < 2:
+        raise ValueError(f"need at least 2 ILT levels, got {levels}")
+    else:
+        p = _ilt_levels(dirs, condition, levels) / (levels - 1)
     if led_gain is not None:
         p = p * np.asarray(led_gain, dtype=float)
     nm = scene.true_normals

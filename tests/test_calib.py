@@ -160,20 +160,23 @@ class TestFitConic:
     def test_exact_circle(self):
         pts = self.circle_points(0.0, 0.0, 10.0)
         conic = fit_conic(pts)
-        assert conic.a == pytest.approx(conic.c, rel=1e-9)
-        assert conic.b == pytest.approx(0.0, abs=1e-9 * abs(conic.a))
-        assert -conic.f / conic.a == pytest.approx(100.0, rel=1e-9)
+        a, b, c, f = conic[0, 0], 2 * conic[0, 1], conic[1, 1], conic[2, 2]
+        assert a == pytest.approx(c, rel=1e-9)
+        assert b == pytest.approx(0.0, abs=1e-9 * abs(a))
+        assert -f / a == pytest.approx(100.0, rel=1e-9)
+        np.testing.assert_array_equal(conic, conic.T)
         homogeneous = np.c_[pts, np.ones(len(pts))]
-        residuals = np.einsum("ni,ij,nj->n", homogeneous, conic.matrix, homogeneous)
+        residuals = np.einsum("ni,ij,nj->n", homogeneous, conic, homogeneous)
         assert np.abs(residuals).max() < 1e-9
 
     def test_ellipse_axis_ratio(self):
         t = np.linspace(0, 2 * np.pi, 24, endpoint=False)
         pts = np.stack([20.0 * np.cos(t), 10.0 * np.sin(t)], axis=1)
         conic = fit_conic(pts)
+        a, b, c = conic[0, 0], 2 * conic[0, 1], conic[1, 1]
         # axis-aligned: semi-axes sqrt(-f/a) along x and sqrt(-f/c) along y
-        assert conic.b == pytest.approx(0.0, abs=1e-9 * abs(conic.a))
-        assert np.sqrt(conic.c / conic.a) == pytest.approx(2.0, rel=1e-6)
+        assert b == pytest.approx(0.0, abs=1e-9 * abs(a))
+        assert np.sqrt(c / a) == pytest.approx(2.0, rel=1e-6)
 
     def test_collinear_rejected(self):
         pts = np.stack([np.arange(6.0), 2.0 * np.arange(6.0)], axis=1)
@@ -221,6 +224,23 @@ class TestSphereCenter:
         conic = fit_conic(project_sphere_limb([0, 0, 890.0], 38.1, K2000.k))
         with pytest.raises(ValueError):
             sphere_center(conic, K2000, -1.0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: m[:2, :2],
+            lambda m: m[:, :2],
+            lambda m: m.ravel(),
+            lambda m: np.pad(m, (0, 1)),
+            lambda m: np.where(np.eye(3, dtype=bool), np.nan, m),
+            lambda m: np.where(np.eye(3, dtype=bool)[::-1], np.inf, m),
+        ],
+        ids=["2x2", "3x2", "flat", "4x4", "nan", "inf"],
+    )
+    def test_conic_must_be_a_finite_3x3_matrix(self, change):
+        conic = change(fit_conic(project_sphere_limb([0, 0, 890.0], 38.1, K2000.k)))
+        with pytest.raises(ValueError, match="conic must be a finite 3x3 matrix"):
+            sphere_center(conic, K2000, 38.1)
 
     def test_radius_sensitivity_sweep(self):
         # finite-distance lights mean the assumed ball radius matters: the

@@ -617,9 +617,12 @@ def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
         (["--led-noise", "0.5"], "--led-noise"),
         (["--quantization", "2"], "--quantization"),
         (["--leds", "12", "--quantization", "2"], "--quantization"),
-        (["--albedo", "2"], "albedo must lie in [0, 1]"),
-        (["--vp", "1.5"], "occlusion term must lie in [0, 1]"),
+        (["--albedo", "2"], "--albedo must lie in [0, 1]"),
+        (["--vp", "1.5"], "--vp must lie in [0, 1]"),
         (["--radius", "100"], "sphere radius must be positive and fit in the image"),
+        (["--albedo", "-0.5"], "--albedo must lie in [0, 1]"),
+        (["--leds", "12", "--quantize", "--quantization", "1"], "--quantization must be >= 2"),
+        (["--leds", "12", "--quantize", "--quantization", "-4"], "--quantization must be >= 2"),
     ],
 )
 def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):

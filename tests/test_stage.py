@@ -145,31 +145,33 @@ def gradient_intensity_reference(direction, condition):
     return float((g + 1.0) / 2.0)
 
 
-def ilt_reference(stage, condition):
-    """The former per-LED ILT loop: each LED's level, rounding half up."""
-    levels = stage.quantization_levels
+def ilt_reference(stage, condition, levels):
+    """The per-LED ILT loop: a gradient LED's level rounds its intensity
+    half up; a complement LED takes the levels its gradient leaves."""
+    condition = Condition(condition)
+    gradient = condition.complement if condition.is_complement else condition
     out = []
     for led in stage.leds:
-        p = gradient_intensity_reference(led.direction, condition)
-        out.append(int(np.floor(p * (levels - 1) + 0.5)))
+        p = gradient_intensity_reference(led.direction, gradient)
+        level = int(np.floor(p * (levels - 1) + 0.5))
+        out.append(levels - 1 - level if condition.is_complement else level)
     return out
 
 
-def led_weights_reference(stage, condition, quantize=False, led_gain=None):
+def led_weights_reference(stage, condition, levels=None, led_gain=None):
     """Each LED's drive p_i as the discrete renderer weighs it."""
     p = gradient_intensity(stage.directions, condition)
-    if quantize:
-        levels = stage.quantization_levels
-        p = _ilt_levels(p, levels) / (levels - 1)
+    if levels is not None:
+        p = _ilt_levels(stage.directions, condition, levels) / (levels - 1)
     if led_gain is not None:
         p = p * np.asarray(led_gain, dtype=float)
     return p
 
 
-def render_lambert_discrete_reference(scene, stage, condition, quantize=False, led_gain=None):
+def render_lambert_discrete_reference(scene, stage, condition, levels=None, led_gain=None):
     """The former renderer: one (H, W, N) cosine tensor built by einsum."""
     dirs = stage.directions
-    p = led_weights_reference(stage, condition, quantize, led_gain)
+    p = led_weights_reference(stage, condition, levels, led_gain)
     nm = scene.true_normals
     cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
     np.maximum(cos, 0.0, out=cos)
@@ -177,7 +179,7 @@ def render_lambert_discrete_reference(scene, stage, condition, quantize=False, l
     return Image(r, nm.mask & (r >= 0))
 
 
-def render_rounding_bound(scene, stage, condition, quantize=False, led_gain=None):
+def render_rounding_bound(scene, stage, condition, levels=None, led_gain=None):
     """How far two discrete renders that sum the same terms in different
     orders may differ at each pixel.
 
@@ -189,7 +191,7 @@ def render_rounding_bound(scene, stage, condition, quantize=False, led_gain=None
     the cosines nearly cancel, which a bound relative to the result cannot.
     """
     dirs = stage.directions
-    p = led_weights_reference(stage, condition, quantize, led_gain)
+    p = led_weights_reference(stage, condition, levels, led_gain)
     magnitude = np.abs(scene.true_normals.normals) @ np.abs(dirs).T @ np.abs(p)
     constant = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0)
     return (len(dirs) + 6) * np.finfo(float).eps * constant * magnitude
@@ -276,24 +278,25 @@ class TestIlt:
     """The ILT rounding that the quantized discrete renderer applies."""
 
     @staticmethod
-    def ilt(stage, condition):
-        p = gradient_intensity(stage.directions, condition)
-        return _ilt_levels(p, stage.quantization_levels).tolist()
+    def ilt(stage, condition, levels):
+        return _ilt_levels(stage.directions, condition, levels).tolist()
 
     @pytest.fixture
     def stage(self):
         dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 0, 1.0]])
-        return LightStage.from_directions(dirs, quantization_levels=4096)
+        return LightStage.from_directions(dirs)
 
     def test_extremes_and_half(self, stage):
-        levels = self.ilt(stage, Condition.X)
+        levels = self.ilt(stage, Condition.X, 4096)
         assert levels[0] == 4095  # intensity 1.0
         assert levels[1] == 0  # intensity 0.0
         assert levels[2] == 2048  # 0.5 rounds half up: round(0.5 * 4095)
+        # the complement takes the levels the gradient leaves
+        assert self.ilt(stage, Condition.XBAR, 4096) == [0, 4095, 2047]
 
     def test_levels_in_range(self, stage):
         for cond in Condition:
-            for level in self.ilt(stage, cond):
+            for level in self.ilt(stage, cond, 4096):
                 assert 0 <= level <= 4095
 
     @given(
@@ -302,19 +305,41 @@ class TestIlt:
         st.sampled_from(list(Condition)),
     )
     def test_equals_per_led_loop(self, dirs, levels, cond):
-        stage = LightStage.from_directions(dirs, quantization_levels=levels)
-        assert self.ilt(stage, cond) == ilt_reference(stage, cond)
+        stage = LightStage.from_directions(dirs)
+        assert self.ilt(stage, cond, levels) == ilt_reference(stage, cond, levels)
 
     @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
     @pytest.mark.parametrize("levels", [2, 4, 256, 4096])
     def test_supported_stages_equal_per_led_loop(self, count, levels):
-        stage = LightStage.from_directions(stage_directions(count), levels)
+        stage = LightStage.from_directions(stage_directions(count))
         for cond in Condition:
-            assert self.ilt(stage, cond) == ilt_reference(stage, cond)
+            assert self.ilt(stage, cond, levels) == ilt_reference(stage, cond, levels)
 
     def test_quantization_floor(self):
-        with pytest.raises(ValueError):
-            LightStage.from_directions(np.array([[0, 0, 1.0]]), quantization_levels=1)
+        stage = LightStage.from_directions(np.array([[0, 0, 1.0]]))
+        scene = make_sphere_scene(5, 5, 2)
+        with pytest.raises(ValueError, match="need at least 2 ILT levels, got 1"):
+            render_lambert_discrete(scene, stage, Condition.X, levels=1)
+
+    @given(
+        st.sampled_from(sorted(SUPPORTED_STAGES)),
+        st.integers(2, 4096),
+        st.sampled_from([Condition.X, Condition.Y, Condition.Z]),
+        st.none() | st.floats(0.5, 1.5),
+    )
+    def test_gradient_and_complement_sum_to_the_constant(self, count, levels, cond, gain):
+        # at every LED, so quantized renders keep r_a + r_abar = r_c; an LED
+        # at a zero coordinate rounds half up under both, which broke it
+        stage = LightStage.from_directions(stage_directions(count))
+        dirs = stage.directions
+        total = _ilt_levels(dirs, cond, levels) + _ilt_levels(dirs, cond.complement, levels)
+        assert np.all(total == levels - 1)
+        scene = make_sphere_scene(7, 7, 3)
+        kw = {"levels": levels, "led_gain": None if gain is None else np.full(count, gain)}
+        r, rbar, rc = (render_lambert_discrete(scene, stage, c, **kw).samples
+                       for c in (cond, cond.complement, Condition.C))
+        m = scene.true_normals.mask
+        np.testing.assert_allclose((r + rbar)[m], rc[m], rtol=1e-12)
 
 
 class TestAnalyticRender:
@@ -443,11 +468,9 @@ class TestDiscreteRender:
 
     def test_ilt_quantization_path(self):
         scene = make_sphere_scene(5, 5, 2)
-        stage = LightStage.from_directions(
-            generate_icosphere_directions(1), quantization_levels=4
-        )
+        stage = LightStage.from_directions(generate_icosphere_directions(1))
         plain = render_lambert_discrete(scene, stage, Condition.X)
-        quantized = render_lambert_discrete(scene, stage, Condition.X, quantize=True)
+        quantized = render_lambert_discrete(scene, stage, Condition.X, levels=4)
         assert not np.array_equal(plain.samples, quantized.samples)
         # coarse 4-level quantization still lands near the unquantized value
         np.testing.assert_allclose(
@@ -519,7 +542,8 @@ class TestDiscreteRender:
             rng.standard_normal((height, width, 3)), rng.random((height, width)) > 0.2
         )
         scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
-        stage = LightStage.from_directions(stage_directions(count), quantization_levels=256)
+        stage = LightStage.from_directions(stage_directions(count))
+        levels = 256 if quantize else None
         gain = data.draw(st.none() | st.lists(st.floats(0.5, 1.5), min_size=count, max_size=count))
         pixels = max(1, int(normals.mask.sum()))  # the renderer walks the valid pixels
         with pytest.MonkeyPatch.context() as patch:
@@ -528,11 +552,11 @@ class TestDiscreteRender:
             elif block == "uneven":
                 per_block = data.draw(st.integers(2, pixels + 1).filter(lambda k: pixels % k))
                 patch.setattr(core, "_CHUNK_BYTES", 8 * count * per_block)
-            kw = {"quantize": quantize, "led_gain": gain}
+            kw = {"levels": levels, "led_gain": gain}
             got = render_lambert_discrete(scene, stage, cond, **kw)
         want = render_lambert_discrete_reference(scene, stage, cond, **kw)
         np.testing.assert_array_equal(got.mask, want.mask)
-        bound = render_rounding_bound(scene, stage, cond, quantize, gain)
+        bound = render_rounding_bound(scene, stage, cond, levels, gain)
         assert np.all(np.abs(got.samples - want.samples) <= bound)
 
     def test_memory_does_not_grow_with_led_count(self):
@@ -541,7 +565,7 @@ class TestDiscreteRender:
         stage = self.make_stage(3)
         tracemalloc.start()
         try:
-            render_lambert_discrete(scene, stage, Condition.X, quantize=True)
+            render_lambert_discrete(scene, stage, Condition.X, levels=4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -641,6 +665,13 @@ class TestStageJson:
         assert [*json.loads(stage.to_json())[0]] == ["id", "lx", "ly", "lz"]
         back = LightStage.from_json(stage.to_json())
         np.testing.assert_allclose(back.directions, stage.directions, atol=1e-15)
+
+    @pytest.mark.parametrize("count", sorted(SUPPORTED_STAGES))
+    def test_file_holds_the_whole_stage(self, count):
+        stage = LightStage.from_directions(stage_directions(count))
+        back = LightStage.from_json(stage.to_json())
+        assert [led.id for led in back.leds] == [led.id for led in stage.leds]
+        assert back.directions.tobytes() == stage.directions.tobytes()
 
     def test_repeated_id_rejected(self):
         text = json.dumps([{"id": 3, "lx": 0, "ly": 0, "lz": 1}, {"id": 3, "lx": 1, "ly": 0, "lz": 0}])

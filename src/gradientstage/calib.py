@@ -24,6 +24,8 @@ class CameraIntrinsics:
         k = np.asarray(self.k, dtype=float)
         if k.shape != (3, 3):
             raise ValueError("K must be 3x3")
+        if not np.isfinite(k).all():
+            raise ValueError("K must be finite")
         if abs(k[2, 2] - 1.0) > 1e-12 or abs(k[1, 0]) > 1e-12 or np.any(np.abs(k[2, :2]) > 1e-12):
             raise ValueError("K must be upper triangular with K[2][2] = 1")
         if abs(np.linalg.det(k)) < 1e-12:
@@ -45,6 +47,8 @@ class Homography:
         h = np.asarray(self.h, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("H must be 3x3")
+        if not np.isfinite(h).all():
+            raise ValueError("H must be finite")
         norm = np.linalg.norm(h)
         if norm < 1e-12 or abs(np.linalg.det(h / norm)) < 1e-12:
             raise ValueError("H must be invertible")
@@ -193,8 +197,11 @@ def sphere_center(
     conic = np.asarray(conic, dtype=float)
     if conic.shape != (3, 3) or not np.isfinite(conic).all():
         raise ValueError("conic must be a finite 3x3 matrix")
-    if radius <= 0:
-        raise ValueError("mirror-ball radius must be positive")
+    # written as "not within", so NaN fails too
+    if not 0 < radius < np.inf:
+        raise ValueError(f"mirror-ball radius must be finite and positive, got {radius}")
+    if not 0 <= pair_tol < np.inf:
+        raise ValueError(f"pair tolerance must be finite and >= 0, got {pair_tol}")
     if not _is_ellipse(conic):
         raise ValueError("not a sphere projection: conic is not an ellipse")
     k = intrinsics.k

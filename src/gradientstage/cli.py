@@ -173,15 +173,20 @@ def _parses_as_float(cell: str) -> bool:
     return True
 
 
-def _read_xy_csv(path, expected_cols: int):
+def _read_xy_csv(path, columns):
+    """The data rows of a numeric CSV with one cell per name in `columns`,
+    each finite; a first row with no number in it is a header."""
     rows = []
     with open(path, "r", encoding="ascii") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     start = 1 if lines and not any(map(_parses_as_float, lines[0].split(","))) else 0  # header
-    for ln in lines[start:]:
+    for i, ln in enumerate(lines[start:], 1):
         cells = [float(x) for x in ln.split(",")]
-        if len(cells) != expected_cols:
-            raise ValueError(f"{path}: expected {expected_cols} columns per row")
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}: expected {len(columns)} columns per row")
+        for name, cell in zip(columns, cells):
+            if not math.isfinite(cell):
+                raise ValueError(f"{path}: data row {i}: {name} {cell} is not finite")
         rows.append(cells)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -190,11 +195,11 @@ def _read_xy_csv(path, expected_cols: int):
 
 def _cmd_calibrate_lights(args) -> int:
     intrinsics = calib.CameraIntrinsics.from_json(Path(args.k).read_text())
-    limb = _read_xy_csv(args.limb, 2)
+    limb = _read_xy_csv(args.limb, ("x", "y"))
     conic = calib.fit_conic(limb)
     center, dist = calib.sphere_center(conic, intrinsics, args.radius, args.pair_tol)
     if args.highlights:
-        rows = _read_xy_csv(args.highlights, 3)
+        rows = _read_xy_csv(args.highlights, ("LED id", "x", "y"))
         for i, led_id in enumerate(rows[:, 0], 1):
             if not (led_id.is_integer() and -(2**63) <= led_id < 2**63):
                 raise ValueError(
@@ -222,7 +227,7 @@ def _cmd_calibrate_lights(args) -> int:
 
 
 def _cmd_calibrate_homography(args) -> int:
-    pairs = _read_xy_csv(args.pairs, 4)
+    pairs = _read_xy_csv(args.pairs, ("x0", "y0", "x1", "y1"))
     src, dst = pairs[:, :2], pairs[:, 2:]
     h, dlt_err = calib.estimate_homography_dlt(src, dst)
     print(f"DLT mean symmetric transfer error: {dlt_err:.6g} px")

@@ -191,11 +191,13 @@ class NormalMap:
         if v.ndim != 3 or v.shape[2] != 3 or v[..., 0].size == 0:
             raise ValueError("normals must be an HxWx3 array")
         shape = v.shape[:2]
+        m = None if mask is None else _mask(mask, shape)
 
         def copy(block, planes):
             np.copyto(planes, v[block].transpose(2, 0, 1))
+            return None if m is None else m[block]
 
-        return _walk(shape, copy, None if mask is None else _mask(mask, shape))
+        return _walk(shape, copy)
 
     def _narrowed(self, mask: np.ndarray) -> "NormalMap":
         """This map, bit for bit, with the pixels outside `mask` invalid."""
@@ -211,11 +213,13 @@ class NormalMap:
         return self.normals.shape[:2]
 
 
-def _walk(shape, kernel, mask) -> NormalMap:
+def _walk(shape, kernel) -> NormalMap:
     """The NormalMap of the vectors that kernel(block, planes) writes for
     each slice `block` of rows into planar (3, rows, W) scratch, one
     contiguous run per channel, normalized straight into the map's arrays.
-    `mask` (None: all valid) is read after the kernel, which may narrow it.
+    The kernel returns the block's validity, a bool array that broadcasts
+    to its rows, or None for all valid; the walker ANDs it with the finite,
+    non-zero lengths.
     """
     h, w = shape
     normals = np.empty((h, w, 3))
@@ -227,12 +231,12 @@ def _walk(shape, kernel, mask) -> NormalMap:
         block = slice(r, r + rows)
         nb, lb, okb = normals[block], length[block], ok[block]
         pb = planes[:, : lb.shape[0]]
-        kernel(block, pb)
+        valid = kernel(block, pb)
         lb[...] = _length(pb.transpose(1, 2, 0))
         np.isfinite(lb, out=okb)
         okb &= lb > DARK_EPS
-        if mask is not None:
-            okb &= mask[block]
+        if valid is not None:
+            okb &= valid
         np.divide(pb, lb, out=nb.transpose(2, 0, 1), where=okb)
         invalid = ~okb
         _fill(nb, invalid, (0.0, 0.0, 1.0))

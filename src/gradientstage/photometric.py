@@ -60,28 +60,28 @@ def _difference_components(
 
 def _ratio_components(
     samples: Mapping[Condition, np.ndarray], mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis r_a/r_c - 1/2 as one (..., 3) field, and its divisor.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis r_a/r_c - 1/2 as one (..., 3) field, its divisor, and the
+    pixels of `mask` whose constant image is not dark.
 
-    Pixels whose constant image falls below the dark threshold are
-    invalidated in `mask`, in place, never clamped; the divisor is r_c with
-    1 at every pixel that `mask` leaves invalid.
+    Dark pixels are invalidated, never clamped; the divisor is r_c with 1
+    at every pixel the returned mask leaves invalid.
     """
     rc = samples[Condition.C]
-    mask &= rc > DARK_EPS
-    safe_rc = np.where(mask, rc, 1.0)
+    valid = mask & (rc > DARK_EPS)
+    safe_rc = np.where(valid, rc, 1.0)
     comp = np.empty(rc.shape + (3,))
     for i, g in enumerate(GRADIENTS):
         ratio = comp[..., i]
         np.divide(samples[g], safe_rc, out=ratio)
         ratio -= 0.5
-    return comp, safe_rc
+    return comp, safe_rc, valid
 
 
 def recover_ma(imgset: GradientImageSet) -> NormalMap:
     """Ratio method: n = normalize(r_a/r_c - 1/2); magnitude channel = N_d."""
     mask = imgset.joint_mask(RATIO_SET)
-    comp, _ = _ratio_components({c: imgset[c].samples for c in RATIO_SET}, mask)
+    comp, _, mask = _ratio_components({c: imgset[c].samples for c in RATIO_SET}, mask)
     return NormalMap.from_components(comp, mask)
 
 

@@ -64,16 +64,16 @@ def correct_normal_map(
 
     def solve(block, planes):
         samples = {c: imgset[c].samples[block] for c in _CONDITIONS}
-        # narrows mask[block] at dark constant pixels, before the walk reads it
-        b_r, rc = _ratio_components(samples, mask[block])
+        b_r, rc, valid = _ratio_components(samples, mask[block])
         b_d = _difference_components(samples)
         b_d /= rc[..., None]
         _closed_form(b_r, b_d, 0.0, 0.0, init.normals[block],
                      (delta[block], delta_bar[block], planes.transpose(1, 2, 0)))
         for a in (delta, delta_bar):
-            _fill(a[block], ~mask[block], 0.0)
+            _fill(a[block], ~valid, 0.0)
+        return valid
 
-    return _walk(mask.shape, solve, mask), delta, delta_bar
+    return _walk(mask.shape, solve), delta, delta_bar
 
 
 def constraint_violation(b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -207,20 +207,6 @@ def _holds_at(mask: np.ndarray, flags: np.ndarray) -> bool:
     return bool(np.broadcast_to(flags, mask.shape)[mask].all())
 
 
-@dataclass(frozen=True)
-class SpecularSceneSpec:
-    """Mirror-lobe scene: per-pixel unit reflection vectors and lobe scale."""
-
-    reflection_vectors: NormalMap
-    lobe_strength: np.ndarray
-
-    def __post_init__(self):
-        s = np.broadcast_to(
-            np.asarray(self.lobe_strength, dtype=float), self.reflection_vectors.shape
-        ).copy()
-        object.__setattr__(self, "lobe_strength", s)
-
-
 def _compact(a: np.ndarray) -> np.ndarray:
     """The smallest array that broadcasts to `a`: its stride-0 axes cut to
     length 1, so arithmetic on a broadcast constant costs one value."""
@@ -298,12 +284,13 @@ def render_lambert_discrete(
     return _radiance(_image(r, nm.mask & (r >= 0)))
 
 
-def render_specular_analytic(scene: SpecularSceneSpec, condition) -> Image:
-    """Delta-lobe mirror radiance: the lobe strength s times the drive of
-    the LED in the reflection direction u; (s/2)(u_a + 1) for a gradient."""
-    u = scene.reflection_vectors
-    r = scene.lobe_strength * gradient_intensity(u.normals, condition)
-    return Image(np.maximum(r, 0.0), u.mask)
+def render_specular_analytic(reflection: NormalMap, lobe_strength, condition) -> Image:
+    """Delta-lobe mirror radiance: the lobe strength s (a scalar or one per
+    pixel) times the drive of the LED in the reflection direction u;
+    (s/2)(u_a + 1) for a gradient."""
+    s = np.broadcast_to(np.asarray(lobe_strength, dtype=float), reflection.shape)
+    r = s * gradient_intensity(reflection.normals, condition)
+    return Image(np.maximum(r, 0.0), reflection.mask)
 
 
 def render_set(scene: SceneSpec, conditions=None) -> GradientImageSet:
@@ -326,13 +313,13 @@ def make_cylinder_scene(width: int, height: int, radius_px: float) -> SceneSpec:
         raise ValueError(f"cylinder height must be >= 1 pixel, got {height}")
     nx = _centred(width, radius_px)
     nz = np.sqrt(np.maximum(1.0 - nx**2, 0.0))
+    inside = np.abs(nx) <= 1.0
 
     def cylinder(block, planes):
         planes[0], planes[1], planes[2] = nx, 0.0, nz
+        return inside
 
-    # every row of the walker's mask is this one: a broadcast view
-    inside = np.broadcast_to(np.abs(nx) <= 1.0, (height, width))
-    return SceneSpec(_walk((height, width), cylinder, inside), 1.0, 1.0, np.zeros(6))
+    return SceneSpec(_walk((height, width), cylinder), 1.0, 1.0, np.zeros(6))
 
 
 def make_sphere_scene(width: int, height: int, radius_px: float) -> SceneSpec:
@@ -342,16 +329,14 @@ def make_sphere_scene(width: int, height: int, radius_px: float) -> SceneSpec:
     nx = _centred(width, radius_px)
     ny = _centred(height, radius_px)[:, None]
     nx2, ny2 = nx**2, ny**2
-    inside = np.empty((height, width), dtype=bool)
 
-    # the kernel writes its block's rows of the mask, which the walker
-    # reads after it
     def sphere(block, planes):
         planes[0], planes[1] = nx, ny[block]
         r2 = np.add(nx2, ny2[block], out=planes[2])
-        np.less_equal(r2, 1.0, out=inside[block])
+        inside = r2 <= 1.0
         np.subtract(1.0, r2, out=r2)
         np.maximum(r2, 0.0, out=r2)
         np.sqrt(r2, out=r2)
+        return inside
 
-    return SceneSpec(_walk((height, width), sphere, inside), 1.0, 1.0, np.zeros(6))
+    return SceneSpec(_walk((height, width), sphere), 1.0, 1.0, np.zeros(6))

@@ -11,7 +11,7 @@ import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 
 import gradientstage
-from gradientstage import pfm
+from gradientstage import calib, pfm
 from gradientstage.cli import run
 from gradientstage.core import Image, mean_angular_error
 from gradientstage.stage import (
@@ -194,19 +194,24 @@ def test_calibrate_lights_closure(tmp_path, capsys):
         assert np.degrees(np.arccos(np.clip(v @ truth, -1, 1))) < 0.5
 
 
+def lights_argv(tmp_path, rows, stretch=1.0):
+    """Write k.json, limb.csv (a sphere's limb, its x scaled by `stretch`)
+    and hl.csv of `rows` ("id,x,y" lines); returns the `calibrate lights
+    --highlights` argv that reads them and writes lights.json."""
+    k = np.diag([2000.0, 2000.0, 1.0])
+    (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
+    limb = project_sphere_limb(np.array([0.0, 0.0, 890.0]), 38.1, k) * [stretch, 1.0]
+    (tmp_path / "limb.csv").write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in limb))
+    (tmp_path / "hl.csv").write_text("id,x,y\n" + "".join(row + "\n" for row in rows))
+    return ["calibrate", "lights", "--k", str(tmp_path / "k.json"), "--radius", "38.1",
+            "--limb", str(tmp_path / "limb.csv"), "--highlights", str(tmp_path / "hl.csv"),
+            "--out", str(tmp_path / "lights.json")]
+
+
 def calibrate_lights_from_highlights(tmp_path, rows):
     """Run `calibrate lights --highlights` on a CSV of `rows` ("id,x,y"
     lines); returns the exit code and the output path."""
-    k = np.diag([2000.0, 2000.0, 1.0])
-    (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
-    limb = project_sphere_limb(np.array([0.0, 0.0, 890.0]), 38.1, k)
-    (tmp_path / "limb.csv").write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in limb))
-    (tmp_path / "hl.csv").write_text("id,x,y\n" + "".join(row + "\n" for row in rows))
-    out = tmp_path / "lights.json"
-    argv = ["calibrate", "lights", "--k", str(tmp_path / "k.json"), "--radius", "38.1",
-            "--limb", str(tmp_path / "limb.csv"), "--highlights", str(tmp_path / "hl.csv"),
-            "--out", str(out)]
-    return run(argv), out
+    return run(lights_argv(tmp_path, rows)), tmp_path / "lights.json"
 
 
 @pytest.mark.parametrize("led_id", ["inf", "nan", "2.7", "1e300", "9223372036854775808"])
@@ -222,6 +227,50 @@ def test_calibrate_lights_rejects_a_repeated_id(tmp_path, capsys):
     assert code == 2
     assert "repeated LED id 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "not a sphere projection"),
+        (["--pair-tol", "nan"], "pair tolerance must be finite and >= 0, got nan"),
+        (["--pair-tol", "inf"], "pair tolerance must be finite and >= 0, got inf"),
+        (["--pair-tol", "-0.001"], "pair tolerance must be finite and >= 0, got -0.001"),
+        (["--radius", "nan"], "mirror-ball radius must be finite and positive, got nan"),
+        (["--radius", "inf"], "mirror-ball radius must be finite and positive, got inf"),
+    ],
+)
+def test_calibrate_lights_on_a_stretched_limb_exits_2(tmp_path, capsys, flags, message):
+    # a limb stretched by 5 % in x fails the sphere-projection check, which
+    # a NaN tolerance would switch off; a bad radius or tolerance is named
+    argv = lights_argv(tmp_path, ["0,30,20"], stretch=1.05)
+    assert run([*argv, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "lights.json").exists()
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+def test_calibrate_lights_rejects_a_k_that_is_not_finite(tmp_path, capsys, cell):
+    argv = lights_argv(tmp_path, ["0,30,20"])
+    k = np.diag([2000.0, 2000.0, 1.0])
+    k[0, 2] = cell
+    (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
+    assert run(argv) == 2
+    assert "K must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "lights.json").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name", ["limb", "hl"])
+def test_calibrate_lights_rejects_a_csv_cell_that_is_not_finite(tmp_path, capsys, name, cell):
+    argv = lights_argv(tmp_path, ["0,30,20", "1,50,60"])
+    path = tmp_path / f"{name}.csv"
+    header, first, second, *rest = path.read_text().splitlines()
+    second = second.rsplit(",", 1)[0] + "," + cell
+    path.write_text("\n".join([header, first, second, *rest]) + "\n")
+    assert run(argv) == 2
+    assert f"{path}: data row 2: y {float(cell)} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "lights.json").exists()
 
 
 def calibrate_lights_from_images(tmp_path, names, stray=()):
@@ -324,6 +373,66 @@ def test_calibrate_homography_and_separate(tmp_path, capsys):
     np.testing.assert_allclose(s.samples, specular.astype(np.float32), atol=1e-6)
 
 
+def test_calibrate_separate_through_a_fitted_homography(tmp_path):
+    """`calibrate homography` then `calibrate separate --homography` writes
+    the bytes of warp_by_homography and separate_reflectance in-process."""
+    xs, ys = np.meshgrid(np.linspace(2, 30, 6), np.linspace(2, 30, 5))
+    src = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    h_true = calib.Homography([[1.02, 0.01, 1.5], [-0.015, 0.98, -1.0], [1e-4, -2e-4, 1.0]])
+    rows = np.c_[src, h_true.apply(src)].tolist()
+    (tmp_path / "pairs.csv").write_text("x0,y0,x1,y1\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    hout = tmp_path / "h.json"
+    assert run(["calibrate", "homography", "--pairs", str(tmp_path / "pairs.csv"), "--out", str(hout)]) == 0
+    rng = np.random.default_rng(1)
+    pfm.write_image(tmp_path / "i0.pfm", Image(rng.random((32, 32))))
+    pfm.write_image(tmp_path / "i1.pfm", Image(rng.random((32, 32)) * 0.5))
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"),
+            "--i1", str(tmp_path / "i1.pfm"), "--homography", str(hout),
+            "--out-specular", str(tmp_path / "s.pfm"), "--out-diffuse", str(tmp_path / "d.pfm"),
+        ]
+    ) == 0
+    h = calib.Homography.from_json(hout.read_text())
+    warped = calib.warp_by_homography(pfm.read_image(tmp_path / "i0.pfm"), h)
+    want = calib.separate_reflectance(warped, pfm.read_image(tmp_path / "i1.pfm"))
+    pfm.write_image(tmp_path / "want_s.pfm", want.specular)
+    pfm.write_image(tmp_path / "want_d.pfm", want.diffuse)
+    for got, ref in (("s.pfm", "want_s.pfm"), ("d.pfm", "want_d.pfm")):
+        assert (tmp_path / got).read_bytes() == (tmp_path / ref).read_bytes()
+    # the homography took the data path: the warp moved the image
+    assert not np.array_equal(warped.samples, pfm.read_image(tmp_path / "i0.pfm").samples)
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+def test_calibrate_separate_rejects_a_homography_that_is_not_finite(tmp_path, capsys, cell):
+    h = np.eye(3)
+    h[2, 2] = cell
+    (tmp_path / "h.json").write_text(json.dumps(h.tolist()))
+    pfm.write_image(tmp_path / "i0.pfm", Image(np.ones((16, 16))))
+    pfm.write_image(tmp_path / "i1.pfm", Image(np.ones((16, 16)) * 0.5))
+    outs = [tmp_path / "s.pfm", tmp_path / "d.pfm"]
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"),
+            "--i1", str(tmp_path / "i1.pfm"), "--homography", str(tmp_path / "h.json"),
+            "--out-specular", str(outs[0]), "--out-diffuse", str(outs[1]),
+        ]
+    ) == 2
+    assert "H must be finite" in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_calibrate_homography_rejects_a_csv_cell_that_is_not_finite(tmp_path, capsys, cell):
+    rows = ["x0,y0,x1,y1", "10,10,12,9", "90,10,92,9", f"10,90,{cell},89", "90,90,92,89"]
+    (tmp_path / "pairs.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "h.json"
+    assert run(["calibrate", "homography", "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out)]) == 2
+    assert f"pairs.csv: data row 3: x1 {cell} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_homography_rejects_four_pairs_with_three_collinear(tmp_path, capsys):
     with open(tmp_path / "pairs.csv", "w") as f:
         # a translation, which three collinear pairs leave undetermined
@@ -415,6 +524,27 @@ def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
     (tmp_path / "seq.csv").write_text("\n".join([header, *reversed(rows)]) + "\n")
     assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(tmp_path / "n")]) == 2
     assert "frame_index" in capsys.readouterr().err
+
+
+def test_sequence_process_without_a_sequence_file(tmp_path, capsys):
+    out = tmp_path / "n"
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert f"missing sequence file {tmp_path / 'seq.csv'}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sequence_process_without_a_frame(tmp_path, capsys):
+    from gradientstage.sequencer import generate_sequence
+
+    seq = generate_sequence(1)
+    (tmp_path / "seq.csv").write_text(seq.to_csv())
+    for i in range(len(seq.frames)):
+        if i != 2:
+            pfm.write_image(tmp_path / f"frame_{i:03d}.pfm", Image(np.ones((4, 4))))
+    out = tmp_path / "n"
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert f"missing frame image {tmp_path / 'frame_002.pfm'}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stimulus_subcommand(tmp_path):

@@ -437,6 +437,29 @@ class TestBlockedNormalMap:
         with pytest.raises(ValueError, match=message):
             NormalMap.from_components(vectors, mask)
 
+    @given(st.data(), GRID_SHAPES)
+    @settings(max_examples=200, deadline=None)
+    def test_walk_ands_each_kernels_validity_with_the_lengths(self, data, shape):
+        # one-row blocks; each returns None, one row or a whole block of validity
+        vectors = data.draw(hnp.arrays(float, shape + (3,), elements=COMPONENTS))
+        field = np.empty(shape + (3,))
+        mask = np.empty(shape, bool)
+
+        def kernel(block, planes):
+            np.copyto(planes, vectors[block].transpose(2, 0, 1))
+            field[block] = planes.transpose(1, 2, 0)
+            kind = data.draw(st.sampled_from(["none", "row", "block"]))
+            valid = None if kind == "none" else data.draw(
+                hnp.arrays(bool, (shape[1],) if kind == "row" else planes.shape[1:])
+            )
+            mask[block] = True if valid is None else valid
+            return valid
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch_block_rows(patch, 1, shape[1])
+            nm = core._walk(shape, kernel)
+        assert arrays(nm) == arrays(NormalMap.from_components(field, mask))
+
     def test_memory_of_a_1024_px_from_components(self):
         # the 33 MiB result and one block of scratch; the whole-array version
         # peaked at 82 MiB, and one that copies its result again at 67 MiB

@@ -7,13 +7,16 @@ from hypothesis.extra import numpy as hnp
 
 from gradientstage.alignment import FlowField
 from gradientstage.core import (
+    DARK_EPS,
     Condition,
     GradientImageSet,
     Image,
     NormalMap,
 )
 from gradientstage.photometric import (
+    RATIO_SET,
     _difference_components,
+    _ratio_components,
     magnitude_stats,
     recover_ma,
     recover_minimal,
@@ -23,7 +26,6 @@ from gradientstage.photometric import (
 from gradientstage.sequencer import generate_sequence, tracking_frame_normal
 from gradientstage.stage import (
     SceneSpec,
-    SpecularSceneSpec,
     make_sphere_scene,
     render_set,
     render_specular_analytic,
@@ -71,6 +73,18 @@ class TestRecoverMa:
         dark = Image(np.zeros(sphere_scene.true_normals.shape), None)
         nm = recover_ma(GradientImageSet({**imgs, Condition.C: dark}))
         assert not nm.mask.any()
+
+    def test_ratio_components_return_the_mask_they_narrow(self):
+        rng = np.random.default_rng(3)
+        samples = {c: rng.uniform(0.1, 1.0, (5, 6)) for c in RATIO_SET}
+        samples[Condition.C][rng.random((5, 6)) < 0.3] = rng.choice([0.0, 1e-12, DARK_EPS])
+        mask = rng.random((5, 6)) < 0.8
+        before = mask.copy()
+        _, safe_rc, valid = _ratio_components(samples, mask)
+        assert mask.tobytes() == before.tobytes()
+        want = before & (samples[Condition.C] > DARK_EPS)
+        assert valid.tobytes() == want.tobytes()
+        assert safe_rc.tobytes() == np.where(want, samples[Condition.C], 1.0).tobytes()
 
     def test_occlusion_invariance(self):
         reference = recover_ma(render_set(distorted_scene((0, 0, 0))))
@@ -202,10 +216,9 @@ class TestRecoverMinimal:
 
 class TestRecoverSpecular:
     def make_specular_set(self, u_map, strength=1.0):
-        refl = SpecularSceneSpec(u_map, strength)
         return GradientImageSet(
             {
-                c: render_specular_analytic(refl, c)
+                c: render_specular_analytic(u_map, strength, c)
                 for c in [Condition.X, Condition.Y, Condition.Z, Condition.C]
             }
         )

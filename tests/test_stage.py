@@ -14,7 +14,6 @@ from gradientstage.stage import (
     LedRecord,
     LightStage,
     SceneSpec,
-    SpecularSceneSpec,
     _icosahedron,
     _ilt_levels,
     generate_icosphere_directions,
@@ -574,23 +573,20 @@ class TestDiscreteRender:
 
 class TestSpecularRender:
     def test_frontal_mirror(self):
-        refl = SpecularSceneSpec(
-            make_sphere_scene(3, 3, 1).true_normals, 1.0
-        )
-        img = render_specular_analytic(refl, Condition.Z)
+        refl = make_sphere_scene(3, 3, 1).true_normals
+        img = render_specular_analytic(refl, 1.0, Condition.Z)
         assert img.samples[1, 1] == pytest.approx(1.0)
 
     def test_side_mirror(self):
         from gradientstage.core import NormalMap
 
         u = NormalMap.from_components(np.array([[[1.0, 0.0, 0.0]]]))
-        refl = SpecularSceneSpec(u, 1.0)
-        assert render_specular_analytic(refl, Condition.X).samples[0, 0] == pytest.approx(1.0)
-        assert render_specular_analytic(refl, Condition.Y).samples[0, 0] == pytest.approx(0.5)
+        assert render_specular_analytic(u, 1.0, Condition.X).samples[0, 0] == pytest.approx(1.0)
+        assert render_specular_analytic(u, 1.0, Condition.Y).samples[0, 0] == pytest.approx(0.5)
 
     def test_constant_is_lobe_strength(self):
-        refl = SpecularSceneSpec(make_sphere_scene(3, 3, 1).true_normals, 0.8)
-        assert render_specular_analytic(refl, Condition.C).samples[1, 1] == pytest.approx(0.8)
+        refl = make_sphere_scene(3, 3, 1).true_normals
+        assert render_specular_analytic(refl, 0.8, Condition.C).samples[1, 1] == pytest.approx(0.8)
 
 
 class TestScenes:

@@ -19,6 +19,12 @@ MIN_LEVEL_SIZE = 24
 MIN_IMPROVEMENT = 1e-3
 # each flow solve stops once its residual falls below this fraction of |b|
 CG_TOL = 1e-3
+# the flow smoothness weights alpha whose alpha^2 and 6 / alpha^2 both lie in
+# [6 / max, max] of float32: normal, finite values in the solve's precision
+ALPHA_RANGE = (
+    float(np.sqrt(6.0 / np.finfo(np.float32).max)),
+    float(np.sqrt(np.finfo(np.float32).max)),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +75,9 @@ class FlowParams:
     levels caps the pyramid's depth, which also stops halving once a
     level's shorter side falls below MIN_LEVEL_SIZE; alpha is the
     smoothness weight of the quadratic regularizer on the total flow (not
-    on each warp's increment) and must lie in [1e-100, 1e100], so that the
-    solver's alpha^2 neither underflows to zero nor overflows; iterations
+    on each warp's increment) and must lie in ALPHA_RANGE, about
+    [1.33e-19, 1.84e19], so that the solver's alpha^2 and 6 / alpha^2 are
+    normal, finite float32 values; iterations
     caps the preconditioned conjugate-gradient iterations per warp, each of
     which stops earlier once its residual falls to CG_TOL times its
     right-hand side; warps re-linearizes the data term within each pyramid
@@ -84,8 +91,9 @@ class FlowParams:
     warps: int = 3
 
     def __post_init__(self):
-        if not 1e-100 <= self.alpha <= 1e100:
-            raise ValueError(f"flow alpha must lie in [1e-100, 1e100], got {self.alpha}")
+        lo, hi = ALPHA_RANGE
+        if not lo <= self.alpha <= hi:
+            raise ValueError(f"flow alpha must lie in [{lo:.4g}, {hi:.4g}], got {self.alpha}")
         for name in ("levels", "warps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"flow {name} must be at least 1, got {getattr(self, name)}")
@@ -226,12 +234,15 @@ def complement_residual(g: Image, gbar: Image, c: Image) -> float:
 
 
 def _dot(a, b):
-    """Inner product of two 1-D arrays in numpy's own single-threaded loop;
-    a threaded BLAS dot, interleaved with other work, was seen to stall for
-    milliseconds per call while its threads woke up."""
+    """Inner product of two 1-D arrays in numpy's own single-threaded loop,
+    accumulated in their dtype; a threaded BLAS dot, interleaved with other
+    work, was seen to stall for milliseconds per call while its threads
+    woke up, and a float64 accumulator over float32 runs cost 3-4 times a
+    float32 one."""
     return float(np.einsum("i,i->", a, b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pcg(ix, iy, it, u, v, alpha, cap):
     """Block-preconditioned conjugate gradients for the linearized
     Horn-Schunck increment d = (du, dv) to the current flow (u, v), started
@@ -244,22 +255,35 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
     positive semi-definite. The preconditioner is the per-pixel block
     alpha^2 I + g g^T. Both sides are scaled by 6 / alpha^2, and with
     ends = up + down and half = ends / 2 + mid (half the vertical [1,2,1]
-    pass), 6 Avg d = half_left + half_right + ends_centre; the flow's term
-    on the right is the same stencil applied to (u, v). Stops once
-    |r| <= CG_TOL |b| or after cap iterations; b = 0 gives exact zeros.
+    pass), 6 Avg d = half_left + half_right + ends_centre. Stops once the
+    residual b - A x of the iterate meets |b - A x| <= CG_TOL |b|, or after
+    cap iterations; b = 0 gives exact zeros.
 
     Every vector is the flat run, from pixel (0, 0) of u to pixel
     (H-1, W-1) of v, of an edge-padded (2, H+2, W+2) buffer, so every
     stencil tap is a contiguous slice and each update is one call. Copying
     the edge of the search direction into its pad ring reproduces ndimage's
     mode="nearest"; every other vector holds zero on the run's pad lanes.
+
+    The iteration works in the float dtype of ix, iy and it, and returns
+    the increments in it. b, and b - A x once the iteration's own residual
+    meets the tolerance, are taken in float64 from the inputs as given,
+    since in float32 that residual drifts from b - A x, and the iterate
+    rounds, by up to a few percent of CG_TOL |b| where |A| |x| >> |b| (a
+    rough flow against a small alpha); the iteration goes on from b - A x
+    where that misses the tolerance. An overflow in the iteration's
+    precision, or a 2x2 block that rounding leaves indefinite (in float32
+    once |g|^2 / alpha^2 passes about 1e7, where alpha^2 + |g|^2 rounds to
+    |g|^2), shows as a curvature p . q or a step rz / (p . q) that is not
+    finite and positive: the iteration then stops at its last finite
+    iterate.
     """
     h, w = ix.shape
     wp = w + 2
     plane = (h + 2) * wp
     m = h * wp - 2  # one component's run from pixel (0, 0) to (h-1, w-1)
     size = plane + m  # the run over both components
-    bufs = np.zeros((12, 2, h + 2, wp))
+    bufs = np.zeros((12, 2, h + 2, wp), ix.dtype)
     # each run starts one lane early so that ends and half cover the taps;
     # bufs[5] holds the solution x, bufs[11] the padded search direction p
     runs = bufs.reshape(12, -1)[:, wp : wp + size + 2]
@@ -269,7 +293,7 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
 
     # the 2x2 blocks of the scaled diagonal, 6 / alpha^2 (alpha^2 I + g g^T),
     # and of its inverse, adj / (6 (alpha^2 + |g|^2)), as their (uu, vv) and
-    # uv lanes; then b, all in the order unpacked above
+    # uv lanes, in the order unpacked above
     ix2, iy2, ixy = ix * ix, iy * iy, ix * iy
     scale = 6.0 / alpha**2
     inv_denom = 1.0 / (6.0 * (alpha**2 + ix2 + iy2))
@@ -278,7 +302,6 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
     pixels[1] = scale * ixy
     pixels[2] = (alpha**2 + iy2) * inv_denom, (alpha**2 + ix2) * inv_denom
     pixels[3] = -ixy * inv_denom
-    pixels[4] = -scale * ix * it, -scale * iy * it
     pad_lanes = np.flatnonzero(diag == 0.0)
     flat = pad.ravel()
     up, mid, down = flat[: size + 2], flat[wp : wp + size + 2], flat[2 * wp :]
@@ -313,13 +336,49 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
         np.multiply(p, beta, out=p)
         np.add(p, z, out=p)
 
-    # b's flow term, 6 (I - Avg)(u, v), from the stencil applied to (u, v);
-    # exactly zero for uniform flow
-    pad[:, 1:-1, 1:-1] = u, v
-    smooth()
-    r -= 6.0 * p - s
-    r[pad_lanes] = 0.0
-    bb = _dot(r, r)
+    # the float64 residual's scratch lies over z to p, which hold nothing
+    # while it is taken, and is zeroed after it
+    scratch = bufs[6:].reshape(-1).view(np.float64)
+    xpix = bufs[5, :, 1:-1, 1:-1]
+
+    def residual():
+        """r = 6 / alpha^2 (b - A x) for x as it stands, taken in float64 as
+        b for the total flow (u, v) + x and for it + g . x, with smooth's
+        stencil on a padded float64 copy of that flow, whose run then holds
+        the residual; returns its squared norm. Exactly zero for a uniform
+        total flow with it + g . x = 0."""
+        fpad, ends64, half64 = scratch[: 3 * pad.size].reshape(3, -1)
+        fp = fpad.reshape(pad.shape)
+        f = fp[:, 1:-1, 1:-1]
+        np.add(u, xpix[0], out=f[0], dtype=float)
+        np.add(v, xpix[1], out=f[1], dtype=float)
+        fp[:, 1:-1, [0, -1]] = f[:, :, [0, -1]]
+        fp[:, [0, -1]] = fp[:, [1, -2]]
+        ends64, half64 = ends64[wp : wp + size + 2], half64[wp : wp + size + 2]
+        np.add(fpad[: size + 2], fpad[2 * wp :], out=ends64)
+        np.multiply(ends64, 0.5, out=half64)
+        half64 += fpad[wp : wp + size + 2]
+        six_avg = ends64[1:-1]
+        six_avg += half64[:size]
+        six_avg += half64[2:]
+        res = fpad[wp + 1 : wp + 1 + size]
+        res *= 6.0
+        np.subtract(six_avg, res, out=res)
+        # minus 6 / alpha^2 g (it + g . x), in the plane half64 held
+        gd, tmp = scratch[2 * pad.size :][: 2 * h * w].reshape(2, h, w)
+        np.multiply(ix, xpix[0], out=gd, dtype=float)
+        gd += np.multiply(iy, xpix[1], out=tmp, dtype=float)
+        gd += it
+        gd *= scale
+        for c, g in enumerate((ix, iy)):
+            f[c] -= np.multiply(g, gd, out=tmp, dtype=float)
+        res[pad_lanes] = 0.0
+        r[...] = res
+        rr = _dot(res, res)
+        scratch[...] = 0.0
+        return rr
+
+    bb = residual()
     if bb == 0.0:
         return np.zeros_like(ix), np.zeros_like(iy)
     block(z, inv_diag, inv_off, r)
@@ -330,17 +389,20 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
         block(q, diag, off, p)
         smooth()
         q -= s
-        step = rz / _dot(p, q)
+        pq = _dot(p, q)
+        step = rz / pq if pq > 0.0 else 0.0
+        if not 0.0 < step < np.inf:
+            break  # a breakdown: keep the last finite iterate
         np.multiply(p, step, out=s)
         x += s
         np.multiply(q, step, out=s)
         r -= s
-        if _dot(r, r) <= CG_TOL**2 * bb:
+        if _dot(r, r) <= CG_TOL**2 * bb and residual() <= CG_TOL**2 * bb:
             break
         block(z, inv_diag, inv_off, r)
         rz, rz_old = _dot(r, z), rz
         next_direction(rz / rz_old)
-    du, dv = bufs[5, :, 1:-1, 1:-1].copy()
+    du, dv = xpix.copy()
     return du, dv
 
 
@@ -358,7 +420,9 @@ def _hs_single_level(src, tgt, u, v, params: FlowParams):
         ix = 0.5 * (_gradient(warped, 1) + tgt_x)
         iy = 0.5 * (_gradient(warped, 0) + tgt_y)
         it = warped - tgt
-        du, dv = _pcg(ix, iy, it, u, v, params.alpha, params.iterations)
+        # the solve runs in float32; its increments add to the float64 flow
+        f32 = (a.astype(np.float32) for a in (ix, iy, it))
+        du, dv = _pcg(*f32, u, v, params.alpha, params.iterations)
         u = u + du
         v = v + dv
     return u, v

@@ -18,6 +18,7 @@ from gradientstage.alignment import (
     resample,
     warp_image,
     warp_normals,
+    ALPHA_RANGE,
     CG_TOL,
     MIN_IMPROVEMENT,
     _constraint_target,
@@ -311,45 +312,128 @@ SOLVE_CASES = (
 )
 
 
-def solve_case(shape, seed):
-    return np.random.default_rng(seed).normal(size=(3,) + shape)
+def solve_case(shape, seed, dtype=np.float64):
+    return np.random.default_rng(seed).normal(size=(3,) + shape).astype(dtype)
 
 
-def zero_flow(shape):
-    return np.zeros(shape), np.zeros(shape)
+def zero_flow(shape, dtype=np.float64):
+    return np.zeros(shape, dtype), np.zeros(shape, dtype)
+
+
+def float64_system(ix, iy, it, alpha, u, v):
+    """flow_system of the solve's inputs, in float64 whatever their dtype:
+    float32 values are exact in float64."""
+    ix, iy, it, u, v = (np.asarray(a, float) for a in (ix, iy, it, u, v))
+    return flow_system(ix, iy, it, alpha, u, v)
 
 
 def assert_solves_to_tolerance(ix, iy, it, u, v, alpha):
     """_pcg meets CG_TOL on the oracle's system, and lies within the
-    residual-implied distance of spsolve's solution."""
+    residual-implied distance of spsolve's solution; the system and the
+    residual are float64 for float32 inputs too, and only the rounding
+    allowances take the inputs' eps."""
+    eps = np.finfo(ix.dtype).eps
     du, dv = _pcg(ix, iy, it, u, v, alpha, 10_000)
-    a, b = flow_system(ix, iy, it, alpha, u, v)
-    x = np.concatenate([du.ravel(), dv.ravel()])
+    assert du.dtype == dv.dtype == ix.dtype
+    a, b = float64_system(ix, iy, it, alpha, u, v)
+    x = np.concatenate([du.ravel(), dv.ravel()]).astype(float)
     residual = np.linalg.norm(b - a @ x)
     # the iteration's own residual meets CG_TOL; recomputing it here
     # differs by rounding only
     assert residual <= CG_TOL * np.linalg.norm(b) * (1 + 1e-6)
     if ix.size == 1:
         # A = g g^T: CG from zero returns the minimum-norm solution, up to
-        # rounding grown by the preconditioner's condition number
-        g2 = (ix**2 + iy**2).item()
-        np.testing.assert_allclose(x, b / g2, rtol=1e-13 * (1 + g2 / alpha**2))
+        # rounding grown by the preconditioner's condition number; 1e-13 is
+        # about 450 float64 eps
+        g2 = (ix.astype(float) ** 2 + iy.astype(float) ** 2).item()
+        rtol = 1e-13 * (eps / np.finfo(float).eps)
+        np.testing.assert_allclose(x, b / g2, rtol=rtol * (1 + g2 / alpha**2))
         return
     oracle = spsolve(a, b)
     oracle_residual = np.linalg.norm(b - a @ oracle)
     lam_min = eigsh(a, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
     # |x - x*| <= |A^-1| |r| for each of the two approximate solutions
     bound = (residual + oracle_residual) / lam_min
-    # x and x* are float64 vectors whose residuals are recomputed in
-    # float64: where CG stops at that rounding floor (a grid of a few
-    # pixels), the distance can pass the residual bound by about an ulp of
-    # |x| + |x*| (0.75 ulp at the pinned (3, 1) example); allow a few
-    rounding = 4 * np.finfo(float).eps * (np.linalg.norm(x) + np.linalg.norm(oracle))
+    # x and x* are vectors whose residuals are recomputed in float64: where
+    # CG stops at its rounding floor (a grid of a few pixels), the distance
+    # can pass the residual bound by about an ulp, in the solve's
+    # precision, of |x| + |x*| (0.75 ulp at the pinned float64 (3, 1)
+    # example); allow a few
+    rounding = 4 * eps * (np.linalg.norm(x) + np.linalg.norm(oracle))
     assert np.linalg.norm(x - oracle) <= bound * (1 + 1e-6) + rounding
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestFlowSolve:
+def flow_solve_cases(dtype):
+    """The solve's checks at the working precision dtype, since _pcg computes
+    in the dtype of its inputs; each call makes new test functions, so that
+    each class runs its own hypothesis tests."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    class FlowSolveCases:
+        @given(*SOLVE_CASES)
+        @example((1, 1), 0, 0.01)
+        @example((1, 9), 1, 0.5)
+        @example((9, 1), 2, 1.0)
+        @example((40, 40), 3, 0.01)
+        @settings(max_examples=100, deadline=None)
+        def test_solves_the_system_to_tolerance(self, shape, seed, alpha):
+            ix, iy, it = solve_case(shape, seed, dtype)
+            assert_solves_to_tolerance(ix, iy, it, *zero_flow(shape, dtype), alpha)
+
+        @given(*SOLVE_CASES, SEEDS, st.floats(1e-3, 1e3))
+        @example((1, 1), 0, 0.01, 0, 5.0)
+        @example((1, 9), 1, 0.5, 1, 1.0)
+        @example((9, 1), 2, 1.0, 2, 1.0)
+        @example((40, 40), 3, 0.01, 3, 10.0)
+        @example((3, 1), 90408872, 0.3862392963508185, 172, 848.1587627437304)
+        @settings(max_examples=100, deadline=None)
+        def test_solves_the_total_flow_system_to_tolerance(self, shape, seed, alpha, flow_seed, flow_scale):
+            # the current flow enters b only, as -alpha^2 (I - Avg)(u, v)
+            ix, iy, it = solve_case(shape, seed, dtype)
+            u, v = np.random.default_rng(flow_seed).normal(size=(2,) + shape) * flow_scale
+            assert_solves_to_tolerance(ix, iy, it, u.astype(dtype), v.astype(dtype), alpha)
+
+        @given(*SOLVE_CASES, st.sampled_from(["it", "gradient", "uniform flow"]))
+        @settings(max_examples=30, deadline=None)
+        def test_zero_rhs_gives_bitwise_zeros(self, shape, seed, alpha, zeroed):
+            ix, iy, it = solve_case(shape, seed, dtype)
+            u, v = zero_flow(shape, dtype)
+            if zeroed == "gradient":
+                ix[...] = 0.0
+                iy[...] = 0.0
+            else:
+                it[...] = 0.0
+            if zeroed == "uniform flow":
+                # a flow with no variation costs no smoothness, exactly
+                u[...], v[...] = np.random.default_rng(seed).normal(size=2) * 10.0
+            for d in _pcg(ix, iy, it, u, v, alpha, 100):
+                assert d.shape == shape
+                assert d.tobytes() == np.zeros(shape, dtype).tobytes()
+
+        @given(*SOLVE_CASES)
+        @settings(max_examples=30, deadline=None)
+        def test_energy_error_never_rises_with_the_cap(self, shape, seed, alpha):
+            # CG minimizes |x - x*|_A over a Krylov space that grows with each
+            # iteration, so a larger cap is never worse; cap 0 is no increment
+            ix, iy, it = solve_case(shape, seed, dtype)
+            if ix.size == 1:
+                return  # A = g g^T is singular; no unique x* to measure against
+            a, b = float64_system(ix, iy, it, alpha, *zero_flow(shape))
+            oracle = spsolve(a, b)
+            errors = []
+            for cap in range(6):
+                du, dv = _pcg(ix, iy, it, *zero_flow(shape, dtype), alpha, cap)
+                if cap == 0:
+                    assert not du.any() and not dv.any()
+                e = np.concatenate([du.ravel(), dv.ravel()]) - oracle
+                errors.append(e @ (a @ e))
+            for before, after in zip(errors, errors[1:]):
+                assert after <= before * (1 + 1e-9) + 1e-12 * errors[0]
+
+    return FlowSolveCases
+
+
+class TestFlowSolve(flow_solve_cases(np.float64)):
     @given(*SOLVE_CASES)
     @settings(max_examples=30, deadline=None)
     def test_system_is_the_jacobi_fixed_point(self, shape, seed, alpha):
@@ -371,65 +455,25 @@ class TestFlowSolve:
         for g, want in zip(got, (du, dv)):
             np.testing.assert_allclose(g, want, rtol=0, atol=1e-8 * scale)
 
-    @given(*SOLVE_CASES)
-    @example((1, 1), 0, 0.01)
-    @example((1, 9), 1, 0.5)
-    @example((9, 1), 2, 1.0)
-    @example((40, 40), 3, 0.01)
-    @settings(max_examples=100, deadline=None)
-    def test_solves_the_system_to_tolerance(self, shape, seed, alpha):
-        ix, iy, it = solve_case(shape, seed)
-        assert_solves_to_tolerance(ix, iy, it, *zero_flow(shape), alpha)
 
-    @given(*SOLVE_CASES, SEEDS, st.floats(1e-3, 1e3))
-    @example((1, 1), 0, 0.01, 0, 5.0)
-    @example((1, 9), 1, 0.5, 1, 1.0)
-    @example((9, 1), 2, 1.0, 2, 1.0)
-    @example((40, 40), 3, 0.01, 3, 10.0)
-    @example((3, 1), 90408872, 0.3862392963508185, 172, 848.1587627437304)
-    @settings(max_examples=100, deadline=None)
-    def test_solves_the_total_flow_system_to_tolerance(self, shape, seed, alpha, flow_seed, flow_scale):
-        # the current flow enters b only, as -alpha^2 (I - Avg)(u, v)
-        ix, iy, it = solve_case(shape, seed)
-        u, v = np.random.default_rng(flow_seed).normal(size=(2,) + shape) * flow_scale
-        assert_solves_to_tolerance(ix, iy, it, u, v, alpha)
+class TestFlowSolveFloat32(flow_solve_cases(np.float32)):
+    """The working precision of flow_estimate's solve."""
 
-    @given(*SOLVE_CASES, st.sampled_from(["it", "gradient", "uniform flow"]))
-    @settings(max_examples=30, deadline=None)
-    def test_zero_rhs_gives_bitwise_zeros(self, shape, seed, alpha, zeroed):
-        ix, iy, it = solve_case(shape, seed)
-        u, v = zero_flow(shape)
-        if zeroed == "gradient":
-            ix[...] = 0.0
-            iy[...] = 0.0
-        else:
-            it[...] = 0.0
-        if zeroed == "uniform flow":
-            # a flow with no variation costs no smoothness, exactly
-            u[...], v[...] = np.random.default_rng(seed).normal(size=2) * 10.0
-        for d in _pcg(ix, iy, it, u, v, alpha, 100):
-            assert d.shape == shape
-            assert d.tobytes() == np.zeros(shape).tobytes()
-
-    @given(*SOLVE_CASES)
-    @settings(max_examples=30, deadline=None)
-    def test_energy_error_never_rises_with_the_cap(self, shape, seed, alpha):
-        # CG minimizes |x - x*|_A over a Krylov space that grows with each
-        # iteration, so a larger cap is never worse; cap 0 is no increment
-        ix, iy, it = solve_case(shape, seed)
-        if ix.size == 1:
-            return  # A = g g^T is singular; no unique x* to measure against
-        a, b = flow_system(ix, iy, it, alpha)
-        oracle = spsolve(a, b)
-        errors = []
-        for cap in range(6):
-            du, dv = _pcg(ix, iy, it, *zero_flow(shape), alpha, cap)
-            if cap == 0:
-                assert not du.any() and not dv.any()
-            e = np.concatenate([du.ravel(), dv.ravel()]) - oracle
-            errors.append(e @ (a @ e))
-        for before, after in zip(errors, errors[1:]):
-            assert after <= before * (1 + 1e-9) + 1e-12 * errors[0]
+    def test_meets_the_tolerance_within_the_default_cap_at_512(self):
+        # the first warp of a 512^2 pair one pixel apart, as _hs_single_level
+        # builds it at zero flow: a float32 iteration that stalled at its
+        # rounding floor would run to the cap short of CG_TOL
+        src = textured_radiance_scene(512, 512)[1].samples
+        tgt = textured_radiance_scene(512, 512, shift=(1, 1))[1].samples
+        ix = 0.5 * (np.gradient(src, axis=1) + np.gradient(tgt, axis=1))
+        iy = 0.5 * (np.gradient(src, axis=0) + np.gradient(tgt, axis=0))
+        ix, iy, it = (a.astype(np.float32) for a in (ix, iy, src - tgt))
+        params = FlowParams()
+        u, v = zero_flow(src.shape, np.float32)
+        du, dv = _pcg(ix, iy, it, u, v, params.alpha, params.iterations)
+        a, b = float64_system(ix, iy, it, params.alpha, u, v)
+        x = np.concatenate([du.ravel(), dv.ravel()]).astype(float)
+        assert np.linalg.norm(b - a @ x) <= CG_TOL * np.linalg.norm(b) * (1 + 1e-6)
 
 
 class TestFlowParams:
@@ -442,6 +486,9 @@ class TestFlowParams:
             ("alpha", np.inf),
             ("alpha", 1e-200),  # alpha^2 underflows to zero
             ("alpha", 1e200),  # alpha^2 overflows
+            # just outside ALPHA_RANGE: 6 / alpha^2 or alpha^2 passes float32's max
+            ("alpha", np.nextafter(ALPHA_RANGE[0], 0.0)),
+            ("alpha", np.nextafter(ALPHA_RANGE[1], np.inf)),
             ("levels", 0),
             ("warps", 0),
         ],
@@ -449,6 +496,12 @@ class TestFlowParams:
     def test_rejects_degenerate_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             FlowParams(**{field: value})
+
+    @pytest.mark.parametrize("alpha", ALPHA_RANGE)
+    def test_alpha_range_ends_are_normal_finite_float32_weights(self, alpha):
+        assert FlowParams(alpha=alpha).alpha == alpha
+        for weight in (np.float32(alpha**2), np.float32(6.0 / alpha**2)):
+            assert np.finfo(np.float32).tiny <= weight < np.inf
 
 
 def assert_same_image(got: Image, want: Image):
@@ -629,6 +682,23 @@ class TestFlowEstimate:
             warnings.simplefilter("ignore", UserWarning)
             warm = flow_estimate(img, img, init=flow)
         assert warm.vectors.tobytes() == np.zeros(shape + (2,)).tobytes()
+
+    @given(st.integers(-40, 40), st.sampled_from([ALPHA_RANGE[0], FlowParams.alpha, ALPHA_RANGE[1]]),
+           SEEDS)
+    @example(40, ALPHA_RANGE[0], 0)
+    @example(40, ALPHA_RANGE[1], 0)
+    @example(-40, ALPHA_RANGE[0], 0)
+    @example(-40, ALPHA_RANGE[1], 0)
+    @settings(max_examples=40, deadline=None)
+    def test_finite_flows_at_any_frame_scale_and_alpha(self, k, alpha, seed):
+        # a float32 overflow or breakdown in the solve stops it at its last
+        # finite iterate: no NaN reaches the warps
+        big = textured_image(44, 52, seed=seed) * 2.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # frames below DARK_EPS are flat
+            flow = flow_estimate(Image(big[:40, :48]), Image(big[2:42, 1:49]), FlowParams(alpha=alpha))
+        assert np.isfinite(flow.vectors).all()
 
     @staticmethod
     def translated_pair():

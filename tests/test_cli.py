@@ -11,7 +11,7 @@ import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 
 import gradientstage
-from gradientstage import calib, pfm
+from gradientstage import alignment, calib, pfm
 from gradientstage.cli import run
 from gradientstage.core import Image, mean_angular_error
 from gradientstage.stage import (
@@ -238,6 +238,7 @@ def test_calibrate_lights_rejects_a_repeated_id(tmp_path, capsys):
         (["--pair-tol", "-0.001"], "pair tolerance must be finite and >= 0, got -0.001"),
         (["--radius", "nan"], "mirror-ball radius must be finite and positive, got nan"),
         (["--radius", "inf"], "mirror-ball radius must be finite and positive, got inf"),
+        (["--pair-tol", "-1e-3"], "pair tolerance must be finite and >= 0, got -0.001"),
     ],
 )
 def test_calibrate_lights_on_a_stretched_limb_exits_2(tmp_path, capsys, flags, message):
@@ -481,7 +482,15 @@ def test_align_on_frames_one_pixel_high(tmp_path):
     assert len((out / "residuals.csv").read_text().strip().splitlines()) >= 2
 
 
-@pytest.mark.parametrize("alpha", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        "0", "-0.1", "nan", "inf", "-1e-3",
+        # just outside alignment.ALPHA_RANGE
+        str(np.nextafter(alignment.ALPHA_RANGE[0], 0.0).item()),
+        str(np.nextafter(alignment.ALPHA_RANGE[1], np.inf).item()),
+    ],
+)
 def test_align_rejects_degenerate_alpha(tmp_path, capsys, alpha):
     from conftest import textured_radiance_scene
 
@@ -496,6 +505,28 @@ def test_align_rejects_degenerate_alpha(tmp_path, capsys, alpha):
     assert run(argv) == 2
     assert "alpha" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("brightness", [1e4, 1e12])
+def test_sequence_process_on_brighter_frames(tmp_path, monkeypatch, brightness):
+    # capture-seq's frames times 1e4 and more: gradients this steep against
+    # alpha make the float32 flow solve break down, and it stops at its last
+    # finite iterate instead of passing NaN flows to the warps (at 1e12
+    # these reach the warps if it goes on)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import scenes
+
+    inp = scenes.make_capture(np.random.default_rng(7), tmp_path / "frames")
+    for path in inp.directory.glob("frame_*.pfm"):
+        pfm.write_pfm_array(path, pfm.read_pfm_array(path) * brightness)
+    out = tmp_path / "normals"
+    assert run(["sequence", "process", "--dir", str(inp.directory), "--iters", "10", "--out", str(out)]) == 0
+    maps = sorted(out.glob("normal_*.pfm"))
+    assert len(maps) == 8
+    for path in maps:
+        nm = pfm.read_normal_map(path)
+        assert nm.mask.any()
+        assert np.isfinite(nm.normals).all()
 
 
 def test_sequence_process_static(tmp_path):
@@ -724,6 +755,15 @@ def test_simulate_rejects_unsupported_led_count(tmp_path, capsys):
         "error: unsupported LED count 7; use 12, 42, 162, 642 (icosphere) or 41 (hemisphere)\n"
     )
     assert not out.exists()
+
+
+def test_simulate_reads_a_negative_delta_in_exponent_form(tmp_path):
+    # argparse's own pattern took -1e-3 for an option: "expected 3 arguments"
+    for value in ("-1e-3", "-0.001"):
+        argv = ["simulate", "--size", "8", "8", "--delta", value, "0", "0", "--out", str(tmp_path / value)]
+        assert run(argv) == 0
+    for path in (tmp_path / "-0.001").iterdir():
+        assert (tmp_path / "-1e-3" / path.name).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -197,14 +197,12 @@ def _displaced(u: np.ndarray, v: np.ndarray):
 def warp_image(img: Image, flow: FlowField) -> Image:
     """Bilinear resampling at p + flow(p); samples landing outside the
     source or drawing on its invalid pixels become invalid (no
-    extrapolation). Exactly-zero flow is an identity."""
+    extrapolation). Exactly-zero flow is an identity, a zero's sign aside:
+    its integer queries take each pixel's own sample and flag."""
     if img.shape != flow.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {flow.shape}")
-    if not flow.vectors.any():
-        return Image(img.samples, img.mask & flow.mask)
     out, valid = _warp(img.samples, img.mask, _displaced(flow.u, flow.v))
     valid &= flow.mask
-    np.maximum(out, 0.0, out=out)
     return _radiance(_image(out, valid))
 
 

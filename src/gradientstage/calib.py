@@ -130,13 +130,9 @@ def fit_conic(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 6:
         raise ValueError("need at least 6 points to fit a conic")
-    x, y = pts[:, 0], pts[:, 1]
-    # condition the system: shift to centroid, scale to unit spread
-    cx, cy = x.mean(), y.mean()
-    scale = np.sqrt(((x - cx) ** 2 + (y - cy) ** 2).mean())
-    if scale < 1e-12:
-        raise ValueError("degenerate configuration: coincident points")
-    xs, ys = (x - cx) / scale, (y - cy) / scale
+    # condition the system as the DLT does, and map the fit back by congruence
+    pts, norm = _hartley_normalize(pts)
+    xs, ys = pts[:, 0], pts[:, 1]
     d1 = np.stack([xs * xs, xs * ys, ys * ys], axis=1)
     d2 = np.stack([xs, ys, np.ones_like(xs)], axis=1)
     s1 = d1.T @ d1
@@ -155,22 +151,11 @@ def fit_conic(points) -> np.ndarray:
     if candidates.size == 0:
         raise ValueError("degenerate configuration: no elliptical solution")
     a1 = evecs[:, candidates[0]]
-    coeffs_scaled = np.concatenate([a1, t @ a1])
-    a, b, c, d, e, f = coeffs_scaled
-    # undo the conditioning transform
-    s = scale
-    coeffs = np.array(
-        [
-            a / s**2,
-            b / s**2,
-            c / s**2,
-            d / s - (2 * a * cx + b * cy) / s**2,
-            e / s - (b * cx + 2 * c * cy) / s**2,
-            f - (d * cx + e * cy) / s + (a * cx**2 + b * cx * cy + c * cy**2) / s**2,
-        ]
-    )
-    a, b, c, d, e, f = coeffs / np.linalg.norm(coeffs)
-    conic = np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
+    a, b, c, d, e, f = np.concatenate([a1, t @ a1])
+    conic = norm.T @ np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]]) @ norm
+    conic = (conic + conic.T) / 2
+    # (a..f) are the upper triangle, off-diagonal entries doubled
+    conic /= np.linalg.norm(conic[np.triu_indices(3)] * [1, 2, 2, 1, 2, 1])
     if not _is_ellipse(conic):
         raise ValueError("degenerate configuration: fit is not an ellipse")
     return conic
@@ -452,5 +437,4 @@ def warp_by_homography(img: Image, h: Homography) -> Image:
         return xs, ys
 
     vals, mask = _warp(img.samples, img.mask, coords)
-    np.maximum(vals, 0.0, out=vals)
     return _radiance(_image(vals, mask))

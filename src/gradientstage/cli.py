@@ -10,8 +10,8 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError, and takes a negative number in exponent form, such
-    as -1e-3, for a value: argparse's own pattern matches only -1 and -.5,
-    so it read -1e-3 as an unknown option."""
+    """Raises UsageError, and takes each token that float() reads, such as
+    -1e-3, -inf or -nan, for a value: argparse's own pattern matches only
+    -1 and -.5, so it read the others as unknown options."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse only calls .match on it
+        self._negative_number_matcher = types.SimpleNamespace(match=_parses_as_float)
 
     def error(self, message):
         raise UsageError(message)

@@ -259,9 +259,6 @@ class GradientImageSet:
             raise ValueError(f"images differ in shape: {shapes}")
         object.__setattr__(self, "images", imgs)
 
-    def __contains__(self, cond) -> bool:
-        return Condition(cond) in self.images
-
     def __getitem__(self, cond) -> Image:
         return self.images[Condition(cond)]
 

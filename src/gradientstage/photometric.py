@@ -126,10 +126,10 @@ def recover_specular(imgset: GradientImageSet) -> tuple[NormalMap, NormalMap]:
     returned reflection map's magnitude channel carries N_s.
     """
     mask = imgset.joint_mask(RATIO_SET)
-    half_rc = 0.5 * imgset[Condition.C].samples
-    comp = np.empty(half_rc.shape + (3,))
-    for i, g in enumerate(GRADIENTS):
-        np.subtract(imgset[g].samples, half_rc, out=comp[..., i])
+    # r_a - r_c/2 is half the one-sided difference 2 r_a - r_c
+    rc = imgset[Condition.C].samples
+    comp = _difference_components({g: imgset[g].samples for g in GRADIENTS}, rc)
+    comp *= 0.5
     reflection = NormalMap.from_components(comp, mask)
     halfway = NormalMap.from_components(
         reflection.normals + VIEW_TO_CAMERA, reflection.mask

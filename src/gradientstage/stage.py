@@ -2,6 +2,7 @@
 and analytic/discretized Lambertian and mirror-specular renderers."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,16 +29,11 @@ def _icosahedron():
     d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
     edge_len = d2[d2 > 1e-9].min()
     is_edge = np.isclose(d2, edge_len)
-    faces = []
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_edge[i, j]:
-                continue
-            for k in range(j + 1, n):
-                if is_edge[i, k] and is_edge[j, k]:
-                    faces.append((i, j, k))
-    return v, faces
+    return v, [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(len(v)), 3)
+        if is_edge[i, j] and is_edge[i, k] and is_edge[j, k]
+    ]
 
 
 def _subdivide(verts, faces):

@@ -152,6 +152,42 @@ class TestHighlightCentroid:
             assert detect_highlight_centroid(img) == full_frame_centroid(img)
 
 
+def former_fit_conic(points):
+    """The former fit_conic: conditioned to zero centroid and unit RMS
+    spread, then mapped back by hand-expanded coefficient formulas."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    cx, cy = x.mean(), y.mean()
+    s = np.sqrt(((x - cx) ** 2 + (y - cy) ** 2).mean())
+    xs, ys = (x - cx) / s, (y - cy) / s
+    d1 = np.stack([xs * xs, xs * ys, ys * ys], axis=1)
+    d2 = np.stack([xs, ys, np.ones_like(xs)], axis=1)
+    t = -np.linalg.solve(d2.T @ d2, (d1.T @ d2).T)
+    m = d1.T @ d1 + (d1.T @ d2) @ t
+    evals, evecs = np.linalg.eig(np.array([m[2] / 2.0, -m[1], m[0] / 2.0]))
+    real = np.abs(evals.imag) < 1e-9 if np.iscomplexobj(evals) else np.ones(3, bool)
+    evecs = evecs.real if np.iscomplexobj(evecs) else evecs
+    a1 = evecs[:, np.where(real & (4 * evecs[0] * evecs[2] - evecs[1] ** 2 > 0))[0][0]]
+    a, b, c, d, e, f = np.concatenate([a1, t @ a1])
+    coeffs = np.array(
+        [
+            a / s**2,
+            b / s**2,
+            c / s**2,
+            d / s - (2 * a * cx + b * cy) / s**2,
+            e / s - (b * cx + 2 * c * cy) / s**2,
+            f - (d * cx + e * cy) / s + (a * cx**2 + b * cx * cy + c * cy**2) / s**2,
+        ]
+    )
+    return coeffs / np.linalg.norm(coeffs)
+
+
+def conic_coefficients(conic):
+    """(a..f) of the symmetric matrix [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]]."""
+    (a, b, d), (c, e), f = conic[0], conic[1, 1:], conic[2, 2]
+    return np.array([a, 2 * b, c, 2 * d, 2 * e, f])
+
+
 class TestFitConic:
     def circle_points(self, cx, cy, r, n=8):
         t = np.linspace(0, 2 * np.pi, n, endpoint=False)
@@ -186,6 +222,20 @@ class TestFitConic:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_conic(self.circle_points(0, 0, 5, n=5))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 890.0), (55.0, -35.0, 910.0), (-120.0, 80.0, 600.0)])
+    def test_equals_the_former_conditioning(self, center, noise):
+        """Hartley conditioning and the congruence back give the former
+        fit's conic, up to eig's arbitrary sign, to 1e-12 of its norm."""
+        k = np.array([[2000.0, 0.0, 511.5], [0.0, 2000.0, 511.5], [0.0, 0.0, 1.0]])
+        for seed in range(4):
+            pts = project_sphere_limb(center, 38.1, k)
+            pts += noise * np.random.default_rng(seed).standard_normal(pts.shape)
+            got, want = conic_coefficients(fit_conic(pts)), former_fit_conic(pts)
+            np.testing.assert_allclose(np.linalg.norm(got), 1.0, rtol=1e-15)
+            got *= np.sign(got @ want)
+            assert np.linalg.norm(got - want) <= 1e-12
 
 
 class TestSphereCenter:
@@ -519,7 +569,7 @@ class TestHomographyWarp:
         yy, xx = np.mgrid[0:20, 0:13].astype(float)
         xs, ys, den = (r[0] * xx + r[1] * yy + r[2] for r in Homography(np.linalg.inv(h.h)).h)
         vals, valid = resample(img.samples, img.mask, xs / den, ys / den)
-        want = Image(np.maximum(vals, 0.0), valid)
+        want = Image(vals, valid)
         assert 0 < valid.sum() < valid.size
         np.testing.assert_array_equal(out.samples, want.samples)
         np.testing.assert_array_equal(out.mask, want.mask)

@@ -49,6 +49,13 @@ def test_sequence_plan_wilson(capsys):
     assert capsys.readouterr().out.strip() == "23"
 
 
+def test_sequence_plan_writes_no_wilson_csv(tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    assert run(["sequence", "plan", "--n", "5", "--method", "wilson", "--out", str(out)]) == 1
+    assert "sequence CSV output is defined for the minimal method" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_recover_end_to_end(tmp_path, capsys):
     data = tmp_path / "d"
     assert run(
@@ -239,6 +246,7 @@ def test_calibrate_lights_rejects_a_repeated_id(tmp_path, capsys):
         (["--radius", "nan"], "mirror-ball radius must be finite and positive, got nan"),
         (["--radius", "inf"], "mirror-ball radius must be finite and positive, got inf"),
         (["--pair-tol", "-1e-3"], "pair tolerance must be finite and >= 0, got -0.001"),
+        (["--pair-tol", "-inf"], "pair tolerance must be finite and >= 0, got -inf"),
     ],
 )
 def test_calibrate_lights_on_a_stretched_limb_exits_2(tmp_path, capsys, flags, message):
@@ -258,6 +266,32 @@ def test_calibrate_lights_rejects_a_k_that_is_not_finite(tmp_path, capsys, cell)
     (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
     assert run(argv) == 2
     assert "K must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "lights.json").exists()
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ([[2000.0, 0.0], [0.0, 2000.0]], "K must be 3x3"),
+        ([[2000.0, 0.0, 0.0], [5.0, 2000.0, 0.0], [0.0, 0.0, 1.0]], "K must be upper triangular"),
+        ([[2000.0, 0.0, 0.0], [0.0, 2000.0, 0.0], [0.0, 0.0, 2.0]], "K must be upper triangular"),
+        ([[0.0, 0.0, 0.0], [0.0, 2000.0, 0.0], [0.0, 0.0, 1.0]], "K must be invertible"),
+    ],
+    ids=["2x2", "lower-entry", "k22", "singular"],
+)
+def test_calibrate_lights_rejects_a_k_that_is_not_a_calibration(tmp_path, capsys, k, message):
+    argv = lights_argv(tmp_path, ["0,30,20"])
+    (tmp_path / "k.json").write_text(json.dumps(k))
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "lights.json").exists()
+
+
+def test_calibrate_lights_without_highlights_or_images_is_usage_error(tmp_path, capsys):
+    argv = lights_argv(tmp_path, ["0,30,20"])
+    i = argv.index("--highlights")
+    assert run(argv[:i] + argv[i + 2 :]) == 1
+    assert "calibrate lights needs --highlights or --images" in capsys.readouterr().err
     assert not (tmp_path / "lights.json").exists()
 
 
@@ -424,6 +458,43 @@ def test_calibrate_separate_rejects_a_homography_that_is_not_finite(tmp_path, ca
     assert not any(p.exists() for p in outs)
 
 
+@pytest.mark.parametrize(
+    "h",
+    [np.zeros((3, 3)), np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+    ids=["zero", "rank-2"],
+)
+def test_calibrate_separate_rejects_a_singular_homography(tmp_path, capsys, h):
+    (tmp_path / "h.json").write_text(json.dumps(h.tolist()))
+    pfm.write_image(tmp_path / "i0.pfm", Image(np.ones((16, 16))))
+    pfm.write_image(tmp_path / "i1.pfm", Image(np.ones((16, 16)) * 0.5))
+    outs = [tmp_path / "s.pfm", tmp_path / "d.pfm"]
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"),
+            "--i1", str(tmp_path / "i1.pfm"), "--homography", str(tmp_path / "h.json"),
+            "--out-specular", str(outs[0]), "--out-diffuse", str(outs[1]),
+        ]
+    ) == 2
+    assert "H must be invertible" in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
+def test_calibrate_separate_rejects_a_normal_map_for_an_image(tmp_path, capsys):
+    from gradientstage.stage import make_sphere_scene
+
+    pfm.write_normal_map(tmp_path / "i0.pfm", make_sphere_scene(16, 16, 7).true_normals)
+    pfm.write_image(tmp_path / "i1.pfm", Image(np.ones((16, 16))))
+    outs = [tmp_path / "s.pfm", tmp_path / "d.pfm"]
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"), "--i1", str(tmp_path / "i1.pfm"),
+            "--out-specular", str(outs[0]), "--out-diffuse", str(outs[1]),
+        ]
+    ) == 2
+    assert f"{tmp_path / 'i0.pfm'}: expected a 1-channel PFM radiance image" in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_calibrate_homography_rejects_a_csv_cell_that_is_not_finite(tmp_path, capsys, cell):
     rows = ["x0,y0,x1,y1", "10,10,12,9", "90,10,92,9", f"10,90,{cell},89", "90,90,92,89"]
@@ -441,6 +512,23 @@ def test_calibrate_homography_rejects_four_pairs_with_three_collinear(tmp_path, 
     out = tmp_path / "h.json"
     assert run(["calibrate", "homography", "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out)]) == 2
     assert "degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0,y0,x1,y1\n0,0,1,2\n10,0,11\n", "expected 4 columns per row"),
+        ("x0,y0,x1,y1\n", "no data rows"),
+    ],
+    ids=["three-columns", "header-only"],
+)
+def test_calibrate_homography_rejects_a_csv_without_its_rows(tmp_path, capsys, text, message):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(text)
+    out = tmp_path / "h.json"
+    assert run(["calibrate", "homography", "--pairs", str(pairs), "--out", str(out)]) == 2
+    assert f"{pairs}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -482,10 +570,25 @@ def test_align_on_frames_one_pixel_high(tmp_path):
     assert len((out / "residuals.csv").read_text().strip().splitlines()) >= 2
 
 
+def test_align_on_an_all_invalid_constant_frame_completes_no_iteration(tmp_path, capsys):
+    from conftest import textured_radiance_scene
+
+    g, gbar, _ = textured_radiance_scene(24, 32, shift=(1, 1))
+    frames = [tmp_path / "g.pfm", tmp_path / "gb.pfm", tmp_path / "c.pfm"]
+    pfm.write_image(frames[0], g)
+    pfm.write_image(frames[1], gbar)
+    pfm.write_pfm_array(frames[2], np.full((24, 32), np.nan))
+    out = tmp_path / "flows"
+    with pytest.warns(UserWarning, match="flow estimator failed; returning best flows so far"):
+        assert run(["align", "--frames", *map(str, frames), "--iters", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "aligned pair x: no completed iterations\n"
+    assert (out / "residuals.csv").read_text() == "iteration,residual\n"
+
+
 @pytest.mark.parametrize(
     "alpha",
     [
-        "0", "-0.1", "nan", "inf", "-1e-3",
+        "0", "-0.1", "nan", "inf", "-1e-3", "-inf",
         # just outside alignment.ALPHA_RANGE
         str(np.nextafter(alignment.ALPHA_RANGE[0], 0.0).item()),
         str(np.nextafter(alignment.ALPHA_RANGE[1], np.inf).item()),
@@ -555,6 +658,21 @@ def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
     (tmp_path / "seq.csv").write_text("\n".join([header, *reversed(rows)]) + "\n")
     assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(tmp_path / "n")]) == 2
     assert "frame_index" in capsys.readouterr().err
+
+
+def test_sequence_process_rejects_an_invalid_sequence(tmp_path, capsys):
+    from gradientstage.core import Condition
+    from gradientstage.sequencer import CaptureSequence
+
+    # the window's ends x and yb are not a base complement pair
+    seq = CaptureSequence((Condition.X, Condition.Z, Condition.C, Condition.Y, Condition.YBAR))
+    (tmp_path / "seq.csv").write_text(seq.to_csv())
+    for i in range(len(seq.frames)):
+        pfm.write_image(tmp_path / f"frame_{i:03d}.pfm", Image(np.ones((4, 4))))
+    out = tmp_path / "n"
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert "invalid sequence: rule 1: window at 2 ends" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sequence_process_without_a_sequence_file(tmp_path, capsys):
@@ -650,6 +768,15 @@ def test_report_without_jointly_valid_pixels_writes_nothing(tmp_path, capsys):
     assert "no jointly valid pixels" in capsys.readouterr().err
     assert not out.exists()
     assert [str(w.message) for w in caught] == []
+
+
+def test_report_rejects_an_image_for_a_normal_map(tmp_path, capsys):
+    path = tmp_path / "radiance.pfm"
+    pfm.write_image(path, Image(np.ones((4, 4))))
+    out = tmp_path / "h.csv"
+    assert run(["report", "--a", str(path), "--b", str(path), "--out", str(out)]) == 2
+    assert f"{path}: expected a 3-channel PFM normal map" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
@@ -793,6 +920,10 @@ def test_simulate_reads_a_negative_delta_in_exponent_form(tmp_path):
         (["--albedo", "-0.5"], "--albedo must lie in [0, 1]"),
         (["--leds", "12", "--quantize", "--quantization", "1"], "--quantization must be >= 2"),
         (["--leds", "12", "--quantize", "--quantization", "-4"], "--quantization must be >= 2"),
+        # argparse's own pattern took these for options: "expected 3 arguments"
+        (["--delta", "-inf", "0", "0"], "--delta must be finite"),
+        (["--delta", "-nan", "0", "0"], "--delta must be finite"),
+        (["--deltabar", "0", "-Infinity", "0"], "--deltabar must be finite"),
     ],
 )
 def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):

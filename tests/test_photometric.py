@@ -214,6 +214,30 @@ class TestRecoverMinimal:
             recover_minimal(ideal_sphere_set, Condition.C)
 
 
+@st.composite
+def specular_sets(draw):
+    """x, y, z and c images of zeros and values in [1/2, 2) times one power
+    of two from 2^-1019 to 2^1021: r_c/2 is exact, and 2 r_a does not
+    overflow. Outside that range (r_c below 2^-1021, where r_c/2 rounds, or
+    r_a above half the float64 maximum) the two forms below can differ."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    scale = 2.0 ** draw(st.integers(-1019, 1021))
+    mask = draw(hnp.arrays(bool, shape))
+    cell = st.one_of(st.just(0.0), st.floats(0.5, 2.0, exclude_max=True))
+    return GradientImageSet(
+        {c: Image(draw(hnp.arrays(float, shape, elements=cell)) * scale, mask) for c in RATIO_SET}
+    )
+
+
+def former_reflection_map(imgset):
+    """The former reflection map: r_a - r_c/2, axis by axis."""
+    half_rc = 0.5 * imgset[Condition.C].samples
+    comp = np.empty(half_rc.shape + (3,))
+    for i, g in enumerate(ALL_BASES):
+        np.subtract(imgset[g].samples, half_rc, out=comp[..., i])
+    return NormalMap.from_components(comp, imgset.joint_mask(RATIO_SET))
+
+
 class TestRecoverSpecular:
     def make_specular_set(self, u_map, strength=1.0):
         return GradientImageSet(
@@ -246,6 +270,12 @@ class TestRecoverSpecular:
         refl, halfway = recover_specular(self.make_specular_set(u, strength=0.0))
         assert not refl.mask.any()
         assert not halfway.mask.any()
+
+    @given(specular_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_reflection_map_is_the_former_half_constant_difference(self, imgset):
+        refl, _ = recover_specular(imgset)
+        assert_bitwise_equal(refl, former_reflection_map(imgset))
 
 
 class TestMagnitudeStats:

@@ -126,6 +126,10 @@ class TestValidateSequence:
         seq = CaptureSequence(conds("x", "y", "c", "yb", "xb"))
         assert any("all three axes" in v for v in validate_sequence(seq))
 
+    def test_tracking_frame_inside_a_window_flagged(self):
+        seq = CaptureSequence(conds("x", "c", "c", "y", "xb"))
+        assert "window at 2 contains another tracking frame" in validate_sequence(seq)
+
     def test_forbidden_units_flagged(self):
         seq = CaptureSequence(
             generate_sequence(3).frames, ("s_x", "s_y", "s_z")

@@ -68,6 +68,21 @@ def former_subdivide(verts, faces):
     return np.asarray(verts), out
 
 
+def former_icosahedron_faces(is_edge):
+    """The former face search: each triple i < j < k of mutual edges, by
+    three nested loops."""
+    faces = []
+    n = len(is_edge)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not is_edge[i, j]:
+                continue
+            for k in range(j + 1, n):
+                if is_edge[i, k] and is_edge[j, k]:
+                    faces.append((i, j, k))
+    return faces
+
+
 def former_select_hemisphere(directions, axis, count):
     """The former general selection: the count directions of largest dot
     product against axis, in input order, ties broken by input order."""
@@ -213,6 +228,13 @@ class TestIcosphere:
         dirs = generate_icosphere_directions(1)
         d2 = ((dirs[:, None] + dirs[None, :]) ** 2).sum(-1)
         assert np.all(d2.min(axis=1) < 1e-18)
+
+    def test_icosahedron_faces_are_the_former_triple_loops(self):
+        # every subdivided stage, and so stage.json, follows this order
+        v, faces = _icosahedron()
+        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+        assert faces == former_icosahedron_faces(np.isclose(d2, d2[d2 > 1e-9].min()))
+        assert len(faces) == 20
 
 
 class TestSelectHemisphere:

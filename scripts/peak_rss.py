@@ -1,12 +1,17 @@
-"""Peak resident memory of each subcommand of the still-frame chain.
+"""Peak resident memory of each subcommand of the still-frame chain, or of
+`sequence process` on a moving capture.
 
     python3 scripts/peak_rss.py --size 1024
+    python3 scripts/peak_rss.py --windows 8 [--size 256]
 
 Run from the root of a source checkout; it imports the program from `src/`.
-In a temporary directory it runs `simulate`, `recover --method wilson`,
-`correct`, `report` and `stimulus` one after another, each in a fresh
-interpreter, so one subcommand's peak does not hide the next one's. It
-prints one `<subcommand>  <MB>` line per subcommand: the child's own
+With `--size` alone it runs, in a temporary directory, `simulate`,
+`recover --method wilson`, `correct`, `report` and `stimulus` one after
+another, each in a fresh interpreter, so one subcommand's peak does not hide
+the next one's. With `--windows N` it writes perfbench/scenes.py's
+`make_capture` capture of N tracking frames, at capture-seq's 96x128 or at
+`--size` square, and runs `sequence process` on it in a fresh interpreter.
+It prints one `<subcommand>  <MB>` line per subcommand: the child's own
 `ru_maxrss` / 1024, the unit of perfbench/run.py's `peak_rss_mb`.
 """
 from __future__ import annotations
@@ -19,6 +24,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import scenes  # noqa: E402
 
 # runs one subcommand quietly, then prints this interpreter's peak RSS (KiB)
 CHILD = """\
@@ -46,16 +55,33 @@ def chain(size: int, work: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def capture(windows: int, size: int | None, work: Path) -> list[tuple[str, list[str]]]:
+    if size is not None:
+        scenes.CAPTURE_SHAPE = (size, size)
+    inp = scenes.make_capture(np.random.default_rng(0), work / "capture", windows)
+    return [("sequence", ["sequence", "process", "--dir", str(inp.directory), "--iters", "10",
+                          "--out", str(work / "normals")])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--size", type=int, required=True, help="frame side, pixels")
+    parser.add_argument("--size", type=int, help="frame side, pixels")
+    parser.add_argument("--windows", type=int, help="tracking frames of a capture for `sequence process`")
     args = parser.parse_args(argv)
-    if args.size < 1:
+    if args.size is None and args.windows is None:
+        parser.error("give --size, --windows or both")
+    if args.size is not None and args.size < 1:
         parser.error("--size must be >= 1")
+    if args.windows is not None and args.windows < 1:
+        parser.error("--windows must be >= 1")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cmd in chain(args.size, Path(tmp)):
+        if args.windows is None:
+            commands = chain(args.size, Path(tmp))
+        else:
+            commands = capture(args.windows, args.size, Path(tmp))
+        for name, cmd in commands:
             child = subprocess.run([sys.executable, "-c", CHILD, *cmd], env=env,
                                    capture_output=True, text=True)
             if child.returncode != 0:

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -291,26 +292,43 @@ def _cmd_sequence_plan(args) -> int:
     return 0
 
 
+class _FramePaths(list):
+    """Frame paths that read their frame when indexed, so that only the
+    frames a window is working on are held in memory."""
+
+    def __getitem__(self, i):
+        return pfm.read_image(super().__getitem__(i))
+
+
 def _cmd_sequence_process(args) -> int:
     directory = Path(args.dir)
     seq_path = directory / "seq.csv"
     if not seq_path.exists():
         raise ValueError(f"missing sequence file {seq_path}")
     seq = sequencer.CaptureSequence.from_csv(seq_path.read_text())
-    frames = []
+    frames = _FramePaths()
     for i in range(len(seq.frames)):
         path = directory / f"frame_{i:03d}.pfm"
         if not path.exists():
             raise ValueError(f"missing frame image {path}")
-        frames.append(pfm.read_image(path))
-    result = sequencer.process_sequence(seq, frames, iterations=args.iters)
+        frames.append(path)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for idx, nm in sorted({**result.upsampled, **result.tracking}.items()):
-        pfm.write_normal_map(out / f"normal_{idx:03d}.pfm", nm)
+    # each normal is written once its windows are done, into a directory
+    # beside --out that is moved into it after the last window, so a failed
+    # run leaves no outputs; a missing parent of --out is made only then
+    beside = next(p for p in out.absolute().parents if p.is_dir())
+    with tempfile.TemporaryDirectory(dir=beside, prefix=f".{out.name}.") as staging:
+        residuals = sequencer.process_sequence(
+            seq, frames, lambda i, nm: pfm.write_normal_map(Path(staging, f"normal_{i:03d}.pfm"), nm),
+            iterations=args.iters,
+        )
+        names = os.listdir(staging)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(Path(staging, name), out / name)
     print(
-        f"processed {len(result.tracking)} tracking frames, "
-        f"{len(result.upsampled)} upsampled frames -> {out}"
+        f"processed {len(residuals)} tracking frames, "
+        f"{len(names) - len(residuals)} upsampled frames -> {out}"
     )
     return 0
 

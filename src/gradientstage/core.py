@@ -249,6 +249,8 @@ class GradientImageSet:
     """Mutually registered radiance images keyed by illumination condition."""
 
     images: Mapping[Condition, Image]
+    # keyed by condition: `in` and iter() must not walk __getitem__ over 0, 1, ...
+    __iter__ = None
 
     def __post_init__(self):
         imgs = {Condition(k): v for k, v in dict(self.images).items()}

@@ -5,8 +5,8 @@ frames."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,15 +125,18 @@ def generate_sequence(n: int) -> CaptureSequence:
 def validate_sequence(seq: CaptureSequence) -> list[str]:
     """Structural checks of the three placement rules.
 
-    Empty result means valid: every tracking frame has a complete window
-    with its base complement pair outermost covering all three axes, and
-    exactly two gradient frames separate consecutive tracking frames.
+    Empty result means valid: there is a tracking frame, each one has a
+    complete window with its base complement pair outermost covering all
+    three axes, and exactly two gradient frames separate consecutive
+    tracking frames.
     Labelled sequences are additionally checked for the two impossible
     all-gradient / all-complement unit sequences.
     """
     violations: list[str] = []
     frames = seq.frames
     centers = seq.tracking_indices
+    if not centers:
+        violations.append("no tracking frame")
     for a, b in zip(centers, centers[1:]):
         between = b - a - 1
         if between != 2:
@@ -213,26 +216,13 @@ def intermediate_warped_normal(
     return NormalMap.from_components(blend, a.mask | b.mask)
 
 
-@dataclass
-class SequenceResult:
-    """Per-frame normal maps from a processed capture sequence.
-
-    tracking holds the tracking-frame normals keyed by frame index;
-    upsampled holds warped/blended normals at the gradient frames (frames
-    with no flanking tracking frame are absent).
-    """
-
-    tracking: dict[int, NormalMap] = field(default_factory=dict)
-    upsampled: dict[int, NormalMap] = field(default_factory=dict)
-    residuals: dict[int, list[float]] = field(default_factory=dict)
-
-
 def _tracking_start(
-    frames: list[Image], centers: list[int], c: int, ends: tuple[int, int]
+    frames: Sequence[Image], centers: list[int], c: int, ends: tuple[int, int], tracking: Image
 ) -> tuple[FlowField, FlowField] | None:
-    """Flows of frames ends toward tracking frame c under constant velocity,
-    or None in a sequence with one tracking frame or where the tracking
-    frames are flat, which leaves the motion undetermined.
+    """Flows of frames ends toward tracking frame c, imaged as tracking,
+    under constant velocity, or None in a sequence with one tracking frame
+    or where the tracking frames are flat, which leaves the motion
+    undetermined.
 
     The nearest other tracking frame t shares c's constant illumination, so
     one brightness-constant flow estimate of t toward c holds the motion;
@@ -243,7 +233,7 @@ def _tracking_start(
     if not others:
         return None
     t = min(others, key=lambda t: abs(t - c))
-    flow = _flow_estimate(frames[t], frames[c])
+    flow = _flow_estimate(frames[t], tracking)
     if flow is None:
         return None
     return tuple(flow.scaled((i - c) / (t - c)) for i in ends)
@@ -251,47 +241,58 @@ def _tracking_start(
 
 def process_sequence(
     seq: CaptureSequence,
-    frames: list[Image],
+    frames: Sequence[Image],
+    emit: Callable[[int, NormalMap], object],
     iterations: int = 10,
-) -> SequenceResult:
-    """Full pipeline: joint alignment per window, started from the
-    constant-velocity flow of the nearest tracking frame (_tracking_start),
-    tracking-frame normals, then temporal upsampling of every intermediate
-    gradient frame."""
+) -> dict[int, list[float]]:
+    """Full pipeline in one pass over the windows: joint alignment per
+    window, started from the constant-velocity flow of the nearest tracking
+    frame (_tracking_start), the tracking-frame normal, and the temporal
+    upsampling of the window's gradient frames.
+
+    Each window reads its five frames and its start's tracking frame from
+    frames. emit(i, normal) receives, in rising i, the normal of every frame
+    within two of a tracking frame once the windows holding it are done;
+    frames in no window get none. Returns each window's alignment residual
+    trace keyed by its tracking frame.
+    """
     if len(frames) != len(seq.frames):
         raise ValueError("frame images do not match the sequence length")
     bad = validate_sequence(seq)
     if bad:
         raise ValueError("invalid sequence: " + "; ".join(bad))
     centers = seq.tracking_indices
-    result = SequenceResult()
-    # flows[c][i]: flow from gradient frame i of the window around c toward
-    # c; the ends' from the alignment, the inner frames' from the nearer
-    # end's under constant velocity, as in _tracking_start
-    flows: dict[int, dict[int, FlowField]] = {}
+    residuals: dict[int, list[float]] = {}
+    # rule 2 makes a window's first two frames the previous window's last
+    # two, so its centre, normal and flows are all that carries over
+    prev = None
     for c in centers:
         first, last = c - 2, c + 2
+        window = {i: frames[i] for i in range(first, last + 1)}
         g, gbar = (last, first) if seq.frames[first].is_complement else (first, last)
-        start = _tracking_start(frames, centers, c, (g, gbar))
-        u, v, result.residuals[c] = joint_photometric_align(
-            frames[g], frames[gbar], frames[c], iterations, init=start
+        start = _tracking_start(frames, centers, c, (g, gbar), window[c])
+        u, v, residuals[c] = joint_photometric_align(
+            window[g], window[gbar], window[c], iterations, init=start
         )
-        window = flows[c] = {g: u, gbar: v}
+        # flows[i]: flow from gradient frame i toward c; the ends' from the
+        # alignment, the inner frames' from the nearer end's under constant
+        # velocity, as in _tracking_start
+        flows = {g: u, gbar: v}
         for i, j in ((c - 1, first), (c + 1, last)):
-            window[i] = window[j].scaled((i - c) / (j - c))
-        result.tracking[c] = tracking_frame_normal(
-            {seq.frames[i]: frames[i] for i in window},
-            {seq.frames[i]: flow for i, flow in window.items()},
+            flows[i] = flows[j].scaled((i - c) / (j - c))
+        normal = tracking_frame_normal(
+            {seq.frames[i]: window[i] for i in flows},
+            {seq.frames[i]: flow for i, flow in flows.items()},
         )
-
-    for i in range(len(frames)):
-        near = [c for c in centers if i in flows[c]]  # at most one on each side
-        if len(near) == 2:
-            cp, cn = near
-            result.upsampled[i] = intermediate_warped_normal(
-                result.tracking[cp], result.tracking[cn], flows[cp][i], flows[cn][i], i - cp, cn - i
-            )
-        elif near:
-            c = near[0]
-            result.upsampled[i] = warp_normals(result.tracking[c], flows[c][i].scaled(-1.0))
-    return result
+        for i in (first, c - 1):
+            if prev is None:
+                emit(i, warp_normals(normal, flows[i].scaled(-1.0)))
+            else:
+                cp, n_prev, f_prev = prev
+                emit(i, intermediate_warped_normal(n_prev, normal, f_prev[i], flows[i], i - cp, c - i))
+        emit(c, normal)
+        prev = c, normal, flows
+    c, normal, flows = prev
+    for i in (c + 1, c + 2):
+        emit(i, warp_normals(normal, flows[i].scaled(-1.0)))
+    return residuals

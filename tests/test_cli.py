@@ -632,23 +632,58 @@ def test_sequence_process_on_brighter_frames(tmp_path, monkeypatch, brightness):
         assert np.isfinite(nm.normals).all()
 
 
-def test_sequence_process_static(tmp_path):
+def static_capture(directory, n):
+    """generate_sequence(n) of a still sphere written as a sequence
+    directory; returns the sphere."""
     from gradientstage.sequencer import generate_sequence
-    from gradientstage.stage import make_sphere_scene, render_lambert_analytic
 
-    seq = generate_sequence(1)
+    seq = generate_sequence(n)
     scene = make_sphere_scene(24, 24, 10)
-    data = tmp_path / "frames"
-    data.mkdir()
-    (data / "seq.csv").write_text(seq.to_csv())
+    directory.mkdir()
+    (directory / "seq.csv").write_text(seq.to_csv())
     for i, cond in enumerate(seq.frames):
-        pfm.write_image(data / f"frame_{i:03d}.pfm", render_lambert_analytic(scene, cond))
+        pfm.write_image(directory / f"frame_{i:03d}.pfm", render_lambert_analytic(scene, cond))
+    return scene
+
+
+def test_sequence_process_static(tmp_path):
+    scene = static_capture(tmp_path / "frames", 1)
     out = tmp_path / "normals"
-    assert run(["sequence", "process", "--dir", str(data), "--iters", "2", "--out", str(out)]) == 0
+    assert run(["sequence", "process", "--dir", str(tmp_path / "frames"), "--iters", "2", "--out", str(out)]) == 0
     nm = pfm.read_normal_map(out / "normal_002.pfm")
     truth = scene.true_normals
     # float32 PFM storage bounds the attainable agreement
     assert mean_angular_error(nm, truth) < 1e-3
+
+
+def test_sequence_process_keeps_other_files_of_its_out(tmp_path):
+    static_capture(tmp_path / "frames", 2)
+    out = tmp_path / "normals"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert run(["sequence", "process", "--dir", str(tmp_path / "frames"), "--iters", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"normal_{i:03d}.pfm" for i in range(8)] + ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "frames", out]
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "existing-out"])
+def test_sequence_process_failing_in_its_last_window_leaves_no_outputs(tmp_path, capsys, out_exists):
+    # the first window's normals are written before the last window reads
+    # its malformed frame; they stay in the staging directory, which goes
+    static_capture(tmp_path / "frames", 2)
+    bad = tmp_path / "frames" / "frame_007.pfm"
+    pfm.write_pfm_array(bad, np.ones((24, 24, 3)))
+    out = tmp_path / "normals"
+    if out_exists:
+        out.mkdir()
+        (out / "normal_000.pfm").write_text("an earlier run's")
+    assert run(["sequence", "process", "--dir", str(tmp_path / "frames"), "--iters", "1", "--out", str(out)]) == 2
+    assert f"{bad}: expected a 1-channel PFM radiance image" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "frames", *[out] * out_exists]
+    if out_exists:
+        assert [p.name for p in out.iterdir()] == ["normal_000.pfm"]
+        assert (out / "normal_000.pfm").read_text() == "an earlier run's"
 
 
 def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
@@ -672,6 +707,21 @@ def test_sequence_process_rejects_an_invalid_sequence(tmp_path, capsys):
     out = tmp_path / "n"
     assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
     assert "invalid sequence: rule 1: window at 2 ends" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("conditions", [(), ("x", "y", "z")], ids=["empty", "gradients-only"])
+def test_sequence_process_rejects_a_capture_without_a_tracking_frame(tmp_path, capsys, conditions):
+    from gradientstage.core import Condition
+    from gradientstage.sequencer import CaptureSequence
+
+    seq = CaptureSequence(tuple(map(Condition, conditions)))
+    (tmp_path / "seq.csv").write_text(seq.to_csv())
+    for i in range(len(seq.frames)):
+        pfm.write_image(tmp_path / f"frame_{i:03d}.pfm", Image(np.ones((4, 4))))
+    out = tmp_path / "n"
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert "invalid sequence: no tracking frame" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -82,6 +82,15 @@ class TestGradientImageSet:
         with pytest.raises(ValueError, match="missing condition"):
             s.joint_mask([Condition.X, Condition.YBAR])
 
+    def test_is_not_iterable(self):
+        # a set is keyed by condition: neither `in` nor iter() may walk
+        # __getitem__ over 0, 1, ...
+        s = GradientImageSet({Condition.X: Image(np.ones((2, 2)), None)})
+        with pytest.raises(TypeError):
+            Condition.X in s
+        with pytest.raises(TypeError):
+            iter(s)
+
     def test_complement_mapping(self):
         assert Condition.X.complement is Condition.XBAR
         assert Condition.ZBAR.complement is Condition.Z

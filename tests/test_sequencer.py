@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from conftest import max_angular_error, outcome
@@ -109,6 +111,10 @@ class TestValidateSequence:
         # base pair outermost and all axes covered: structurally fine
         seq = CaptureSequence(conds("x", "y", "c", "z", "xb"))
         assert validate_sequence(seq) == []
+
+    @pytest.mark.parametrize("frames", [(), ("x", "y", "z")], ids=["empty", "gradients-only"])
+    def test_no_tracking_frame_flagged(self, frames):
+        assert "no tracking frame" in validate_sequence(CaptureSequence(conds(*frames)))
 
     def test_early_tracking_frame_flagged(self):
         seq = CaptureSequence(conds("x", "c", "y", "z", "xb"))
@@ -373,51 +379,90 @@ class TestIntermediateWarpedNormal:
             intermediate_warped_normal(self.nm, self.nm, self.zero, self.zero, 0, 1)
 
 
+def processed(seq, frames, iterations):
+    """process_sequence into a dict sink: the tracking and the upsampled
+    normals, each keyed by frame index."""
+    upsampled = {}
+    residuals = process_sequence(seq, frames, upsampled.__setitem__, iterations)
+    tracking = {c: upsampled.pop(c) for c in residuals}
+    return tracking, upsampled
+
+
 class TestProcessSequence:
     def test_static_scene_degeneracy(self):
         scene = make_sphere_scene(33, 33, 14)
         seq = generate_sequence(3)
         frames = [render_lambert_analytic(scene, f) for f in seq.frames]
-        result = process_sequence(seq, frames, iterations=2)
-        assert sorted(result.tracking) == [2, 5, 8]
+        tracking, upsampled = processed(seq, frames, iterations=2)
+        assert sorted(tracking) == [2, 5, 8]
         # tracking frames reproduce their zero-flow tracking normal bit for
         # bit, the mixed third window included
         zero = FlowField.zero(frames[0].shape)
-        for center in result.tracking:
+        for center in tracking:
             window = {seq.frames[i]: frames[i] for i in (center - 2, center - 1, center + 1, center + 2)}
             ref = tracking_frame_normal(window, dict.fromkeys(window, zero))
-            got = result.tracking[center]
+            got = tracking[center]
             np.testing.assert_array_equal(got.normals, ref.normals)
         # pure window at the first tracking frame: bitwise equal to recover_minimal
         imgset = GradientImageSet({seq.frames[i]: frames[i] for i in [0, 1, 3, 4]})
         ref = recover_minimal(imgset, Condition.X)
-        np.testing.assert_array_equal(result.tracking[2].normals, ref.normals)
+        np.testing.assert_array_equal(tracking[2].normals, ref.normals)
         # single-sided upsampled frames equal their tracking normal bitwise
         np.testing.assert_array_equal(
-            result.upsampled[0].normals, result.tracking[2].normals
+            upsampled[0].normals, tracking[2].normals
         )
         np.testing.assert_array_equal(
-            result.upsampled[1].normals, result.tracking[2].normals
+            upsampled[1].normals, tracking[2].normals
         )
         # two-sided upsampled frames blend two windows' normals: equal to
         # the flanking tracking normals to floating-point blending error
         for i in (3, 4, 6, 7):
-            err = max_angular_error(result.upsampled[i], result.tracking[2])
+            err = max_angular_error(upsampled[i], tracking[2])
             assert err < 1e-10
 
     def test_even_n_with_trailing_frame_processes(self):
         scene = make_sphere_scene(24, 24, 10)
         seq = generate_sequence(2)
         frames = [render_lambert_analytic(scene, f) for f in seq.frames]
-        result = process_sequence(seq, frames, iterations=2)
-        assert sorted(result.tracking) == [2, 5]
+        tracking, upsampled = processed(seq, frames, iterations=2)
+        assert sorted(tracking) == [2, 5]
         # the extra trailing gradient frame has no flanking window: absent
-        assert len(seq.frames) - 1 not in result.upsampled
+        assert len(seq.frames) - 1 not in upsampled
 
     def test_frame_count_mismatch_rejected(self):
         seq = generate_sequence(1)
         with pytest.raises(ValueError):
-            process_sequence(seq, [], iterations=1)
+            process_sequence(seq, [], print, iterations=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_one_pass_over_the_windows(self, n):
+        """The frames alive at each emit are one window's five, whatever the
+        capture's length; each frame within two of a tracking frame is
+        emitted once, in rising order, and the residuals are keyed by the
+        tracking frames."""
+        scene = make_sphere_scene(16, 16, 6)
+        seq = generate_sequence(n)
+        live = weakref.WeakSet()
+
+        class Source(list):
+            def __getitem__(self, i):
+                img = super().__getitem__(i)
+                fresh = Image(img.samples, img.mask)
+                live.add(fresh)
+                return fresh
+
+        emitted, held = [], []
+
+        def emit(i, normal):
+            emitted.append(i)
+            held.append(len(live))
+
+        frames = Source(render_lambert_analytic(scene, f) for f in seq.frames)
+        residuals = process_sequence(seq, frames, emit, iterations=1)
+        assert max(held) <= 5
+        centers = seq.tracking_indices
+        assert emitted == [i for i in range(len(seq.frames)) if any(abs(i - c) <= 2 for c in centers)]
+        assert list(residuals) == centers
 
     @pytest.mark.parametrize("seed", range(4))
     def test_uniform_noise_one_pixel_high(self, seed):
@@ -427,8 +472,8 @@ class TestProcessSequence:
         rng = np.random.default_rng(seed)
         frames = [Image(rng.random((1, 8))) for _ in seq.frames]
         with pytest.warns(UserWarning, match="no jointly valid pixels"):
-            result = process_sequence(seq, frames, 10)
-        assert sorted(result.tracking) == [2, 5]
+            tracking, _ = processed(seq, frames, 10)
+        assert sorted(tracking) == [2, 5]
 
     @pytest.mark.parametrize(
         "positions, start_bound, cold_bound",
@@ -453,8 +498,8 @@ class TestProcessSequence:
             errors = []
             for seed in range(4):
                 seq, frames, truth = shifted_capture(positions, (64, 80), seed)
-                result = process_sequence(seq, frames, 10)
-                errors += [tracking_error(result.tracking[c], truth[c]) for c in truth]
+                tracking, _ = processed(seq, frames, 10)
+                errors += [tracking_error(tracking[c], truth[c]) for c in truth]
             return np.mean(errors)
 
         with_start = mean_error()
@@ -485,7 +530,7 @@ class TestTrackingStart:
         centers = seq.tracking_indices
         for c in centers:
             ends = (c - 2, c + 2)
-            for i, flow in zip(ends, sequencer._tracking_start(frames, centers, c, ends)):
+            for i, flow in zip(ends, sequencer._tracking_start(frames, centers, c, ends, frames[c])):
                 want = (i - c) * f
                 assert np.hypot(flow.u[inner] - want[0], flow.v[inner] - want[1]).mean() < 0.1
                 if not f.any():
@@ -497,7 +542,7 @@ class TestTrackingStart:
         scene = make_sphere_scene(24, 24, 10)
         seq = generate_sequence(n)
         frames = [render_lambert_analytic(scene, f) for f in seq.frames]
-        assert sequencer._tracking_start(frames, seq.tracking_indices, 2, (0, 4)) is None
+        assert sequencer._tracking_start(frames, seq.tracking_indices, 2, (0, 4), frames[2]) is None
 
 
 def shifted_capture(positions, shape, seed):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, calib, photometric, qp, sequencer, stage, stimulus
-from .core import Condition, GradientImageSet, _image, _radiance, angular_error_map, histogram
+from .core import GRADIENTS, Condition, GradientImageSet, _image, _radiance, angular_error_map, histogram
 from . import pfm
 
 
@@ -87,7 +87,7 @@ def _check_simulate_values(args) -> None:
         raise ValueError("--quantization must be >= 2")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     _check_simulate_values(args)
     size = args.size
     radius = 0.4 * min(size) if args.radius is None else args.radius
@@ -124,43 +124,43 @@ def _cmd_simulate(args) -> int:
         del img  # freed before the next render allocates its frame
     pfm.write_normal_map(out / "gt_normals.pfm", scene.true_normals)
     print(f"wrote {len(conditions)} condition images to {out}")
-    return 0
 
 
-METHOD_HELP = "ma | wilson | specular | minimal[:<base>[:dual]]"
+def _minimal(base: Condition, dual: bool):
+    return photometric.minimal_set(base, dual), lambda s: photometric.recover_minimal(s, base, dual)
 
-# recovery method -> (conditions read, estimator); the estimators look up
-# photometric's functions at call time, so wrapping them there takes effect
+
+# recovery method spec -> (conditions read, estimator); the estimators look
+# up photometric's functions at call time, so wrapping them there takes effect
 _METHODS = {
     "ma": (photometric.RATIO_SET, lambda s: photometric.recover_ma(s)),
     "wilson": (photometric.DIFFERENCE_SET, lambda s: photometric.recover_wilson(s)),
     "specular": (photometric.RATIO_SET, lambda s: photometric.recover_specular(s)[1]),
+    "minimal": _minimal(Condition.X, False),
+    **{f"minimal:{base.value}{':dual' * dual}": _minimal(base, dual)
+       for base in GRADIENTS for dual in (False, True)},
 }
 
-
-def _method(spec_str: str):
-    """(conditions read, estimator) for a method spec; see METHOD_HELP."""
-    name, *suffix = spec_str.split(":")
-    if name == "minimal" and suffix[1:] in ([], ["dual"]):
-        base = Condition(suffix[0]) if suffix else Condition.X
-        dual = bool(suffix[1:])
-        return photometric.minimal_set(base, dual), lambda s: photometric.recover_minimal(s, base, dual)
-    if suffix or name not in _METHODS:
-        raise UsageError(f"unknown method: {spec_str}")
-    return _METHODS[name]
+METHOD_HELP = " | ".join(_METHODS)
 
 
-def _cmd_recover(args) -> int:
+def _method(spec: str):
+    """(conditions read, estimator) for a method spec, one of METHOD_HELP's."""
+    if spec not in _METHODS:
+        raise UsageError(f"unknown method: {spec}")
+    return _METHODS[spec]
+
+
+def _cmd_recover(args):
     conditions, recover = _method(args.method)
     nm = recover(_load_set(args.indir, args.prefix, conditions))
     out = Path(args.out)
     pfm.write_normal_map(out, nm)
     pfm.write_masked(out.with_name(out.stem + "_mag.pfm"), nm.magnitude, nm.mask)
     print(f"recovered normals ({args.method}) -> {out}")
-    return 0
 
 
-def _cmd_correct(args) -> int:
+def _cmd_correct(args):
     _, recover = _method(args.init)
     imgset = _load_set(args.indir, args.prefix, Condition)  # the QP reads all seven
     init = recover(imgset)
@@ -173,7 +173,6 @@ def _cmd_correct(args) -> int:
         args.deltabar_out or out.with_name(out.stem + "_deltabar.pfm"), delta_bar, corrected.mask
     )
     print(f"corrected normals (init={args.init}) -> {out}")
-    return 0
 
 
 def _parses_as_float(cell: str) -> bool:
@@ -192,19 +191,23 @@ def _read_xy_csv(path, columns):
         lines = [ln.strip() for ln in f if ln.strip()]
     start = 1 if lines and not any(map(_parses_as_float, lines[0].split(","))) else 0  # header
     for i, ln in enumerate(lines[start:], 1):
-        cells = [float(x) for x in ln.split(",")]
+        cells = ln.split(",")
         if len(cells) != len(columns):
-            raise ValueError(f"{path}: expected {len(columns)} columns per row")
+            raise ValueError(
+                f"{path}: expected {len(columns)} columns per row, data row {i} has {len(cells)}"
+            )
         for name, cell in zip(columns, cells):
-            if not math.isfinite(cell):
-                raise ValueError(f"{path}: data row {i}: {name} {cell} is not finite")
-        rows.append(cells)
+            if not _parses_as_float(cell):
+                raise ValueError(f"{path}: data row {i}: {name} {cell.strip()!r} is not a number")
+            if not math.isfinite(float(cell)):
+                raise ValueError(f"{path}: data row {i}: {name} {float(cell)} is not finite")
+        rows.append([float(x) for x in cells])
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows)
 
 
-def _cmd_calibrate_lights(args) -> int:
+def _cmd_calibrate_lights(args):
     intrinsics = calib.CameraIntrinsics.from_json(Path(args.k).read_text())
     limb = _read_xy_csv(args.limb, ("x", "y"))
     conic = calib.fit_conic(limb)
@@ -234,10 +237,9 @@ def _cmd_calibrate_lights(args) -> int:
         f"sphere center ({center[0]:.2f}, {center[1]:.2f}, {center[2]:.2f}) mm, "
         f"d={dist:.2f} mm; {len(lights.leds)} lights -> {args.out}"
     )
-    return 0
 
 
-def _cmd_calibrate_homography(args) -> int:
+def _cmd_calibrate_homography(args):
     pairs = _read_xy_csv(args.pairs, ("x0", "y0", "x1", "y1"))
     src, dst = pairs[:, :2], pairs[:, 2:]
     h, dlt_err = calib.estimate_homography_dlt(src, dst)
@@ -248,10 +250,9 @@ def _cmd_calibrate_homography(args) -> int:
         after = calib.sampson_error(h, src, dst)
         print(f"Sampson error: {before:.6g} -> {after:.6g}")
     Path(args.out).write_text(h.to_json())
-    return 0
 
 
-def _cmd_calibrate_separate(args) -> int:
+def _cmd_calibrate_separate(args):
     i0 = pfm.read_image(args.i0)
     i1 = pfm.read_image(args.i1)
     if args.homography:
@@ -261,10 +262,9 @@ def _cmd_calibrate_separate(args) -> int:
     pfm.write_image(args.out_specular, result.specular)
     pfm.write_image(args.out_diffuse, result.diffuse)
     print(f"separated; {result.clamp_count} negative specular pixels clamped")
-    return 0
 
 
-def _cmd_align(args) -> int:
+def _cmd_align(args):
     g = pfm.read_image(args.frames[0])
     gbar = pfm.read_image(args.frames[1])
     c = pfm.read_image(args.frames[2])
@@ -280,16 +280,14 @@ def _cmd_align(args) -> int:
         print(f"aligned pair {pair}: residual {residuals[0]:.4g} -> {residuals[-1]:.4g}")
     else:
         print(f"aligned pair {pair}: no completed iterations")
-    return 0
 
 
-def _cmd_sequence_plan(args) -> int:
+def _cmd_sequence_plan(args):
+    if args.out and args.method != "minimal":
+        raise UsageError("sequence CSV output is defined for the minimal method")
     print(sequencer.image_count(args.n, args.method))
     if args.out:
-        if args.method != "minimal":
-            raise UsageError("sequence CSV output is defined for the minimal method")
         Path(args.out).write_text(sequencer.generate_sequence(args.n).to_csv())
-    return 0
 
 
 class _FramePaths(list):
@@ -300,7 +298,7 @@ class _FramePaths(list):
         return pfm.read_image(super().__getitem__(i))
 
 
-def _cmd_sequence_process(args) -> int:
+def _cmd_sequence_process(args):
     directory = Path(args.dir)
     seq_path = directory / "seq.csv"
     if not seq_path.exists():
@@ -330,10 +328,9 @@ def _cmd_sequence_process(args) -> int:
         f"processed {len(residuals)} tracking frames, "
         f"{len(names) - len(residuals)} upsampled frames -> {out}"
     )
-    return 0
 
 
-def _cmd_stimulus(args) -> int:
+def _cmd_stimulus(args):
     nm = pfm.read_normal_map(args.normals)
     texture_img = pfm.read_image(args.texture)
     shape_img = stimulus.shape_only(nm, np.asarray(args.l1), np.asarray(args.l2))
@@ -345,10 +342,9 @@ def _cmd_stimulus(args) -> int:
         pfm.write_png(out / f"{name}.png", img.samples)
         pfm.write_image(out / f"{name}.pfm", img)
     print(f"stimulus images -> {out}")
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     a = pfm.read_normal_map(args.a)
     b = pfm.read_normal_map(args.b)
     err = angular_error_map(a, b)
@@ -358,7 +354,6 @@ def _cmd_report(args) -> int:
     pfm.write_csv(args.out, ("bin_center", "count"), bins)
     vals = err.samples[err.mask]
     print(f"angular error: mean {vals.mean():.4f} deg, max {vals.max():.4f} deg -> {args.out}")
-    return 0
 
 
 def _config_parser() -> _Parser:
@@ -500,7 +495,8 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -68,15 +68,25 @@ class CaptureSequence:
     @classmethod
     def from_csv(cls, text: str) -> "CaptureSequence":
         """Inverse of to_csv; each row's frame_index must be its position,
-        since the frames of a sequence directory are taken in that order."""
-        frames, labels = [], []
+        since the frames of a sequence directory are taken in that order,
+        and the labelled tracking rows must come first, since to_csv labels
+        the tracking frames in order."""
+        frames, labels, unlabelled = [], [], None  # unlabelled: first such tracking row
         rows = [r for r in text.strip().splitlines()[1:] if r.strip()]
         for i, row in enumerate(rows):
             idx, cond, label = (row.split(",") + [""])[:3]
             if int(idx) != i:
                 raise ValueError(f"sequence row {i + 1} has frame_index {idx}, expected {i}")
             frames.append(Condition(cond))
-            if cond == "c" and label:
+            if frames[-1] is not Condition.C:
+                continue
+            if not label:
+                unlabelled = unlabelled or i + 1
+            elif unlabelled:
+                raise ValueError(
+                    f"sequence row {i + 1} labels a tracking frame after unlabelled row {unlabelled}"
+                )
+            else:
                 labels.append(label)
         return cls(tuple(frames), tuple(labels))
 
@@ -171,44 +181,36 @@ def validate_sequence(seq: CaptureSequence) -> list[str]:
     return violations
 
 
-def tracking_frame_normal(
-    frames: Mapping[Condition, Image], flows: Mapping[Condition, FlowField]
-) -> NormalMap:
+def tracking_frame_normal(window: Mapping[Condition, tuple[Image, FlowField]]) -> NormalMap:
     """Normal map at a tracking frame from its window's four gradient
     frames, keyed by condition, each warped toward the tracking frame by its
     own flow: recover_minimal of the warped set, whose base is the one axis
     the window holds from both sides."""
-    missing = [c.value for c in frames if c not in flows]
-    if missing:
-        raise ValueError(f"missing flow for frame {', '.join(missing)}")
-    pairs = [g for g in GRADIENTS if g in frames and g.complement in frames]
+    pairs = [g for g in GRADIENTS if g in window and g.complement in window]
     if len(pairs) != 1:
         raise ValueError(f"window holds {len(pairs)} complement pairs, expected 1")
-    warped = GradientImageSet({c: warp_image(img, flows[c]) for c, img in frames.items()})
+    warped = GradientImageSet({c: warp_image(img, flow) for c, (img, flow) in window.items()})
     return recover_minimal(warped, pairs[0])
 
 
-def intermediate_warped_normal(
-    n_prev: NormalMap,
-    n_next: NormalMap,
-    flow_prev: FlowField,
-    flow_next: FlowField,
-    t_prev: int,
-    t_next: int,
-) -> NormalMap:
-    """Distance-weighted blend of the two flanking tracking normals.
+def intermediate_warped_normal(sides: Sequence[tuple[NormalMap, FlowField, int]]) -> NormalMap:
+    """Normal at a non-tracking frame from the one or two windows holding it.
 
-    flow_prev / flow_next run from this frame toward each tracking frame;
-    each tracking normal is warped back by the negated flow. Weights are
-    proportional to the opposite temporal distance (w_prev = t_next,
-    w_next = t_prev) so the nearer frame dominates; the weighted sum is
-    renormalized. Pixels where both warps are invalid stay invalid;
-    single-valid pixels use the valid side alone.
+    Each side is (tracking normal, flow of this frame toward it, temporal
+    distance), in window order; each normal is warped back by the negated
+    flow. One side is its warp alone; two are blended with weights
+    proportional to the opposite distance (w_prev = t_next, w_next =
+    t_prev) so the nearer frame dominates, and renormalized. Pixels where
+    both warps are invalid stay invalid; single-valid pixels use the valid
+    side alone.
     """
-    if t_prev < 1 or t_next < 1:
-        raise ValueError("temporal distances must be >= 1")
-    a = warp_normals(n_prev, flow_prev.scaled(-1.0))
-    b = warp_normals(n_next, flow_next.scaled(-1.0))
+    if len(sides) not in (1, 2) or any(t < 1 for _, _, t in sides):
+        raise ValueError("need one or two sides, each at a temporal distance >= 1")
+    warped = [warp_normals(nm, flow.scaled(-1.0)) for nm, flow, _ in sides]
+    if len(warped) == 1:
+        return warped[0]
+    a, b = warped
+    (_, _, t_prev), (_, _, t_next) = sides
     w_prev, w_next = float(t_next), float(t_prev)
     va = np.where(a.mask[..., None], a.normals, 0.0)
     vb = np.where(b.mask[..., None], b.normals, 0.0)
@@ -263,9 +265,10 @@ def process_sequence(
         raise ValueError("invalid sequence: " + "; ".join(bad))
     centers = seq.tracking_indices
     residuals: dict[int, list[float]] = {}
-    # rule 2 makes a window's first two frames the previous window's last
-    # two, so its centre, normal and flows are all that carries over
-    prev = None
+    # sides[i]: the intermediate_warped_normal sides of frame i from the
+    # windows done so far; rule 2 makes a window's first two frames the
+    # previous window's last two, so only those two frames' sides carry over
+    sides: dict[int, list[tuple[NormalMap, FlowField, int]]] = {}
     for c in centers:
         first, last = c - 2, c + 2
         window = {i: frames[i] for i in range(first, last + 1)}
@@ -280,19 +283,12 @@ def process_sequence(
         flows = {g: u, gbar: v}
         for i, j in ((c - 1, first), (c + 1, last)):
             flows[i] = flows[j].scaled((i - c) / (j - c))
-        normal = tracking_frame_normal(
-            {seq.frames[i]: window[i] for i in flows},
-            {seq.frames[i]: flow for i, flow in flows.items()},
-        )
-        for i in (first, c - 1):
-            if prev is None:
-                emit(i, warp_normals(normal, flows[i].scaled(-1.0)))
-            else:
-                cp, n_prev, f_prev = prev
-                emit(i, intermediate_warped_normal(n_prev, normal, f_prev[i], flows[i], i - cp, c - i))
-        emit(c, normal)
-        prev = c, normal, flows
-    c, normal, flows = prev
-    for i in (c + 1, c + 2):
-        emit(i, warp_normals(normal, flows[i].scaled(-1.0)))
+        normal = tracking_frame_normal({seq.frames[i]: (window[i], flow) for i, flow in flows.items()})
+        for i, flow in flows.items():
+            sides.setdefault(i, []).append((normal, flow, abs(i - c)))
+        del window, start, u, v, flows  # freed before the next window aligns; sides holds the rest
+        # no later window holds the frames up to c, nor the last one's rest
+        end = last if c == centers[-1] else c
+        for i in range(first, end + 1):
+            emit(i, normal if i == c else intermediate_warped_normal(sides.pop(i)))
     return residuals

@@ -11,9 +11,9 @@ import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 
 import gradientstage
-from gradientstage import alignment, calib, pfm
+from gradientstage import alignment, calib, cli, pfm, photometric
 from gradientstage.cli import run
-from gradientstage.core import Image, mean_angular_error
+from gradientstage.core import Condition, Image, mean_angular_error
 from gradientstage.stage import (
     LightStage,
     SceneSpec,
@@ -52,7 +52,9 @@ def test_sequence_plan_wilson(capsys):
 def test_sequence_plan_writes_no_wilson_csv(tmp_path, capsys):
     out = tmp_path / "seq.csv"
     assert run(["sequence", "plan", "--n", "5", "--method", "wilson", "--out", str(out)]) == 1
-    assert "sequence CSV output is defined for the minimal method" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "sequence CSV output is defined for the minimal method" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -120,11 +122,14 @@ def test_recover_methods_agree_on_ideal_data(tmp_path):
     [
         (["recover", "--method", "bogus"], 1),
         (["correct", "--init", "bogus"], 1),
-        (["recover", "--method", "minimal:q"], 2),
+        (["recover", "--method", "minimal:q"], 1),
         (["recover", "--method", "minimal:x:duall"], 1),
         (["recover", "--method", "minimal:x:dual:extra"], 1),
         (["recover", "--method", "ma:zzz"], 1),
         (["correct", "--init", "wilson:dual"], 1),
+        (["recover", "--method", "minimal:c"], 1),
+        (["recover", "--method", "minimal:xb"], 1),
+        (["correct", "--init", "minimal:dual"], 1),
     ],
 )
 def test_bad_method_spec_exit_codes(tmp_path, capsys, argv, code):
@@ -132,6 +137,37 @@ def test_bad_method_spec_exit_codes(tmp_path, capsys, argv, code):
     assert run(["simulate", "--size", "16", "16", "--out", str(data)]) == 0
     assert run([*argv, "--in", str(data), "--out", str(tmp_path / "n.pfm")]) == code
     assert not (tmp_path / "n.pfm").exists()
+
+
+@pytest.fixture(scope="module")
+def small_set(tmp_path_factory):
+    data = tmp_path_factory.mktemp("small") / "d"
+    assert run(["simulate", "--size", "16", "12", "--out", str(data)]) == 0
+    return data
+
+
+def estimate(spec, imgset):
+    """The photometric estimator that a method spec names."""
+    name, *suffix = spec.split(":")
+    if name == "minimal":
+        base = Condition(suffix[0] if suffix else "x")
+        return photometric.recover_minimal(imgset, base, suffix[1:] == ["dual"])
+    if name == "specular":
+        return photometric.recover_specular(imgset)[1]
+    return getattr(photometric, f"recover_{name}")(imgset)
+
+
+@pytest.mark.parametrize("spec", list(cli._METHODS))
+def test_every_method_spec_recovers_and_seeds_the_correction(tmp_path, small_set, spec):
+    want = estimate(spec, cli._load_set(small_set, "grad", Condition))
+    out = tmp_path / "recovered.pfm"
+    assert run(["recover", "--method", spec, "--in", str(small_set), "--out", str(out)]) == 0
+    got = pfm.read_normal_map(out)
+    assert got.mask.tobytes() == want.mask.tobytes()
+    np.testing.assert_allclose(got.normals, want.normals.astype(np.float32), rtol=0, atol=1e-6)
+    out = tmp_path / "corrected.pfm"
+    assert run(["correct", "--init", spec, "--in", str(small_set), "--out", str(out)]) == 0
+    assert pfm.read_normal_map(out).mask.any()
 
 
 def test_correct_subcommand(tmp_path):
@@ -518,10 +554,11 @@ def test_calibrate_homography_rejects_four_pairs_with_three_collinear(tmp_path, 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("x0,y0,x1,y1\n0,0,1,2\n10,0,11\n", "expected 4 columns per row"),
+        ("x0,y0,x1,y1\n0,0,1,2\n10,0,11\n", "expected 4 columns per row, data row 2 has 3"),
         ("x0,y0,x1,y1\n", "no data rows"),
+        ("x0,y0,x1,y1\n0,0,1,2\n10,abc,11,2\n", "data row 2: y0 'abc' is not a number"),
     ],
-    ids=["three-columns", "header-only"],
+    ids=["three-columns", "header-only", "not-a-number"],
 )
 def test_calibrate_homography_rejects_a_csv_without_its_rows(tmp_path, capsys, text, message):
     pairs = tmp_path / "pairs.csv"
@@ -693,6 +730,16 @@ def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
     (tmp_path / "seq.csv").write_text("\n".join([header, *reversed(rows)]) + "\n")
     assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(tmp_path / "n")]) == 2
     assert "frame_index" in capsys.readouterr().err
+
+
+def test_sequence_process_rejects_labels_after_an_unlabelled_tracking_row(tmp_path, capsys):
+    from gradientstage.sequencer import generate_sequence
+
+    header, *rows = generate_sequence(3).to_csv().splitlines()
+    rows[2] = "2,c,"
+    (tmp_path / "seq.csv").write_text("\n".join([header, *rows]) + "\n")
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(tmp_path / "n")]) == 2
+    assert "sequence row 6 labels a tracking frame after unlabelled row 3" in capsys.readouterr().err
 
 
 def test_sequence_process_rejects_an_invalid_sequence(tmp_path, capsys):

@@ -349,8 +349,9 @@ class TestComplementDifference:
         seq = generate_sequence(12)
         zero = FlowField.zero(imgset.shape)
         for center in seq.tracking_indices:
-            window = {c: imgset[c] for c in seq.frames[center - 2 : center + 3] if c is not Condition.C}
-            assert_bitwise_equal(tracking_frame_normal(window, dict.fromkeys(window, zero)), wilson)
+            conditions = seq.frames[center - 2 : center + 3]
+            window = {c: (imgset[c], zero) for c in conditions if c is not Condition.C}
+            assert_bitwise_equal(tracking_frame_normal(window), wilson)
 
     def test_one_sided_axes_use_the_constant(self):
         a, b, c = np.full((1, 1), 3.0), np.full((1, 1), 1.0), np.full((1, 1), 5.0)

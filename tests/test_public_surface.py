@@ -1,8 +1,14 @@
 """Each public top-level function and class of the package, and each public
 method, classmethod and property of a public class, has a caller outside
-the tests: elsewhere in the package, in a script or in the benchmark."""
+the tests: elsewhere in the package, in a script or in the benchmark; and
+each timed layer of the benchmark names code of the package."""
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
+
+from gradientstage import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "gradientstage").glob("*.py"))
@@ -50,3 +56,38 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                         if not any(a.attr == node.name and a not in own for a in attributes):
                             uncalled.add(f"{cls.name}.{node.name}")
     assert uncalled == set()
+
+
+# per-layer benchmark metrics that name no code, each for the reason given
+STALE_LAYERS = {
+    "qp.build_qp_system.s": "deleted with the closed-form QP; BENCHMARK.json drops it with ROADMAP "
+                            "direction 4's benchmark definitions",
+    "qp.solve_normal_correction.s": "as qp.build_qp_system.s",
+}
+
+
+def names_real_code(layer: str) -> bool:
+    """Whether a `<module>.<function>`, `<module>.<Class>.<classmethod>` or
+    `cli.<subcommand>` layer names what the benchmark's tracer wraps."""
+    module, *path = layer.split(".")
+    if module == "cli":
+        _, subparsers = cli.build_parser()
+        return path[0] in {"_".join(p.prog.split()[1:]) for p in subparsers}
+    owner = importlib.import_module(f"gradientstage.{module}")
+    *classes, name = path
+    for cls in classes:
+        owner = getattr(owner, cls, None)
+        if not inspect.isclass(owner):
+            return False
+    obj = inspect.getattr_static(owner, name, None)
+    if classes:
+        return isinstance(obj, classmethod) and not name.startswith("_")
+    return inspect.isfunction(obj) and obj.__module__ == owner.__name__ and not name.startswith("_")
+
+
+def test_every_timed_benchmark_layer_names_package_code():
+    layers = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    timed = [name for name in layers if name.endswith((".s", ".calls"))]
+    assert timed
+    stale = {name for name in timed if not names_real_code(name.rsplit(".", 1)[0])}
+    assert stale == set(STALE_LAYERS)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from gradientstage import sequencer
-from gradientstage.alignment import FlowField, warp_image
+from gradientstage.alignment import FlowField, warp_image, warp_normals
 from gradientstage.core import Condition, GradientImageSet, Image, NormalMap, angular_error_map
 from gradientstage.photometric import _difference_components, recover_minimal
 from gradientstage.sequencer import (
@@ -178,6 +178,21 @@ class TestCsvRoundTrip:
         seq = generate_sequence(100_000)
         assert len(seq.to_csv().splitlines()) == len(seq.frames) + 1
 
+    @given(st.integers(1, 60), st.integers(0, 60))
+    def test_round_trip_with_labels_cut_to_a_prefix(self, n, keep):
+        seq = generate_sequence(n)
+        seq = CaptureSequence(seq.frames, seq.labels[:keep])
+        assert CaptureSequence.from_csv(seq.to_csv()) == seq
+
+    def test_rejects_a_labelled_tracking_row_after_an_unlabelled_one(self):
+        # blanking the first tracking row's label once shifted every later
+        # label onto the tracking frame before its own
+        header, *rows = generate_sequence(3).to_csv().splitlines()
+        assert rows[2] == "2,c,s_x"
+        rows[2] = "2,c,"
+        with pytest.raises(ValueError, match="row 6 labels a tracking frame after unlabelled row 3"):
+            CaptureSequence.from_csv("\n".join([header, *rows]))
+
     def test_rejects_reversed_rows(self):
         # the reversed frames form a sequence that validate_sequence accepts,
         # so taking them in row order would mislabel every frame file
@@ -269,7 +284,7 @@ def test_windows_equal_the_former_tracking_frame_normal(data):
         first, last = data.draw(flow_fields(shape)), data.draw(flow_fields(shape))
         flows = window_flows(conditions, first, last)
         window = [(k, images[k]) for k in conditions]
-        assert outcome(tracking_frame_normal, {k: images[k] for k in flows}, flows) == outcome(
+        assert outcome(tracking_frame_normal, {k: (images[k], f) for k, f in flows.items()}) == outcome(
             former_tracking_frame_normal, window, first, last
         )
 
@@ -282,12 +297,12 @@ class TestTrackingFrameNormal:
     def images(self, *names):
         return {Condition(n): render_lambert_analytic(self.scene, n) for n in names}
 
-    def zero_flows(self, frames):
-        return dict.fromkeys(frames, self.zero)
+    def static_window(self, frames):
+        return {c: (img, self.zero) for c, img in frames.items()}
 
     def test_static_equals_recover_minimal_bitwise(self):
         frames = self.images("x", "z", "y", "xb")
-        nm = tracking_frame_normal(frames, self.zero_flows(frames))
+        nm = tracking_frame_normal(self.static_window(frames))
         ref = recover_minimal(GradientImageSet(frames), C.X)
         np.testing.assert_array_equal(nm.normals, ref.normals)
         np.testing.assert_array_equal(nm.magnitude, ref.magnitude)
@@ -295,28 +310,21 @@ class TestTrackingFrameNormal:
 
     def test_dual_window_matches_dual_formula(self):
         frames = self.images("y", "xb", "zb", "yb")
-        nm = tracking_frame_normal(frames, self.zero_flows(frames))
+        nm = tracking_frame_normal(self.static_window(frames))
         ref = recover_minimal(GradientImageSet(frames), C.Y, dual=True)
         np.testing.assert_array_equal(nm.normals, ref.normals)
 
     def test_mixed_window_recovers_truth_on_ideal_data(self):
         # the third window of the unit sequence: {zb, yb, x, z}
         frames = self.images("zb", "yb", "x", "z")
-        nm = tracking_frame_normal(frames, self.zero_flows(frames))
+        nm = tracking_frame_normal(self.static_window(frames))
         assert max_angular_error(nm, self.scene.true_normals) < 1e-9
-
-    def test_missing_flow_rejected(self):
-        frames = self.images("x", "z", "y", "xb")
-        flows = self.zero_flows(frames)
-        del flows[C.X]
-        with pytest.raises(ValueError, match="missing flow"):
-            tracking_frame_normal(frames, flows)
 
     def test_bad_window_rejected(self):
         for names, pairs in [(("x", "xb", "y", "yb"), 2), (("x", "y", "z"), 0)]:
             frames = self.images(*names)
             with pytest.raises(ValueError, match=f"holds {pairs} complement pairs"):
-                tracking_frame_normal(frames, self.zero_flows(frames))
+                tracking_frame_normal(self.static_window(frames))
 
     def test_uniform_translation_recovered_within_degree(self):
         # scene translates 1 px/frame along +x; frames sampled accordingly
@@ -331,7 +339,7 @@ class TestTrackingFrameNormal:
         flow_first = FlowField(np.broadcast_to([-2.0, 0.0], (h, w, 2)).copy(), np.ones((h, w), bool))
         flow_last = FlowField(np.broadcast_to([2.0, 0.0], (h, w, 2)).copy(), np.ones((h, w), bool))
         flows = window_flows(conditions, flow_first, flow_last)
-        nm = tracking_frame_normal({c: img for c, img in window if c in flows}, flows)
+        nm = tracking_frame_normal({c: (img, flows[c]) for c, img in window if c in flows})
         from gradientstage.core import mean_angular_error
 
         assert mean_angular_error(nm, big.true_normals) < 1.0
@@ -344,7 +352,7 @@ class TestIntermediateWarpedNormal:
         self.zero = FlowField.zero(self.nm.shape)
 
     def test_identical_inputs_any_weights(self):
-        out = intermediate_warped_normal(self.nm, self.nm, self.zero, self.zero, 1, 5)
+        out = intermediate_warped_normal([(self.nm, self.zero, 1), (self.nm, self.zero, 5)])
         np.testing.assert_allclose(
             out.normals[out.mask], self.nm.normals[self.nm.mask], atol=1e-12
         )
@@ -354,29 +362,38 @@ class TestIntermediateWarpedNormal:
         a[0, 0] = (1.0, 0, 0)
         b = np.zeros((1, 1, 3))
         b[0, 0] = (0, 1.0, 0)
-        from gradientstage.core import NormalMap
-
         na = NormalMap.from_components(a)
         nb = NormalMap.from_components(b)
         zero = FlowField.zero((1, 1))
         # t_prev=1, t_next=2: weights 2:1 -> (2a + b) direction
-        out = intermediate_warped_normal(na, nb, zero, zero, 1, 2)
+        out = intermediate_warped_normal([(na, zero, 1), (nb, zero, 2)])
         expected = np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)
         np.testing.assert_allclose(out.normals[0, 0], expected, atol=1e-12)
         # wilson spacing: t_prev=1, t_next=3 -> weights 3:1
-        out = intermediate_warped_normal(na, nb, zero, zero, 1, 3)
+        out = intermediate_warped_normal([(na, zero, 1), (nb, zero, 3)])
         expected = np.array([3.0, 1.0, 0.0]) / np.sqrt(10.0)
         np.testing.assert_allclose(out.normals[0, 0], expected, atol=1e-12)
 
     def test_single_sided_where_one_warp_invalid(self):
         h, w = self.nm.shape
         off = FlowField(np.full((h, w, 2), 1e6), np.ones((h, w), bool))
-        out = intermediate_warped_normal(self.nm, self.nm, self.zero, off, 1, 1)
+        out = intermediate_warped_normal([(self.nm, self.zero, 1), (self.nm, off, 1)])
         np.testing.assert_array_equal(out.mask, self.nm.mask)
 
+    def test_one_side_is_its_warp_bitwise(self):
+        h, w = self.nm.shape
+        rng = np.random.default_rng(0)
+        flow = FlowField(rng.uniform(-1.5, 1.5, (h, w, 2)), rng.random((h, w)) < 0.9)
+        out = intermediate_warped_normal([(self.nm, flow, 2)])
+        ref = warp_normals(self.nm, flow.scaled(-1.0))
+        assert out.normals.tobytes() == ref.normals.tobytes()
+        assert out.magnitude.tobytes() == ref.magnitude.tobytes()
+        assert out.mask.tobytes() == ref.mask.tobytes()
+
     def test_rejects_bad_distances(self):
-        with pytest.raises(ValueError):
-            intermediate_warped_normal(self.nm, self.nm, self.zero, self.zero, 0, 1)
+        for distances in [(0,), (1, 0), (0, 1), (), (1, 1, 1)]:
+            with pytest.raises(ValueError, match="one or two sides"):
+                intermediate_warped_normal([(self.nm, self.zero, t) for t in distances])
 
 
 def processed(seq, frames, iterations):
@@ -399,8 +416,9 @@ class TestProcessSequence:
         # bit, the mixed third window included
         zero = FlowField.zero(frames[0].shape)
         for center in tracking:
-            window = {seq.frames[i]: frames[i] for i in (center - 2, center - 1, center + 1, center + 2)}
-            ref = tracking_frame_normal(window, dict.fromkeys(window, zero))
+            window = {seq.frames[i]: (frames[i], zero) 
+                      for i in (center - 2, center - 1, center + 1, center + 2)}
+            ref = tracking_frame_normal(window)
             got = tracking[center]
             np.testing.assert_array_equal(got.normals, ref.normals)
         # pure window at the first tracking frame: bitwise equal to recover_minimal

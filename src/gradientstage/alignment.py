@@ -9,7 +9,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DARK_EPS, Image, NormalMap, _adopt, _block_rows, _fill, _image, _mask, _radiance
+from .core import (
+    DARK_EPS, Image, NormalMap, _adopt, _block_rows, _fill, _image, _mask, _radiance, _same_shape,
+)
 
 # flow displacements below this are numerical noise; snapped to exact zero
 ZERO_FLOW = 1e-9
@@ -199,8 +201,7 @@ def warp_image(img: Image, flow: FlowField) -> Image:
     source or drawing on its invalid pixels become invalid (no
     extrapolation). Exactly-zero flow is an identity, a zero's sign aside:
     its integer queries take each pixel's own sample and flag."""
-    if img.shape != flow.shape:
-        raise ValueError(f"dimension mismatch: {img.shape} vs {flow.shape}")
+    _same_shape(img, flow)
     out, valid = _warp(img.samples, img.mask, _displaced(flow.u, flow.v))
     valid &= flow.mask
     return _radiance(_image(out, valid))
@@ -212,8 +213,7 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
     Exactly-zero flow returns the input untouched (no resampling, no
     renormalization), so static pipelines are bit-exact.
     """
-    if nm.shape != flow.shape:
-        raise ValueError(f"dimension mismatch: {nm.shape} vs {flow.shape}")
+    _same_shape(nm, flow)
     if not flow.vectors.any():
         return nm._narrowed(flow.mask)
     vec, valid = _warp(nm.normals, nm.mask, _displaced(flow.u, flow.v))
@@ -222,8 +222,7 @@ def warp_normals(nm: NormalMap, flow: FlowField) -> NormalMap:
 
 def complement_residual(g: Image, gbar: Image, c: Image) -> float:
     """Sum of |r_c - (r_a + r_abar)| over jointly valid pixels."""
-    if not (g.shape == gbar.shape == c.shape):
-        raise ValueError("dimension mismatch between gradient, complement and constant")
+    _same_shape(g, gbar, c)
     mask = g.mask & gbar.mask & c.mask
     if not mask.any():
         raise ValueError("no jointly valid pixels")
@@ -301,15 +300,20 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
     pixels[2] = (alpha**2 + iy2) * inv_denom, (alpha**2 + ix2) * inv_denom
     pixels[3] = -ixy * inv_denom
     pad_lanes = np.flatnonzero(diag == 0.0)
-    flat = pad.ravel()
-    up, mid, down = flat[: size + 2], flat[wp : wp + size + 2], flat[2 * wp :]
     left, right, ends_c = half[:size], half[2:], ends[1:-1]
-    ring = [
-        (pad[:, 1:-1, 0], pad[:, 1:-1, 1]),
-        (pad[:, 1:-1, -1], pad[:, 1:-1, -2]),
-        (pad[:, 0], pad[:, 1]),
-        (pad[:, -1], pad[:, -2]),
-    ]
+
+    def vertical(field, ends, half):
+        """Copy the edge of the padded (2, H+2, W+2) field into its pad
+        ring, then form, over the run, ends = up + down and half = ends / 2
+        + mid: the vertical half of 6 Avg, in field's precision."""
+        field[:, 1:-1, 0] = field[:, 1:-1, 1]
+        field[:, 1:-1, -1] = field[:, 1:-1, -2]
+        field[:, 0] = field[:, 1]
+        field[:, -1] = field[:, -2]
+        flat = field.reshape(-1)
+        np.add(flat[: size + 2], flat[2 * wp :], out=ends)
+        np.multiply(ends, 0.5, out=half)
+        np.add(half, flat[wp : wp + size + 2], out=half)
 
     def block(dst, d, o, v):
         """dst = the per-pixel 2x2 blocks (d, o) times v."""
@@ -319,12 +323,8 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
         dst[plane:] += s[:m]
 
     def smooth():
-        """s = 6 Avg p, after copying p's edge into its pad ring."""
-        for dst, src in ring:
-            dst[...] = src
-        np.add(up, down, out=ends)
-        np.multiply(ends, 0.5, out=half)
-        np.add(half, mid, out=half)
+        """s = 6 Avg p."""
+        vertical(pad, ends, half)
         np.add(left, right, out=s)
         np.add(s, ends_c, out=s)
         s[pad_lanes] = 0.0
@@ -350,12 +350,8 @@ def _pcg(ix, iy, it, u, v, alpha, cap):
         f = fp[:, 1:-1, 1:-1]
         np.add(u, xpix[0], out=f[0], dtype=float)
         np.add(v, xpix[1], out=f[1], dtype=float)
-        fp[:, 1:-1, [0, -1]] = f[:, :, [0, -1]]
-        fp[:, [0, -1]] = fp[:, [1, -2]]
         ends64, half64 = ends64[wp : wp + size + 2], half64[wp : wp + size + 2]
-        np.add(fpad[: size + 2], fpad[2 * wp :], out=ends64)
-        np.multiply(ends64, 0.5, out=half64)
-        half64 += fpad[wp : wp + size + 2]
+        vertical(fp, ends64, half64)
         six_avg = ends64[1:-1]
         six_avg += half64[:size]
         six_avg += half64[2:]
@@ -460,10 +456,7 @@ def _flow_estimate(
     two per outer iteration."""
     from scipy import ndimage
 
-    if src.shape != tgt.shape:
-        raise ValueError(f"dimension mismatch: {src.shape} vs {tgt.shape}")
-    if init is not None and init.shape != src.shape:
-        raise ValueError(f"dimension mismatch: initial flow {init.shape} vs {src.shape}")
+    _same_shape(src, tgt, *([] if init is None else [init]))
     params = params or FlowParams()
     fill = float(np.median(tgt.samples[tgt.mask])) if tgt.mask.any() else 0.0
     a = np.where(src.mask, src.samples, fill)
@@ -519,8 +512,7 @@ def joint_photometric_align(
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if not (g.shape == gbar.shape == c.shape):
-        raise ValueError("dimension mismatch between alignment frames")
+    _same_shape(g, gbar, c, *(init or ()))
     est = estimator or flow_estimate
     params = params or FlowParams()
     if init is None:
@@ -528,8 +520,6 @@ def joint_photometric_align(
         v = FlowField.zero(g.shape)
     else:
         u, v = init
-        if not (u.shape == v.shape == g.shape):
-            raise ValueError(f"dimension mismatch: initial flows {u.shape}, {v.shape} vs {g.shape}")
     residuals: list[float] = []
     best = (u, v)
     best_res = np.inf

@@ -11,7 +11,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import _warp
-from .core import Image, _image, _radiance, unit
+from .core import Image, _image, _radiance, _same_shape, unit
+
+
+def _json_matrix(text: str) -> np.ndarray:
+    """The float array of a JSON array of rows of numbers. Any other JSON
+    is a ValueError: np.asarray would read an object as a TypeError, a
+    string or true as a number and null as NaN."""
+    try:
+        rows = json.loads(text)
+        if isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+        ):
+            return np.asarray(rows, dtype=float)
+    except (RecursionError, OverflowError) as exc:  # deep nesting; an integer beyond float
+        raise ValueError(f"unreadable matrix JSON: {exc}") from None
+    raise ValueError("a matrix must be a JSON array of rows of numbers")
 
 
 @dataclass(frozen=True)
@@ -34,7 +49,7 @@ class CameraIntrinsics:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls(np.asarray(json.loads(text), dtype=float))
+        return cls(_json_matrix(text))
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class Homography:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls(np.asarray(json.loads(text), dtype=float))
+        return cls(_json_matrix(text))
 
 
 def _disk(radius: int) -> np.ndarray:
@@ -239,16 +254,12 @@ def light_direction(highlight_xy, intrinsics: CameraIntrinsics, origin, center, 
     """
     h = np.array([highlight_xy[0], highlight_xy[1], 1.0])
     d = np.linalg.inv(intrinsics.k) @ h
-    hit = ray_sphere_intersect(origin, d / np.linalg.norm(d), center, radius)
+    hit = ray_sphere_intersect(origin, d, center, radius)
     if hit is None:
         raise ValueError("highlight off sphere: pixel ray misses the ball")
-    o = np.asarray(origin, dtype=float)
-    v = o - hit
-    v /= np.linalg.norm(v)
-    n = hit - np.asarray(center, dtype=float)
-    n /= np.linalg.norm(n)
-    ell = 2.0 * (n @ v) * n - v
-    return ell / np.linalg.norm(ell)
+    v = unit(np.asarray(origin, dtype=float) - hit)
+    n = unit(hit - np.asarray(center, dtype=float))
+    return unit(2.0 * (n @ v) * n - v)
 
 
 def _hartley_normalize(points: np.ndarray):
@@ -397,8 +408,7 @@ def separate_reflectance(i0: Image, i1: Image) -> SeparationResult:
     specular = max(0, i0 - i1), diffuse = 2 i1; negative specular pixels
     (sensor noise) are clamped to zero and counted.
     """
-    if i0.shape != i1.shape:
-        raise ValueError(f"dimension mismatch: {i0.shape} vs {i1.shape}")
+    _same_shape(i0, i1)
     mask = i0.mask & i1.mask
     diff = i0.samples - i1.samples
     clamp_count = int(np.count_nonzero(mask & (diff < 0)))

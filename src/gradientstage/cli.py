@@ -7,6 +7,7 @@ supply any flag's default; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -38,6 +39,32 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _staged(*paths):
+    """A stand-in for each output file of `paths`, in a hidden directory
+    beside it; each is moved onto its path once the block completes, so a
+    command that fails leaves none of its outputs, and an existing one as
+    it was."""
+    for path in paths:  # else os.replace fails after moving the outputs before it
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"output {path} is a directory")
+    with contextlib.ExitStack() as stack:
+        stand_ins = [
+            Path(stack.enter_context(tempfile.TemporaryDirectory(dir=Path(p).absolute().parent, prefix=".")),
+                 Path(p).name)
+            for p in paths
+        ]
+        try:
+            yield stand_ins
+        except ValueError as exc:  # name the outputs, not their stand-ins
+            message = str(exc)
+            for stand_in, path in zip(stand_ins, paths):
+                message = message.replace(str(stand_in), str(path))
+            raise ValueError(message) from None
+        for stand_in, path in zip(stand_ins, paths):
+            os.replace(stand_in, path)
 
 
 def _set_path(directory, prefix, cond: Condition) -> Path:
@@ -155,8 +182,9 @@ def _cmd_recover(args):
     conditions, recover = _method(args.method)
     nm = recover(_load_set(args.indir, args.prefix, conditions))
     out = Path(args.out)
-    pfm.write_normal_map(out, nm)
-    pfm.write_masked(out.with_name(out.stem + "_mag.pfm"), nm.magnitude, nm.mask)
+    with _staged(out, out.with_name(out.stem + "_mag.pfm")) as (normals, magnitude):
+        pfm.write_normal_map(normals, nm)
+        pfm.write_masked(magnitude, nm.magnitude, nm.mask)
     print(f"recovered normals ({args.method}) -> {out}")
 
 
@@ -167,11 +195,12 @@ def _cmd_correct(args):
     corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
     del imgset, init  # freed before the writes allocate their float32 buffers
     out = Path(args.out)
-    pfm.write_normal_map(out, corrected)
-    pfm.write_masked(args.delta_out or out.with_name(out.stem + "_delta.pfm"), delta, corrected.mask)
-    pfm.write_masked(
-        args.deltabar_out or out.with_name(out.stem + "_deltabar.pfm"), delta_bar, corrected.mask
-    )
+    fields = (args.delta_out or out.with_name(out.stem + "_delta.pfm"),
+              args.deltabar_out or out.with_name(out.stem + "_deltabar.pfm"))
+    with _staged(out, *fields) as (normals, delta_path, deltabar_path):
+        pfm.write_normal_map(normals, corrected)
+        pfm.write_masked(delta_path, delta, corrected.mask)
+        pfm.write_masked(deltabar_path, delta_bar, corrected.mask)
     print(f"corrected normals (init={args.init}) -> {out}")
 
 
@@ -183,12 +212,20 @@ def _parses_as_float(cell: str) -> bool:
     return True
 
 
+def _read(path, parse, encoding):
+    """parse(the text of the file at path in `encoding`); a ValueError in
+    decoding or parsing the text names the path."""
+    try:
+        return parse(Path(path).read_text(encoding=encoding))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_xy_csv(path, columns):
     """The data rows of a numeric CSV with one cell per name in `columns`,
     each finite; a first row with no number in it is a header."""
     rows = []
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = _read(path, lambda text: [ln.strip() for ln in text.split("\n") if ln.strip()], "ascii")
     start = 1 if lines and not any(map(_parses_as_float, lines[0].split(","))) else 0  # header
     for i, ln in enumerate(lines[start:], 1):
         cells = ln.split(",")
@@ -208,7 +245,7 @@ def _read_xy_csv(path, columns):
 
 
 def _cmd_calibrate_lights(args):
-    intrinsics = calib.CameraIntrinsics.from_json(Path(args.k).read_text())
+    intrinsics = _read(args.k, calib.CameraIntrinsics.from_json, "utf-8")
     limb = _read_xy_csv(args.limb, ("x", "y"))
     conic = calib.fit_conic(limb)
     center, dist = calib.sphere_center(conic, intrinsics, args.radius, args.pair_tol)
@@ -256,11 +293,12 @@ def _cmd_calibrate_separate(args):
     i0 = pfm.read_image(args.i0)
     i1 = pfm.read_image(args.i1)
     if args.homography:
-        h = calib.Homography.from_json(Path(args.homography).read_text())
+        h = _read(args.homography, calib.Homography.from_json, "utf-8")
         i0 = calib.warp_by_homography(i0, h)
     result = calib.separate_reflectance(i0, i1)
-    pfm.write_image(args.out_specular, result.specular)
-    pfm.write_image(args.out_diffuse, result.diffuse)
+    with _staged(args.out_specular, args.out_diffuse) as (specular, diffuse):
+        pfm.write_image(specular, result.specular)
+        pfm.write_image(diffuse, result.diffuse)
     print(f"separated; {result.clamp_count} negative specular pixels clamped")
 
 
@@ -303,7 +341,7 @@ def _cmd_sequence_process(args):
     seq_path = directory / "seq.csv"
     if not seq_path.exists():
         raise ValueError(f"missing sequence file {seq_path}")
-    seq = sequencer.CaptureSequence.from_csv(seq_path.read_text())
+    seq = _read(seq_path, sequencer.CaptureSequence.from_csv, "utf-8")
     frames = _FramePaths()
     for i in range(len(seq.frames)):
         path = directory / f"frame_{i:03d}.pfm"
@@ -466,6 +504,36 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     return parser, all_parsers
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value as the flag of `action` takes it, or the UsageError
+    that names its key. A switch takes a JSON bool, a multi-value flag a
+    list of its arity and any other flag one value; each value is a string
+    or a number, converted by the flag's type from the token the command
+    line would carry (a number as str() writes it) and checked against the
+    flag's choices."""
+    key = action.dest
+    if action.nargs == 0:
+        return value if isinstance(value, bool) else UsageError(f"config key {key!r} takes true or false")
+    if action.nargs is None:
+        tokens = [value]
+    elif isinstance(value, list) and (len(value) == action.nargs or action.nargs == "+" and value):
+        tokens = value
+    else:
+        count = "one or more" if action.nargs == "+" else action.nargs
+        return UsageError(f"config key {key!r} takes a list of {count} values")
+    converted = []
+    for token in tokens:
+        if isinstance(token, bool) or not isinstance(token, (str, int, float)):
+            return UsageError(f"config key {key!r} takes strings or numbers, got {json.dumps(token)}")
+        try:
+            converted.append((action.type or str)(str(token)))
+        except ValueError:
+            return UsageError(f"config key {key!r}: invalid value {token!r}")
+        if action.choices is not None and converted[-1] not in action.choices:
+            return UsageError(f"config key {key!r}: {token!r} is not one of {', '.join(action.choices)}")
+    return converted if action.nargs is not None else converted[0]
+
+
 def _parse(argv) -> argparse.Namespace:
     """Parse argv; a --config file supplies flag defaults, explicit flags win."""
     parser, subparsers = build_parser()
@@ -473,7 +541,7 @@ def _parse(argv) -> argparse.Namespace:
     if cfg_path is not None:
         try:
             config = json.loads(Path(cfg_path).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ValueError(f"cannot read config: {exc}") from exc
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object of flag defaults")
@@ -486,9 +554,14 @@ def _parse(argv) -> argparse.Namespace:
             for action in p._actions:
                 if action.dest in config:
                     action.required = False
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in config.items() if k in known})
-    return parser.parse_args(argv)
+                    action.default = _config_value(action, config[action.dest])
+    args = parser.parse_args(argv)
+    # a config value that a flag rejects is an error only for the command
+    # that runs, and only where no explicit flag replaced it
+    rejected = [v for v in vars(args).values() if isinstance(v, UsageError)]
+    if rejected:
+        raise rejected[0]
+    return args
 
 
 def run(argv=None) -> int:

@@ -117,6 +117,14 @@ def _length(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _same_shape(*grids) -> None:
+    """Raise unless the grids (anything with a .shape) share one shape; the
+    message names every grid's shape, in argument order."""
+    shapes = [g.shape for g in grids]
+    if any(s != shapes[0] for s in shapes):
+        raise ValueError("dimension mismatch: " + " vs ".join(map(str, shapes)))
+
+
 def _block_rows(width: int, channels: int) -> int:
     """Rows in one _CHUNK_BYTES block of a pass over rows of `width` items
     with `channels` float64 values each; a flat walk has width 1."""
@@ -256,9 +264,7 @@ class GradientImageSet:
         imgs = {Condition(k): v for k, v in dict(self.images).items()}
         if not imgs:
             raise ValueError("image set is empty")
-        shapes = {img.shape for img in imgs.values()}
-        if len(shapes) != 1:
-            raise ValueError(f"images differ in shape: {shapes}")
+        _same_shape(*imgs.values())
         object.__setattr__(self, "images", imgs)
 
     def __getitem__(self, cond) -> Image:
@@ -288,8 +294,7 @@ def angular_error_map(a: NormalMap, b: NormalMap) -> Image:
     arccos(clamp(a.b)); identical in exact arithmetic but well conditioned
     for near-parallel vectors. Invalid wherever either input is invalid.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    _same_shape(a, b)
     deg = _length(a.normals - b.normals)
     deg /= 2.0
     np.clip(deg, 0.0, 1.0, out=deg)

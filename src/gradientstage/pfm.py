@@ -91,11 +91,17 @@ def write_pfm_array(path, arr: np.ndarray) -> None:
 
 
 def write_masked(path, data: np.ndarray, mask: np.ndarray) -> None:
-    """HxW or HxWx3 PFM with NaN at every invalid pixel."""
+    """HxW or HxWx3 PFM with NaN at every invalid pixel. A finite value at
+    a valid pixel beyond float32's range, which would read back as an
+    invalid pixel, is a ValueError raised before the file is opened."""
     # cast, flip and NaN-fill once, into the buffer that write_pfm_array writes
     buf = np.empty(data.shape, "<f4")
-    np.copyto(buf, data[::-1], casting="same_kind")
-    _fill(buf, ~mask[::-1], np.nan)
+    overflow = []
+    with np.errstate(over="call", call=lambda *_: overflow.append(True)):
+        np.copyto(buf, data[::-1], casting="same_kind")
+    _fill(buf, ~mask[::-1], np.nan)  # over the invalid pixels' overflows too
+    if overflow and (np.isinf(buf) & np.isfinite(data[::-1])).any():
+        raise ValueError(f"{path}: a valid value lies beyond the float32 range of a PFM")
     write_pfm_array(path, buf[::-1])
 
 

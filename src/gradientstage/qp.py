@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEMENTS, GradientImageSet, NormalMap, _fill, _walk
+from .core import COMPLEMENTS, GradientImageSet, NormalMap, _fill, _same_shape, _walk
 from .photometric import RATIO_SET, _difference_components, _ratio_components
 
 _CONDITIONS = (*RATIO_SET, *COMPLEMENTS)
@@ -56,8 +56,7 @@ def correct_normal_map(
     the preallocated outputs, so no full-frame vector field exists.
     """
     mask = imgset.joint_mask(_CONDITIONS)
-    if init.shape != mask.shape:
-        raise ValueError("init normal map dimensions do not match the image set")
+    _same_shape(imgset, init)
     mask &= init.mask
     delta = np.empty(mask.shape + (3,))
     delta_bar = np.empty(mask.shape + (3,))

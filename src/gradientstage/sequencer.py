@@ -74,10 +74,14 @@ class CaptureSequence:
         frames, labels, unlabelled = [], [], None  # unlabelled: first such tracking row
         rows = [r for r in text.strip().splitlines()[1:] if r.strip()]
         for i, row in enumerate(rows):
-            idx, cond, label = (row.split(",") + [""])[:3]
-            if int(idx) != i:
+            idx, cond, label = (row.split(",") + ["", ""])[:3]
+            try:
+                index, frame = int(idx), Condition(cond)
+            except ValueError as exc:
+                raise ValueError(f"sequence row {i + 1}: {exc}") from None
+            if index != i:
                 raise ValueError(f"sequence row {i + 1} has frame_index {idx}, expected {i}")
-            frames.append(Condition(cond))
+            frames.append(frame)
             if frames[-1] is not Condition.C:
                 continue
             if not label:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .core import Image, NormalMap, _image, unit
+from .core import Image, NormalMap, _image, _same_shape, unit
 
 DEFAULT_LIGHT_1 = np.array([0.3, 0.3, 0.906])
 DEFAULT_LIGHT_2 = np.array([-0.3, 0.3, 0.906])
@@ -43,8 +43,7 @@ def texture_only(diffuse_c: Image) -> Image:
 
 def combined(shape: Image, texture: Image) -> Image:
     """Per-pixel product of shape and texture, clamped to [0, 1]."""
-    if shape.shape != texture.shape:
-        raise ValueError(f"dimension mismatch: {shape.shape} vs {texture.shape}")
+    _same_shape(shape, texture)
     vals = shape.samples * texture.samples
     np.clip(vals, 0.0, 1.0, out=vals)
     return _image(vals, shape.mask & texture.mask)

@@ -356,6 +356,23 @@ class TestLightDirection:
             light_direction((5000.0, 5000.0), K2000, np.zeros(3), (0, 0, 890.0), 38.1)
 
 
+@pytest.mark.parametrize("cls", [CameraIntrinsics, Homography])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 1}', '[[1, 0, 0], [0, 1, {"a": 1}], [0, 0, 1]]', "[1, 0, 0]", "[[[1]]]", "null",
+        '[["1", 0, 0], [0, 1, 0], [0, 0, 1]]', "[[true, 0, 0], [0, 1, 0], [0, 0, 1]]",
+        "[[null, 0, 0], [0, 1, 0], [0, 0, 1]]", f"[[1{'0' * 400}, 0, 0], [0, 1, 0], [0, 0, 1]]", "[" * 10**5,
+    ],
+    ids=["object", "object-cell", "flat", "nested", "null", "string", "bool", "null-cell", "huge", "deep"],
+)
+def test_a_matrix_that_is_not_json_rows_of_numbers_is_a_value_error(cls, text):
+    # np.asarray reads an object as a TypeError, a string or true as a
+    # number and null as NaN
+    with pytest.raises(ValueError):
+        cls.from_json(text)
+
+
 class TestHomography:
     def checkerboard_pairs(self, h_true, n_cols=13, n_rows=5):
         xs, ys = np.meshgrid(np.linspace(50, 600, n_cols), np.linspace(50, 450, n_rows))

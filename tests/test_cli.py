@@ -11,7 +11,7 @@ import pytest
 from conftest import forward_highlight_point, project_point, project_sphere_limb
 
 import gradientstage
-from gradientstage import alignment, calib, cli, pfm, photometric
+from gradientstage import alignment, calib, cli, pfm, photometric, stimulus
 from gradientstage.cli import run
 from gradientstage.core import Condition, Image, mean_angular_error
 from gradientstage.stage import (
@@ -105,6 +105,42 @@ def test_recover_missing_condition_is_data_error(tmp_path, capsys):
     assert "missing condition" in capsys.readouterr().err
 
 
+def overflowing_set(directory):
+    """A 9x9 sphere's condition images with one pixel whose x ratio, 1e38
+    over 0.1, lies beyond the float32 range."""
+    assert run(["simulate", "--size", "9", "9", "--out", str(directory)]) == 0
+    for cond, value in (("x", 1e38), ("c", 0.1)):
+        path = directory / f"grad_{cond}.pfm"
+        samples = pfm.read_pfm_array(path)
+        samples[4, 4] = value
+        pfm.write_pfm_array(path, samples)
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [(["recover", "--method", "ma"], "n_mag.pfm"), (["correct"], "n_delta.pfm")],
+    ids=["recover", "correct"],
+)
+def test_a_valid_value_beyond_float32_writes_no_output(tmp_path, capsys, argv, failing):
+    # float32 would store it as infinity, which reads back as invalid
+    overflowing_set(tmp_path / "d")
+    assert run([*argv, "--in", str(tmp_path / "d"), "--out", str(tmp_path / "n.pfm")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / failing}: a valid value lies beyond the float32 range of a PFM\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
+def test_correct_writes_no_output_when_one_cannot_be_written(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert run(["simulate", "--size", "9", "9", "--out", str(data)]) == 0
+    (tmp_path / "c.pfm").write_text("an earlier run's")
+    argv = ["correct", "--in", str(data), "--out", str(tmp_path / "c.pfm")]
+    assert run([*argv, "--deltabar-out", str(tmp_path / "missing" / "db.pfm")]) == 2
+    assert "missing" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.pfm", "d"]
+    assert (tmp_path / "c.pfm").read_text() == "an earlier run's"
+
+
 def test_recover_methods_agree_on_ideal_data(tmp_path):
     data = tmp_path / "d"
     run(["simulate", "--scene", "cylinder", "--size", "64", "32", "--out", str(data)])
@@ -183,6 +219,28 @@ def test_correct_subcommand(tmp_path):
     assert out.exists()
     assert (tmp_path / "corrected_delta.pfm").exists()
     assert (tmp_path / "corrected_deltabar.pfm").exists()
+
+
+def test_recover_writes_no_output_when_one_names_a_directory(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert run(["simulate", "--size", "9", "9", "--out", str(data)]) == 0
+    (tmp_path / "n_mag.pfm").mkdir()
+    assert run(["recover", "--in", str(data), "--out", str(tmp_path / "n.pfm")]) == 2
+    assert capsys.readouterr().err == f"error: output {tmp_path / 'n_mag.pfm'} is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "n_mag.pfm"]
+
+
+def test_correct_writes_the_distortion_fields_where_asked(tmp_path):
+    data = tmp_path / "d"
+    assert run(["simulate", "--size", "16", "16", "--delta", "0.1", "0.1", "0.1", "--out", str(data)]) == 0
+    asked = [tmp_path / "delta.pfm", tmp_path / "deltabar.pfm"]
+    flags = ["--delta-out", str(asked[0]), "--deltabar-out", str(asked[1])]
+    assert run(["correct", "--in", str(data), "--out", str(tmp_path / "a.pfm"), *flags]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pfm", "d", "delta.pfm", "deltabar.pfm"]
+    # the same fields as the default names beside --out get
+    assert run(["correct", "--in", str(data), "--out", str(tmp_path / "b.pfm")]) == 0
+    for path, default in zip(asked, ["b_delta.pfm", "b_deltabar.pfm"]):
+        assert path.read_bytes() == (tmp_path / default).read_bytes()
 
 
 def test_correct_traced_peak_on_a_1024_frame(tmp_path):
@@ -323,6 +381,32 @@ def test_calibrate_lights_rejects_a_k_that_is_not_a_calibration(tmp_path, capsys
     assert not (tmp_path / "lights.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 1}', "a matrix must be a JSON array of rows of numbers"),
+        ('[[2000, 0, 0], [0, 2000, {"a": 1}], [0, 0, 1]]', "a matrix must be a JSON array of rows of numbers"),
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["object", "object-cell", "malformed"],
+)
+def test_calibrate_lights_names_a_k_that_is_not_a_json_matrix(tmp_path, capsys, text, message):
+    argv = lights_argv(tmp_path, ["0,30,20"])
+    (tmp_path / "k.json").write_text(text)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'k.json'}: {message}\n"
+    assert not (tmp_path / "lights.json").exists()
+
+
+def test_calibrate_lights_names_a_csv_that_is_not_ascii(tmp_path, capsys):
+    argv = lights_argv(tmp_path, ["0,30,20"])
+    limb = tmp_path / "limb.csv"
+    limb.write_bytes(b"\xef\xbb\xbf" + limb.read_bytes())  # a UTF-8 byte-order mark
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {limb}: 'ascii' codec can't decode byte 0xef")
+    assert not (tmp_path / "lights.json").exists()
+
+
 def test_calibrate_lights_without_highlights_or_images_is_usage_error(tmp_path, capsys):
     argv = lights_argv(tmp_path, ["0,30,20"])
     i = argv.index("--highlights")
@@ -344,9 +428,10 @@ def test_calibrate_lights_rejects_a_csv_cell_that_is_not_finite(tmp_path, capsys
     assert not (tmp_path / "lights.json").exists()
 
 
-def calibrate_lights_from_images(tmp_path, names, stray=()):
-    """Run `calibrate lights --images` on two synthetic highlight PFMs saved
-    under `names`, next to empty non-PFM files named in `stray`."""
+def calibrate_lights_from_images(tmp_path, names, stray=(), flags=()):
+    """Run `calibrate lights --images` and `flags` on two synthetic
+    highlight PFMs saved under `names`, next to empty non-PFM files named
+    in `stray`."""
     k = np.diag([2000.0, 2000.0, 1.0])
     center = np.array([0.0, 0.0, 890.0])
     (tmp_path / "k.json").write_text(json.dumps(k.tolist()))
@@ -368,7 +453,7 @@ def calibrate_lights_from_images(tmp_path, names, stray=()):
         [
             "calibrate", "lights", "--k", str(tmp_path / "k.json"),
             "--radius", "38.1", "--limb", str(tmp_path / "limb.csv"),
-            "--images", str(imgdir), "--out", str(out),
+            "--images", str(imgdir), "--out", str(out), *flags,
         ]
     )
     return code, json.loads(out.read_text()) if code == 0 else None
@@ -396,6 +481,21 @@ def test_calibrate_lights_images_ignore_stray_files(tmp_path):
     )
     assert code == 0
     assert [rec["id"] for rec in lights] == [0, 1]
+
+
+def test_calibrate_lights_passes_threshold_and_morph_radius_to_the_detector(tmp_path, monkeypatch):
+    seen = []
+    detect = calib.detect_highlight_centroid
+
+    def spy(img, threshold, morph_radius):
+        seen.append((threshold, morph_radius))
+        return detect(img, threshold, morph_radius)
+
+    monkeypatch.setattr(calib, "detect_highlight_centroid", spy)
+    flags = ["--threshold", "0.25", "--morph-radius", "1"]
+    code, _ = calibrate_lights_from_images(tmp_path, ["led_00.pfm", "led_01.pfm"], flags=flags)
+    assert code == 0
+    assert seen == [(0.25, 1), (0.25, 1)]
 
 
 @pytest.mark.parametrize("first", ["1e2,5,102,4", "+100,5,102,4"])
@@ -513,6 +613,36 @@ def test_calibrate_separate_rejects_a_singular_homography(tmp_path, capsys, h):
     ) == 2
     assert "H must be invertible" in capsys.readouterr().err
     assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("text", ['{"a": 1}', "[[1, 0, 0], [0, 1, 0], [0, 0, [1]]]", "nope"])
+def test_calibrate_separate_names_a_homography_that_is_not_a_json_matrix(tmp_path, capsys, text):
+    (tmp_path / "h.json").write_text(text)
+    pfm.write_image(tmp_path / "i0.pfm", Image(np.ones((16, 16))))
+    pfm.write_image(tmp_path / "i1.pfm", Image(np.ones((16, 16)) * 0.5))
+    outs = [tmp_path / "s.pfm", tmp_path / "d.pfm"]
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"),
+            "--i1", str(tmp_path / "i1.pfm"), "--homography", str(tmp_path / "h.json"),
+            "--out-specular", str(outs[0]), "--out-diffuse", str(outs[1]),
+        ]
+    ) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'h.json'}: ")
+    assert not any(p.exists() for p in outs)
+
+
+def test_calibrate_separate_writes_no_output_when_one_cannot_be_written(tmp_path, capsys):
+    pfm.write_image(tmp_path / "i0.pfm", Image(np.ones((16, 16))))
+    pfm.write_image(tmp_path / "i1.pfm", Image(np.ones((16, 16)) * 0.5))
+    assert run(
+        [
+            "calibrate", "separate", "--i0", str(tmp_path / "i0.pfm"), "--i1", str(tmp_path / "i1.pfm"),
+            "--out-specular", str(tmp_path / "s.pfm"), "--out-diffuse", str(tmp_path / "missing" / "d.pfm"),
+        ]
+    ) == 2
+    assert "missing" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i0.pfm", "i1.pfm"]
 
 
 def test_calibrate_separate_rejects_a_normal_map_for_an_image(tmp_path, capsys):
@@ -772,6 +902,22 @@ def test_sequence_process_rejects_a_capture_without_a_tracking_frame(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,q,", "sequence row 2: 'q' is not a valid Condition"),
+        ("1.5,z,", "sequence row 2: invalid literal for int() with base 10: '1.5'"),
+    ],
+    ids=["condition", "fractional-index"],
+)
+def test_sequence_process_names_the_file_and_row_that_does_not_parse(tmp_path, capsys, row, message):
+    (tmp_path / "seq.csv").write_text(f"frame_index,condition,subsequence_label\n0,x,\n{row}\n")
+    out = tmp_path / "n"
+    assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'seq.csv'}: {message}\n"
+    assert not out.exists()
+
+
 def test_sequence_process_without_a_sequence_file(tmp_path, capsys):
     out = tmp_path / "n"
     assert run(["sequence", "process", "--dir", str(tmp_path), "--out", str(out)]) == 2
@@ -821,6 +967,23 @@ def test_stimulus_rejects_an_all_zero_texture_before_writing(tmp_path, capsys):
     assert run([*argv, "--out", str(out)]) == 2
     assert "texture image is all zero" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stimulus_lights_reach_the_shape_rendering(tmp_path):
+    scene = make_sphere_scene(16, 16, 7)
+    pfm.write_normal_map(tmp_path / "n.pfm", scene.true_normals)
+    pfm.write_image(tmp_path / "c.pfm", render_lambert_analytic(scene, "c"))
+    l1, l2 = [0.5, 0.0, 0.866], [0.0, -0.5, 0.866]
+    out = tmp_path / "stim"
+    assert run(
+        [
+            "stimulus", "--normals", str(tmp_path / "n.pfm"), "--texture", str(tmp_path / "c.pfm"),
+            "--l1", *map(str, l1), "--l2", *map(str, l2), "--out", str(out),
+        ]
+    ) == 0
+    want = stimulus.shape_only(pfm.read_normal_map(tmp_path / "n.pfm"), np.array(l1), np.array(l2))
+    pfm.write_image(tmp_path / "want.pfm", want)
+    assert (out / "shape.pfm").read_bytes() == (tmp_path / "want.pfm").read_bytes()
 
 
 def test_report_subcommand(tmp_path, capsys):
@@ -904,6 +1067,51 @@ def test_config_key_of_no_command_is_usage_error(tmp_path, capsys, config):
     assert next(k for k in config if k != "n") in err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"delta": 5}, "config key 'delta' takes a list of 3 values"),
+        ({"size": [8]}, "config key 'size' takes a list of 2 values"),
+        ({"conditions": []}, "config key 'conditions' takes a list of one or more values"),
+        ({"seed": 1.5}, "config key 'seed': invalid value 1.5"),
+        ({"leds": "many"}, "config key 'leds': invalid value 'many'"),
+        ({"radius": [1]}, "config key 'radius' takes strings or numbers, got [1]"),
+        ({"pixel_noise": None}, "config key 'pixel_noise' takes strings or numbers, got null"),
+        ({"albedo": True}, "config key 'albedo' takes strings or numbers, got true"),
+        ({"quantize": "no"}, "config key 'quantize' takes true or false"),
+        ({"scene": "cube"}, "config key 'scene': 'cube' is not one of sphere, cylinder"),
+    ],
+)
+def test_config_value_that_its_flag_rejects_is_usage_error(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "d"
+    assert run(["--config", str(cfg), "simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_values_convert_as_their_flags_do(tmp_path):
+    # each value converts from the token the command line would carry
+    config = {"size": [8, 6], "radius": 3, "seed": 4, "pixel_noise": 0.5, "conditions": ["c"], "quantize": False}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg), "simulate", "--out", str(tmp_path / "a")]) == 0
+    flags = ["--size", "8", "6", "--radius", "3", "--seed", "4", "--pixel-noise", "0.5", "--conditions", "c"]
+    assert run(["simulate", *flags, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "grad_c.pfm").read_bytes() == (tmp_path / "b" / "grad_c.pfm").read_bytes()
+
+
+def test_rejected_config_value_fails_only_the_command_that_takes_it(tmp_path, capsys):
+    # seed is simulate's and bin_width report's; an explicit flag replaces a value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "seed": 1.5, "bin_width": "ab"}))
+    assert run(["--config", str(cfg), "sequence", "plan"]) == 0
+    assert capsys.readouterr().out.strip() == "17"
+    argv = ["--config", str(cfg), "simulate", "--size", "8", "8", "--conditions", "c"]
+    assert run([*argv, "--seed", "2", "--out", str(tmp_path / "d")]) == 0
+
+
 def test_determinism_with_seed(tmp_path):
     for d in ("a", "b"):
         run(
@@ -932,7 +1140,7 @@ def test_trailing_config_is_usage_error(capsys, argv):
     assert "--config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{"])
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{", pytest.param(b"[" * 10**5, id="deep")])
 def test_unreadable_config_is_data_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:

@@ -207,6 +207,21 @@ class TestCsvRoundTrip:
             with pytest.raises(ValueError, match="frame_index [15], expected [02]"):
                 CaptureSequence.from_csv("frame_index,condition,subsequence_label\n" + rows)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,q,", "sequence row 2: 'q' is not a valid Condition"),
+            ("1.5,z,", "sequence row 2: invalid literal for int() with base 10: '1.5'"),
+            ("1", "sequence row 2: '' is not a valid Condition"),
+        ],
+        ids=["condition", "fractional-index", "one-cell"],
+    )
+    def test_names_the_row_that_does_not_parse(self, row, message):
+        text = f"frame_index,condition,subsequence_label\n0,x,\n{row}\n"
+        with pytest.raises(ValueError) as info:
+            CaptureSequence.from_csv(text)
+        assert str(info.value) == message
+
 
 def analytic_frames(scene, sequence):
     return [render_lambert_analytic(scene, cond if cond is not C.C else C.C) for cond in sequence.frames]

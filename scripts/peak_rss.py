@@ -1,8 +1,9 @@
-"""Peak resident memory of each subcommand of the still-frame chain, or of
-`sequence process` on a moving capture.
+"""Peak resident memory of each subcommand of the still-frame chain, of
+`sequence process` on a moving capture, or of `simulate` on an LED stage.
 
     python3 scripts/peak_rss.py --size 1024
     python3 scripts/peak_rss.py --windows 8 [--size 256]
+    python3 scripts/peak_rss.py --leds 642 --size 256
 
 Run from the root of a source checkout; it imports the program from `src/`.
 With `--size` alone it runs, in a temporary directory, `simulate`,
@@ -11,6 +12,8 @@ another, each in a fresh interpreter, so one subcommand's peak does not hide
 the next one's. With `--windows N` it writes perfbench/scenes.py's
 `make_capture` capture of N tracking frames, at capture-seq's 96x128 or at
 `--size` square, and runs `sequence process` on it in a fresh interpreter.
+With `--leds N` it runs `simulate --quantize --led-noise 0.01` of all seven
+conditions under the N-LED stage at `--size` square in a fresh interpreter.
 It prints one `<subcommand>  <MB>` line per subcommand: the child's own
 `ru_maxrss` / 1024, the unit of perfbench/run.py's `peak_rss_mb`.
 """
@@ -63,11 +66,19 @@ def capture(windows: int, size: int | None, work: Path) -> list[tuple[str, list[
                           "--out", str(work / "normals")])]
 
 
+def stage_render(leds: int, size: int, work: Path) -> list[tuple[str, list[str]]]:
+    return [("simulate", ["simulate", "--size", str(size), str(size), "--leds", str(leds), "--quantize",
+                          "--led-noise", "0.01", "--out", str(work / "sim")])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--size", type=int, help="frame side, pixels")
     parser.add_argument("--windows", type=int, help="tracking frames of a capture for `sequence process`")
+    parser.add_argument("--leds", type=int, help="LEDs of the stage `simulate` renders under, with --size")
     args = parser.parse_args(argv)
+    if args.leds is not None and (args.size is None or args.windows is not None):
+        parser.error("--leds needs --size, and no --windows")
     if args.size is None and args.windows is None:
         parser.error("give --size, --windows or both")
     if args.size is not None and args.size < 1:
@@ -77,7 +88,9 @@ def main(argv=None) -> int:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     with tempfile.TemporaryDirectory() as tmp:
-        if args.windows is None:
+        if args.leds is not None:
+            commands = stage_render(args.leds, args.size, Path(tmp))
+        elif args.windows is None:
             commands = chain(args.size, Path(tmp))
         else:
             commands = capture(args.windows, args.size, Path(tmp))

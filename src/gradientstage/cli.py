@@ -67,6 +67,26 @@ def _staged(*paths):
             os.replace(stand_in, path)
 
 
+@contextlib.contextmanager
+def _staged_dir(out):
+    """A hidden directory for the files a command writes into the directory
+    `out`, made beside it in its nearest existing ancestor; once the block
+    completes, out is made if missing and the files are moved into it, so
+    a command that fails leaves no outputs and makes no directory, and an
+    existing out keeps its other files."""
+    out = Path(out)
+    beside = next((p for p in out.absolute().parents if p.is_dir()), out.absolute())
+    with tempfile.TemporaryDirectory(dir=beside, prefix=f".{out.name}.") as staging:
+        try:
+            yield Path(staging)
+        except ValueError as exc:  # name the output, not its stand-in
+            raise ValueError(str(exc).replace(staging, str(out))) from None
+        names = os.listdir(staging)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(Path(staging, name), out / name)
+
+
 def _set_path(directory, prefix, cond: Condition) -> Path:
     return Path(directory) / f"{prefix}_{cond.value}.pfm"
 
@@ -112,6 +132,8 @@ def _check_simulate_values(args) -> None:
         raise ValueError("--quantization needs --quantize")
     if args.quantization < 2:
         raise ValueError("--quantization must be >= 2")
+    if any(sep in args.prefix for sep in filter(None, (os.sep, os.altsep))):
+        raise ValueError(f"--prefix {args.prefix!r} holds a path separator; it names files in --out")
 
 
 def _cmd_simulate(args):
@@ -129,28 +151,27 @@ def _cmd_simulate(args):
     if args.leds > 0:
         light_stage = stage.LightStage.from_directions(stage.stage_directions(args.leds))
     levels = args.quantization if args.quantize else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if light_stage is not None:
-        (out / "stage.json").write_text(light_stage.to_json())
-    for cond in conditions:
-        if light_stage is None:
-            img = stage.render_lambert_analytic(scene, cond)
-        else:
-            if args.led_noise > 0:
-                led_gain = 1.0 + args.led_noise * rng.standard_normal(len(light_stage.leds))
-            img = stage.render_lambert_discrete(scene, light_stage, cond, levels, led_gain)
-        if args.pixel_noise > 0:
-            noisy = rng.standard_normal(img.shape)
-            noisy *= args.pixel_noise
-            noisy += 1.0
-            noisy *= img.samples
-            np.maximum(noisy, 0.0, out=noisy)
-            img = _radiance(_image(noisy, img.mask))
-        pfm.write_image(_set_path(out, args.prefix, cond), img)
-        del img  # freed before the next render allocates its frame
-    pfm.write_normal_map(out / "gt_normals.pfm", scene.true_normals)
-    print(f"wrote {len(conditions)} condition images to {out}")
+    with _staged_dir(args.out) as out:
+        if light_stage is not None:
+            (out / "stage.json").write_text(light_stage.to_json())
+        for cond in conditions:
+            if light_stage is None:
+                img = stage.render_lambert_analytic(scene, cond)
+            else:
+                if args.led_noise > 0:
+                    led_gain = 1.0 + args.led_noise * rng.standard_normal(len(light_stage.leds))
+                img = stage.render_lambert_discrete(scene, light_stage, cond, levels, led_gain)
+            if args.pixel_noise > 0:
+                noisy = rng.standard_normal(img.shape)
+                noisy *= args.pixel_noise
+                noisy += 1.0
+                noisy *= img.samples
+                np.maximum(noisy, 0.0, out=noisy)
+                img = _radiance(_image(noisy, img.mask))
+            pfm.write_image(_set_path(out, args.prefix, cond), img)
+            del img  # freed before the next render allocates its frame
+        pfm.write_normal_map(out / "gt_normals.pfm", scene.true_normals)
+    print(f"wrote {len(conditions)} condition images to {args.out}")
 
 
 def _minimal(base: Condition, dual: bool):
@@ -308,12 +329,11 @@ def _cmd_align(args):
     c = pfm.read_image(args.frames[2])
     params = alignment.FlowParams(alpha=args.alpha)
     u, v, residuals = alignment.joint_photometric_align(g, gbar, c, args.iters, params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pair = args.pair
-    pfm.write_flow(out / f"flow_{pair}_u.pfm", u)
-    pfm.write_flow(out / f"flow_{pair}_v.pfm", v)
-    pfm.write_csv(out / "residuals.csv", ("iteration", "residual"), enumerate(residuals))
+    with _staged_dir(args.out) as out:
+        pfm.write_flow(out / f"flow_{pair}_u.pfm", u)
+        pfm.write_flow(out / f"flow_{pair}_v.pfm", v)
+        pfm.write_csv(out / "residuals.csv", ("iteration", "residual"), enumerate(residuals))
     if residuals:
         print(f"aligned pair {pair}: residual {residuals[0]:.4g} -> {residuals[-1]:.4g}")
     else:
@@ -348,23 +368,16 @@ def _cmd_sequence_process(args):
         if not path.exists():
             raise ValueError(f"missing frame image {path}")
         frames.append(path)
-    out = Path(args.out)
-    # each normal is written once its windows are done, into a directory
-    # beside --out that is moved into it after the last window, so a failed
-    # run leaves no outputs; a missing parent of --out is made only then
-    beside = next(p for p in out.absolute().parents if p.is_dir())
-    with tempfile.TemporaryDirectory(dir=beside, prefix=f".{out.name}.") as staging:
+    # each normal is written once its windows are done
+    with _staged_dir(args.out) as out:
         residuals = sequencer.process_sequence(
-            seq, frames, lambda i, nm: pfm.write_normal_map(Path(staging, f"normal_{i:03d}.pfm"), nm),
+            seq, frames, lambda i, nm: pfm.write_normal_map(out / f"normal_{i:03d}.pfm", nm),
             iterations=args.iters,
         )
-        names = os.listdir(staging)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            os.replace(Path(staging, name), out / name)
+        written = len(os.listdir(out))
     print(
         f"processed {len(residuals)} tracking frames, "
-        f"{len(names) - len(residuals)} upsampled frames -> {out}"
+        f"{written - len(residuals)} upsampled frames -> {args.out}"
     )
 
 
@@ -374,12 +387,11 @@ def _cmd_stimulus(args):
     shape_img = stimulus.shape_only(nm, np.asarray(args.l1), np.asarray(args.l2))
     texture = stimulus.texture_only(texture_img)
     combo = stimulus.combined(shape_img, texture)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, img in [("shape", shape_img), ("texture", texture), ("combined", combo)]:
-        pfm.write_png(out / f"{name}.png", img.samples)
-        pfm.write_image(out / f"{name}.pfm", img)
-    print(f"stimulus images -> {out}")
+    with _staged_dir(args.out) as out:
+        for name, img in [("shape", shape_img), ("texture", texture), ("combined", combo)]:
+            pfm.write_png(out / f"{name}.png", img.samples)
+            pfm.write_image(out / f"{name}.pfm", img)
+    print(f"stimulus images -> {args.out}")
 
 
 def _cmd_report(args):

@@ -253,10 +253,21 @@ def render_lambert_discrete(
     led_gain: optional per-LED multiplicative intensity error, shape (N,);
     a zero gain switches an LED off for every pixel.
 
+    Each LED i whose exact antipode j = -w_i is an LED of the stage (see
+    _antipodal_pairs) shares one cosine c = n . w_i with it: at most one
+    of the two faces a pixel, so
+
+        P_i max(0, c) + P_j max(0, -c) = (c (P_i - P_j) + |c| (P_i + P_j)) / 2.
+
+    An LED without one is a pair whose partner is dark (P_j = 0), giving
+    max(0, c) P_i, so every stage takes this one path, with one cosine
+    column per pair: N/2 for an icosphere, N for the 41-LED hemisphere.
+
     The valid pixels are summed in blocks of core._CHUNK_BYTES of cosines,
     so memory does not grow with N beyond one block; invalid pixels are 0.
     """
     dirs = stage.directions
+    n = len(dirs)
     if levels is None:
         p = gradient_intensity(dirs, condition)
     elif levels < 2:
@@ -264,20 +275,54 @@ def render_lambert_discrete(
     else:
         p = _ilt_levels(dirs, condition, levels) / (levels - 1)
     if led_gain is not None:
-        p = p * np.asarray(led_gain, dtype=float)
+        gain = np.asarray(led_gain, dtype=float)
+        if gain.shape != (n,):
+            raise ValueError(f"led_gain has shape {gain.shape}; a stage of {n} LEDs needs shape ({n},)")
+        p = p * gain
+    lead, partner = _antipodal_pairs(dirs)
+    p_partner = np.where(partner >= 0, p[partner], 0.0)
+    # the identity's 1/2 goes into both weights: a power of 2, so exact
+    half_difference = 0.5 * (p[lead] - p_partner)
+    half_sum = 0.5 * (p[lead] + p_partner)
+    columns = np.ascontiguousarray(dirs[lead].T)  # C order: a 1.6x faster product than the .T view
     nm = scene.true_normals
-    n = len(dirs)
     normals = nm.normals.reshape(-1, 3)
     valid = np.flatnonzero(nm.mask)
     total = np.zeros(len(normals))
-    block = _block_rows(1, n)  # one pixel a row
+    block = _block_rows(1, len(lead))  # one pixel a row
     for i in range(0, len(valid), block):
         pixels = valid[i : i + block]
-        cos = normals.take(pixels, axis=0) @ dirs.T
-        np.maximum(cos, 0.0, out=cos)
-        total[pixels] = cos @ p
+        cos = normals.take(pixels, axis=0) @ columns
+        sums = cos @ half_difference
+        # in place, so both products read one buffer of one shape and sum in
+        # one order: a pixel lit only through dark LEDs sums to exactly 0
+        np.abs(cos, out=cos)
+        sums += cos @ half_sum
+        total[pixels] = sums
     r = (4.0 * np.pi / n) * (_compact(scene.albedo) / 2.0) * total.reshape(nm.shape)
     return _radiance(_image(r, nm.mask & (r >= 0)))
+
+
+def _antipodal_pairs(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (lead, partner) with one entry per cosine column of the
+    discrete renderer: LED lead[k] and its partner LED partner[k] at exactly
+    -dirs[lead[k]], or -1 where it has none; each pair is led by its lower
+    index, in rising order of the lead.
+
+    A pair is mutual and exact, with no tolerance: the direction and its
+    negation must each be held by one LED only, so a duplicated direction
+    and a near-antipode stay unpaired. -0.0 equals 0.0, as the cosines see it.
+    """
+    at = {}
+    for k, w in enumerate((dirs + 0.0).tolist()):  # + 0.0: a -0.0 keys as 0.0
+        at.setdefault(tuple(w), []).append(k)
+    partner = np.full(len(dirs), -1)
+    for w, leds in at.items():
+        opposite = at.get(tuple(0.0 - x for x in w), [])
+        if len(leds) == 1 and len(opposite) == 1:
+            partner[leds[0]] = opposite[0]
+    lead = np.flatnonzero((partner < 0) | (partner > np.arange(len(dirs))))
+    return lead, partner[lead]
 
 
 def render_specular_analytic(reflection: NormalMap, lobe_strength, condition) -> Image:

@@ -853,6 +853,53 @@ def test_sequence_process_failing_in_its_last_window_leaves_no_outputs(tmp_path,
         assert (out / "normal_000.pfm").read_text() == "an earlier run's"
 
 
+def staged_command(tmp_path, command):
+    """The argv of a small run of `command` without --out, and the pfm
+    writer and file name of its last output."""
+    if command == "simulate":
+        return ["simulate", "--size", "8", "8", "--leds", "12"], "write_normal_map", "gt_normals.pfm"
+    scene = make_sphere_scene(16, 16, 7)
+    for cond in ("x", "xb", "c"):
+        pfm.write_image(tmp_path / f"{cond}.pfm", render_lambert_analytic(scene, cond))
+    if command == "align":
+        frames = [str(tmp_path / f"{cond}.pfm") for cond in ("x", "xb", "c")]
+        return ["align", "--frames", *frames, "--iters", "1"], "write_csv", "residuals.csv"
+    pfm.write_normal_map(tmp_path / "n.pfm", scene.true_normals)
+    argv = ["stimulus", "--normals", str(tmp_path / "n.pfm"), "--texture", str(tmp_path / "c.pfm")]
+    return argv, "write_image", "combined.pfm"
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("command", ["simulate", "align", "stimulus"])
+def test_a_write_failing_part_way_leaves_no_outputs(tmp_path, capsys, monkeypatch, command, out_exists):
+    # the last output fails after the others are written; they stay in the
+    # staging directory, which goes
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    argv, writer, last = staged_command(inputs, command)
+    write = getattr(pfm, writer)
+
+    def failing(path, *args):
+        if Path(path).name == last:
+            raise OSError(f"no space left for {last}")
+        return write(path, *args)
+
+    monkeypatch.setattr(pfm, writer, failing)
+    out = tmp_path / "out"
+    if out_exists:
+        out.mkdir()
+        (out / last).write_text("an earlier run's")
+    assert run([*argv, "--out", str(out)]) == 2
+    assert f"no space left for {last}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [inputs, *[out] * out_exists]
+    if out_exists:
+        assert [p.name for p in out.iterdir()] == [last]
+        assert (out / last).read_text() == "an earlier run's"
+    monkeypatch.setattr(pfm, writer, write)
+    assert run([*argv, "--out", str(out / "made" / "with its parents")]) == 0
+    assert last in os.listdir(out / "made" / "with its parents")
+
+
 def test_sequence_process_rejects_rows_out_of_frame_order(tmp_path, capsys):
     from gradientstage.sequencer import generate_sequence
 
@@ -1229,6 +1276,9 @@ def test_simulate_reads_a_negative_delta_in_exponent_form(tmp_path):
         (["--delta", "-inf", "0", "0"], "--delta must be finite"),
         (["--delta", "-nan", "0", "0"], "--delta must be finite"),
         (["--deltabar", "0", "-Infinity", "0"], "--deltabar must be finite"),
+        # it wrote into a directory of --out that does not exist, after
+        # making --out: exit 2 and an empty --out
+        (["--prefix", "nodir/g"], "--prefix 'nodir/g' holds a path separator"),
     ],
 )
 def test_simulate_rejects_values_that_lose_data(tmp_path, capsys, flags, message):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from gradientstage.stage import (
     LedRecord,
     LightStage,
     SceneSpec,
+    _antipodal_pairs,
     _icosahedron,
     _ilt_levels,
     generate_icosphere_directions,
@@ -182,15 +184,61 @@ def led_weights_reference(stage, condition, levels=None, led_gain=None):
     return p
 
 
-def render_lambert_discrete_reference(scene, stage, condition, levels=None, led_gain=None):
-    """The former renderer: one (H, W, N) cosine tensor built by einsum."""
+def discrete_sum_reference(scene, stage, condition, levels=None, led_gain=None):
+    """The direct sum (4 pi / N) (rho/2) sum_i p_i max(0, n . w_i) at every
+    pixel, before any mask: one (H, W, N) cosine tensor built by einsum."""
     dirs = stage.directions
     p = led_weights_reference(stage, condition, levels, led_gain)
-    nm = scene.true_normals
-    cos = np.einsum("hwc,nc->hwn", nm.normals, dirs)
+    cos = np.einsum("hwc,nc->hwn", scene.true_normals.normals, dirs)
     np.maximum(cos, 0.0, out=cos)
-    r = (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
-    return Image(r, nm.mask & (r >= 0))
+    return (4.0 * np.pi / len(dirs)) * (scene.albedo / 2.0) * (cos @ p)
+
+
+def render_lambert_discrete_reference(scene, stage, condition, levels=None, led_gain=None):
+    """The former renderer: the direct sum, valid where it is >= 0."""
+    r = discrete_sum_reference(scene, stage, condition, levels, led_gain)
+    return Image(r, scene.true_normals.mask & (r >= 0))
+
+
+def antipodal_pairs_reference(dirs):
+    """The pairs (i, j), i < j, of LEDs at exact antipodes, each direction
+    held by one LED only, by comparing every LED with every other."""
+    same = (dirs[:, None, :] == dirs[None, :, :]).all(axis=-1)
+    opposite = (dirs[:, None, :] == -dirs[None, :, :]).all(axis=-1)
+    single = same.sum(axis=1) == 1
+    return [(i, j) for i, j in zip(*np.nonzero(opposite)) if i < j and single[i] and single[j]]
+
+
+def one_ulp_off(v):
+    """v with one nonzero component moved by one ulp, such that unit()
+    keeps it as it is, so a LightStage holds it bit for bit."""
+    for axis in np.flatnonzero(v):
+        for toward in (np.inf, -np.inf):
+            u = v.copy()
+            u[axis] = np.nextafter(u[axis], toward)
+            if np.array_equal(unit(u), u):
+                return u
+    raise AssertionError(f"no one-ulp neighbour of {v} is unit length")
+
+
+# stages by how their LEDs pair: all (12, 42, 162), none (41), all but one
+# LED's partner, a duplicated direction beside its antipode (w twice, -w
+# once), and a near-antipode one ulp off -w
+PAIRING_STAGES = ["12", "42", "162", "41", "162 less one", "duplicate", "near antipode"]
+
+
+def pairing_stage(kind, k):
+    """The directions of one PAIRING_STAGES stage; k picks the LED whose
+    pairing the last three change."""
+    if kind.isdigit():
+        return stage_directions(int(kind))
+    if kind == "162 less one":
+        return np.delete(stage_directions(162), k % 162, axis=0)
+    dirs = stage_directions(12)
+    w = dirs[k % 12]
+    if kind == "duplicate":
+        return np.vstack([dirs, w])
+    return np.where((dirs == -w).all(axis=1)[:, None], one_ulp_off(-w), dirs)
 
 
 def render_rounding_bound(scene, stage, condition, levels=None, led_gain=None):
@@ -259,6 +307,33 @@ class TestStageDirections:
     def test_other_counts_raise(self, count):
         with pytest.raises(ValueError, match=f"unsupported LED count {count}; use 12, 42"):
             stage_directions(count)
+
+
+class TestAntipodalPairs:
+    @pytest.mark.parametrize("kind", PAIRING_STAGES)
+    @pytest.mark.parametrize("k", [0, 5, 161])
+    def test_pairs_are_the_mutual_exact_antipodes(self, kind, k):
+        dirs = pairing_stage(kind, k)
+        lead, partner = _antipodal_pairs(dirs)
+        paired = partner >= 0
+        assert list(zip(lead[paired], partner[paired])) == antipodal_pairs_reference(dirs)
+        # one column per pair or unpaired LED, led by its lower index
+        assert np.all(np.diff(lead) > 0)
+        assert sorted([*lead, *partner[paired]]) == list(range(len(dirs)))
+
+    @pytest.mark.parametrize(
+        "kind,unpaired",
+        [("12", 0), ("42", 0), ("162", 0), ("642", 0), ("41", 41),
+         ("162 less one", 1), ("duplicate", 3), ("near antipode", 2)],
+    )
+    def test_unpaired_leds(self, kind, unpaired):
+        # every icosphere LED has its antipode, no front-hemisphere LED has
+        assert (_antipodal_pairs(pairing_stage(kind, 5))[1] < 0).sum() == unpaired
+
+    def test_a_negative_zero_pairs_with_a_zero(self):
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        lead, partner = _antipodal_pairs(dirs)
+        assert lead.tolist() == [0, 2] and partner.tolist() == [1, 3]
 
 
 class TestGradientIntensity:
@@ -579,6 +654,59 @@ class TestDiscreteRender:
         np.testing.assert_array_equal(got.mask, want.mask)
         bound = render_rounding_bound(scene, stage, cond, levels, gain)
         assert np.all(np.abs(got.samples - want.samples) <= bound)
+
+    @given(
+        st.sampled_from(PAIRING_STAGES),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(Condition)),
+        st.sampled_from([None, 2, 256]),
+        st.sampled_from(["none", "positive", "zero or negative"]),
+    )
+    def test_pair_identity_equals_the_direct_sum(self, kind, seed, cond, levels, gains):
+        # random unit normals in every direction, a fifth of the pixels masked
+        rng = np.random.default_rng(seed)
+        stage = LightStage.from_directions(pairing_stage(kind, int(rng.integers(1 << 16))))
+        n = len(stage.leds)
+        normals = NormalMap.from_components(rng.standard_normal((5, 6, 3)), rng.random((5, 6)) > 0.2)
+        scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
+        gain = {
+            "none": None,
+            "positive": rng.uniform(0.5, 1.5, n),
+            "zero or negative": rng.uniform(-1.0, 1.5, n) * (rng.random(n) > 0.3),
+        }[gains]
+        got = render_lambert_discrete(scene, stage, cond, levels, gain)
+        want = discrete_sum_reference(scene, stage, cond, levels, gain)
+        want_image = Image(want, normals.mask & (want >= 0))
+        # where negative gains cancel the sum to within rounding of 0, only
+        # an absolute bound holds, and the sign (so the validity) is rounding
+        bound = render_rounding_bound(scene, stage, cond, levels, gain)
+        assert np.all(np.abs(got.samples - want_image.samples) <= 1e-12 * np.abs(want_image.samples) + bound)
+        decided = ~normals.mask | (np.abs(want) > bound)
+        np.testing.assert_array_equal(got.mask[decided], want_image.mask[decided])
+
+    @given(
+        st.sampled_from(PAIRING_STAGES),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(Condition)),
+        st.sampled_from([None, 2, 256]),
+    )
+    def test_a_pixel_facing_away_from_every_lit_led_is_exactly_dark(self, kind, seed, cond, levels):
+        # every LED that faces the pixel, or nearly so, is switched off
+        rng = np.random.default_rng(seed)
+        dirs = pairing_stage(kind, int(rng.integers(1 << 16)))
+        n = unit(rng.standard_normal(3))
+        gain = rng.uniform(0.5, 1.5, len(dirs)) * (dirs @ n < -1e-9)
+        normals = NormalMap.from_components(np.broadcast_to(n, (3, 4, 3)))
+        scene = SceneSpec(normals, 0.7, 1.0, np.zeros(6))
+        img = render_lambert_discrete(scene, LightStage.from_directions(dirs), cond, levels, gain)
+        assert np.all(img.samples == 0.0)
+        assert img.mask.all()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (11,), (12, 1)])
+    def test_led_gain_must_hold_one_gain_per_led(self, shape):
+        scene = make_sphere_scene(5, 5, 2)
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}.* \(12,\)"):
+            render_lambert_discrete(scene, self.make_stage(0), Condition.X, led_gain=np.ones(shape))
 
     def test_memory_does_not_grow_with_led_count(self):
         # the (H, W, N) cosine tensor of this render would be 337 MB

@@ -41,6 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _naming(exc, names):
+    """An OSError or ValueError, as exc is, whose message names each output
+    where exc's names its stand-in: the stand-ins are gone once it is
+    printed."""
+    message = str(exc)
+    for stand_in, path in names.items():
+        message = message.replace(stand_in, path)
+    return (OSError if isinstance(exc, OSError) else ValueError)(message)
+
+
+def _hidden_dir(beside, prefix, output) -> tempfile.TemporaryDirectory:
+    """A hidden temporary directory in `beside` for the stand-ins of
+    `output`; an OSError in making it names output, not the directory's
+    random name."""
+    try:
+        return tempfile.TemporaryDirectory(dir=beside, prefix=prefix)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(output)) from None
+
+
 @contextlib.contextmanager
 def _staged(*paths):
     """A stand-in for each output file of `paths`, in a hidden directory
@@ -52,17 +72,13 @@ def _staged(*paths):
             raise IsADirectoryError(f"output {path} is a directory")
     with contextlib.ExitStack() as stack:
         stand_ins = [
-            Path(stack.enter_context(tempfile.TemporaryDirectory(dir=Path(p).absolute().parent, prefix=".")),
-                 Path(p).name)
+            Path(stack.enter_context(_hidden_dir(Path(p).absolute().parent, ".", p)), Path(p).name)
             for p in paths
         ]
         try:
             yield stand_ins
-        except ValueError as exc:  # name the outputs, not their stand-ins
-            message = str(exc)
-            for stand_in, path in zip(stand_ins, paths):
-                message = message.replace(str(stand_in), str(path))
-            raise ValueError(message) from None
+        except (OSError, ValueError) as exc:
+            raise _naming(exc, {str(s): str(p) for s, p in zip(stand_ins, paths)}) from None
         for stand_in, path in zip(stand_ins, paths):
             os.replace(stand_in, path)
 
@@ -76,11 +92,11 @@ def _staged_dir(out):
     existing out keeps its other files."""
     out = Path(out)
     beside = next((p for p in out.absolute().parents if p.is_dir()), out.absolute())
-    with tempfile.TemporaryDirectory(dir=beside, prefix=f".{out.name}.") as staging:
+    with _hidden_dir(beside, f".{out.name}.", out) as staging:
         try:
             yield Path(staging)
-        except ValueError as exc:  # name the output, not its stand-in
-            raise ValueError(str(exc).replace(staging, str(out))) from None
+        except (OSError, ValueError) as exc:
+            raise _naming(exc, {staging: str(out)}) from None
         names = os.listdir(staging)
         out.mkdir(parents=True, exist_ok=True)
         for name in names:
@@ -132,8 +148,13 @@ def _check_simulate_values(args) -> None:
         raise ValueError("--quantization needs --quantize")
     if args.quantization < 2:
         raise ValueError("--quantization must be >= 2")
-    if any(sep in args.prefix for sep in filter(None, (os.sep, os.altsep))):
-        raise ValueError(f"--prefix {args.prefix!r} holds a path separator; it names files in --out")
+    _check_name_part("--prefix", args.prefix)
+
+
+def _check_name_part(flag, value) -> None:
+    """Reject a flag's value that would put the files it names outside --out."""
+    if any(sep in value for sep in filter(None, (os.sep, os.altsep))):
+        raise ValueError(f"{flag} {value!r} holds a path separator; it names files in --out")
 
 
 def _cmd_simulate(args):
@@ -213,15 +234,20 @@ def _cmd_correct(args):
     _, recover = _method(args.init)
     imgset = _load_set(args.indir, args.prefix, Condition)  # the QP reads all seven
     init = recover(imgset)
-    corrected, delta, delta_bar = qp.correct_normal_map(imgset, init)
-    del imgset, init  # freed before the writes allocate their float32 buffers
     out = Path(args.out)
     fields = (args.delta_out or out.with_name(out.stem + "_delta.pfm"),
               args.deltabar_out or out.with_name(out.stem + "_deltabar.pfm"))
     with _staged(out, *fields) as (normals, delta_path, deltabar_path):
+        # the QP hands over delta and delta_bar a block of rows at a time
+        with pfm.masked_writer(delta_path, init.normals.shape) as write_delta, \
+                pfm.masked_writer(deltabar_path, init.normals.shape) as write_deltabar:
+            def emit(rows, delta, delta_bar, valid):
+                write_delta(rows.start, delta, valid)
+                write_deltabar(rows.start, delta_bar, valid)
+
+            corrected = qp.correct_normal_map(imgset, init, emit)
+        del imgset, init  # freed before the map's write allocates its float32 buffer
         pfm.write_normal_map(normals, corrected)
-        pfm.write_masked(delta_path, delta, corrected.mask)
-        pfm.write_masked(deltabar_path, delta_bar, corrected.mask)
     print(f"corrected normals (init={args.init}) -> {out}")
 
 
@@ -290,7 +316,8 @@ def _cmd_calibrate_lights(args):
         stage.LedRecord(led_id, calib.light_direction(xy, intrinsics, np.zeros(3), center, args.radius))
         for led_id, xy in highlights
     ])
-    Path(args.out).write_text(lights.to_json())
+    with _staged(args.out) as (out,):
+        out.write_text(lights.to_json())
     print(
         f"sphere center ({center[0]:.2f}, {center[1]:.2f}, {center[2]:.2f}) mm, "
         f"d={dist:.2f} mm; {len(lights.leds)} lights -> {args.out}"
@@ -307,7 +334,8 @@ def _cmd_calibrate_homography(args):
         h = calib.refine_sampson(h, src, dst)
         after = calib.sampson_error(h, src, dst)
         print(f"Sampson error: {before:.6g} -> {after:.6g}")
-    Path(args.out).write_text(h.to_json())
+    with _staged(args.out) as (out,):
+        out.write_text(h.to_json())
 
 
 def _cmd_calibrate_separate(args):
@@ -324,6 +352,7 @@ def _cmd_calibrate_separate(args):
 
 
 def _cmd_align(args):
+    _check_name_part("--pair", args.pair)
     g = pfm.read_image(args.frames[0])
     gbar = pfm.read_image(args.frames[1])
     c = pfm.read_image(args.frames[2])
@@ -345,7 +374,8 @@ def _cmd_sequence_plan(args):
         raise UsageError("sequence CSV output is defined for the minimal method")
     print(sequencer.image_count(args.n, args.method))
     if args.out:
-        Path(args.out).write_text(sequencer.generate_sequence(args.n).to_csv())
+        with _staged(args.out) as (out,):
+            out.write_text(sequencer.generate_sequence(args.n).to_csv())
 
 
 class _FramePaths(list):
@@ -401,7 +431,8 @@ def _cmd_report(args):
     if not err.mask.any():
         raise ValueError("no jointly valid pixels")
     bins = histogram(err, args.bin_width)
-    pfm.write_csv(args.out, ("bin_center", "count"), bins)
+    with _staged(args.out) as (out,):
+        pfm.write_csv(out, ("bin_center", "count"), bins)
     vals = err.samples[err.mask]
     print(f"angular error: mean {vals.mean():.4f} deg, max {vals.max():.4f} deg -> {args.out}")
 

@@ -221,13 +221,15 @@ class NormalMap:
         return self.normals.shape[:2]
 
 
-def _walk(shape, kernel) -> NormalMap:
+def _walk(shape, kernel, done=None) -> NormalMap:
     """The NormalMap of the vectors that kernel(block, planes) writes for
     each slice `block` of rows into planar (3, rows, W) scratch, one
     contiguous run per channel, normalized straight into the map's arrays.
     The kernel returns the block's validity, a bool array that broadcasts
     to its rows, or None for all valid; the walker ANDs it with the finite,
-    non-zero lengths.
+    non-zero lengths. Blocks run top-down, `_block_rows(W, 3)` rows each
+    but the last; after each, done(block, valid), if given, gets the
+    block's final (rows, W) validity, the map's own rows of its mask.
     """
     h, w = shape
     normals = np.empty((h, w, 3))
@@ -236,7 +238,7 @@ def _walk(shape, kernel) -> NormalMap:
     rows = _block_rows(w, 3)
     planes = np.empty((3, rows, w))
     for r in range(0, h, rows):
-        block = slice(r, r + rows)
+        block = slice(r, min(r + rows, h))
         nb, lb, okb = normals[block], length[block], ok[block]
         pb = planes[:, : lb.shape[0]]
         valid = kernel(block, pb)
@@ -249,6 +251,8 @@ def _walk(shape, kernel) -> NormalMap:
         invalid = ~okb
         _fill(nb, invalid, (0.0, 0.0, 1.0))
         _fill(lb, invalid, 0.0)
+        if done is not None:
+            done(block, okb)
     return _adopt(object.__new__(NormalMap), normals=normals, magnitude=length, mask=ok)
 
 

@@ -5,6 +5,7 @@ Invalid pixels are stored as NaN and recovered as invalid on read.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -70,39 +71,78 @@ def read_pfm_array(path) -> np.ndarray:
     return arr
 
 
+def _header(shape) -> bytes:
+    """The header of an HxW or HxWx3 little-endian float32 PFM."""
+    if len(shape) == 2:
+        ident = b"Pf"
+    elif len(shape) == 3 and shape[2] == 3:
+        ident = b"PF"
+    else:
+        raise ValueError("PFM supports HxW or HxWx3 arrays")
+    h, w = shape[:2]
+    return ident + b"\n" + f"{w} {h}\n".encode("ascii") + b"-1.0\n"
+
+
 def write_pfm_array(path, arr: np.ndarray) -> None:
     """HxW or HxWx3 float32 PFM, rows bottom-to-top. An arr that is the
     row-reversed view of a C-contiguous little-endian float32 buffer is
     written from that buffer without a copy."""
     arr = np.asarray(arr)
-    if arr.ndim == 2:
-        ident = b"Pf"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        ident = b"PF"
-    else:
-        raise ValueError("PFM supports HxW or HxWx3 arrays")
-    h, w = arr.shape[:2]
+    header = _header(arr.shape)
     payload = np.ascontiguousarray(arr[::-1], dtype="<f4")
     with open(path, "wb") as f:
-        f.write(ident + b"\n")
-        f.write(f"{w} {h}\n".encode("ascii"))
-        f.write(b"-1.0\n")
+        f.write(header)
         f.write(payload)
 
 
+@contextlib.contextmanager
+def masked_writer(path, shape):
+    """write(top, data, mask), which stores the block of rows top, top + 1,
+    ... of an HxW or HxWx3 field of this shape, NaN at its invalid pixels,
+    at its place in the PFM at path (rows are stored bottom-to-top, so a
+    block is one contiguous byte range).
+
+    Each block is cast, flipped and NaN-filled into one float32 buffer,
+    reused by the next block. A finite value at a valid pixel beyond
+    float32's range, which would read back as an invalid pixel, is a
+    ValueError raised before its block is written; the file is opened
+    once the first block passes, so a one-block write raises before the
+    file exists, and a later block leaves it incomplete.
+    """
+    header = _header(shape)
+    h, row = shape[0], shape[1:]
+    row_bytes = 4 * math.prod(row)
+    buf = np.empty((0, *row), "<f4")
+    with contextlib.ExitStack() as stack:
+        f = None
+
+        def write(top, data, mask):
+            nonlocal buf, f
+            n = len(data)
+            if len(buf) < n:
+                buf = np.empty((n, *row), "<f4")
+            block = buf[:n]
+            overflow = []
+            with np.errstate(over="call", call=lambda *_: overflow.append(True)):
+                np.copyto(block, data[::-1], casting="same_kind")
+            _fill(block, ~mask[::-1], np.nan)  # over the invalid pixels' overflows too
+            if overflow and (np.isinf(block) & np.isfinite(data[::-1])).any():
+                raise ValueError(f"{path}: a valid value lies beyond the float32 range of a PFM")
+            if f is None:
+                f = stack.enter_context(open(path, "wb"))
+                f.write(header)
+            f.seek(len(header) + (h - top - n) * row_bytes)
+            f.write(block)
+
+        yield write
+
+
 def write_masked(path, data: np.ndarray, mask: np.ndarray) -> None:
-    """HxW or HxWx3 PFM with NaN at every invalid pixel. A finite value at
-    a valid pixel beyond float32's range, which would read back as an
-    invalid pixel, is a ValueError raised before the file is opened."""
-    # cast, flip and NaN-fill once, into the buffer that write_pfm_array writes
-    buf = np.empty(data.shape, "<f4")
-    overflow = []
-    with np.errstate(over="call", call=lambda *_: overflow.append(True)):
-        np.copyto(buf, data[::-1], casting="same_kind")
-    _fill(buf, ~mask[::-1], np.nan)  # over the invalid pixels' overflows too
-    if overflow and (np.isinf(buf) & np.isfinite(data[::-1])).any():
-        raise ValueError(f"{path}: a valid value lies beyond the float32 range of a PFM")
-    write_pfm_array(path, buf[::-1])
+    """HxW or HxWx3 PFM with NaN at every invalid pixel: masked_writer's
+    one block, so a finite value at a valid pixel beyond float32's range is
+    a ValueError raised before the file is opened."""
+    with masked_writer(path, data.shape) as write:
+        write(0, data, mask)
 
 
 def write_image(path, img: Image) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import COMPLEMENTS, GradientImageSet, NormalMap, _fill, _same_shape, _walk
+from .core import COMPLEMENTS, GradientImageSet, NormalMap, _block_rows, _fill, _same_shape, _walk
 from .photometric import RATIO_SET, _difference_components, _ratio_components
 
 _CONDITIONS = (*RATIO_SET, *COMPLEMENTS)
@@ -40,39 +40,45 @@ def _closed_form(b_r, b_d, delta0, delta_bar0, n0, out) -> None:
     np.add(n0, (3 / 14) * r + (3 / 7) * s, out=n)
 
 
-def correct_normal_map(
-    imgset: GradientImageSet, init: NormalMap
-) -> tuple[NormalMap, np.ndarray, np.ndarray]:
+def correct_normal_map(imgset: GradientImageSet, init: NormalMap, emit) -> NormalMap:
     """Per-pixel QP correction seeded by an initial normal estimate.
 
     Returns the renormalized corrected normals (magnitude channel = the
-    pre-normalization length of the corrected vector) plus the estimated
-    symmetric and asymmetric distortion maps, each (H, W, 3), 0 at invalid
-    pixels. Pixels invalid in either input, or with a dark constant image,
-    pass through as invalid.
+    pre-normalization length of the corrected vector). Pixels invalid in
+    either input, or with a dark constant image, pass through as invalid.
 
-    The map's walk over blocks of rows reads the seven images' samples and
-    writes the closed form's n into its scratch and delta, delta_bar into
-    the preallocated outputs, so no full-frame vector field exists.
+    The estimated symmetric and asymmetric distortions go to
+    emit(rows, delta, delta_bar, valid) once per block of rows, top-down:
+    `rows` is the block's slice of the frame's rows, delta and delta_bar
+    its (rows, W, 3) fields, 0 where the inputs are invalid or the
+    constant is dark, and valid the corrected map's (rows, W) validity
+    there. The three arrays are scratch that the next block overwrites, so
+    a caller that keeps them copies them; no full-frame vector or
+    distortion field exists.
     """
     mask = imgset.joint_mask(_CONDITIONS)
     _same_shape(imgset, init)
     mask &= init.mask
-    delta = np.empty(mask.shape + (3,))
-    delta_bar = np.empty(mask.shape + (3,))
+    h, w = mask.shape
+    # the delta and delta_bar of the walker's largest block
+    scratch = np.empty((2, min(_block_rows(w, 3), h), w, 3))
 
     def solve(block, planes):
+        delta, delta_bar = scratch[:, : planes.shape[1]]
         samples = {c: imgset[c].samples[block] for c in _CONDITIONS}
         b_r, rc, valid = _ratio_components(samples, mask[block])
         b_d = _difference_components(samples)
         b_d /= rc[..., None]
         _closed_form(b_r, b_d, 0.0, 0.0, init.normals[block],
-                     (delta[block], delta_bar[block], planes.transpose(1, 2, 0)))
+                     (delta, delta_bar, planes.transpose(1, 2, 0)))
         for a in (delta, delta_bar):
-            _fill(a[block], ~valid, 0.0)
+            _fill(a, ~valid, 0.0)
         return valid
 
-    return _walk(mask.shape, solve), delta, delta_bar
+    def done(block, valid):
+        emit(block, *scratch[:, : valid.shape[0]], valid)
+
+    return _walk(mask.shape, solve, done)
 
 
 def constraint_violation(b: np.ndarray, x: np.ndarray) -> np.ndarray:

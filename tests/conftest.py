@@ -11,7 +11,7 @@ from gradientstage.core import (
     NormalMap,
     angular_error_map,
 )
-from gradientstage.qp import _closed_form
+from gradientstage.qp import _closed_form, correct_normal_map
 from gradientstage.stage import make_sphere_scene, render_set
 
 
@@ -144,6 +144,23 @@ def closed_form(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     _closed_form(b[..., :3], b[..., 3:], x0[..., :3], x0[..., 3:6], x0[..., 6:],
                  (x[..., :3], x[..., 3:6], x[..., 6:]))
     return x
+
+
+def correct_collected(imgset: GradientImageSet, init: NormalMap):
+    """(corrected, delta, delta_bar) of correct_normal_map, its emitted
+    blocks of delta and delta_bar assembled into (H, W, 3) fields (NaN in
+    a row no block covered); each block's validity must be the corrected
+    map's there."""
+    fields = np.full((2, *imgset.shape, 3), np.nan)
+    valid = np.zeros(imgset.shape, dtype=bool)
+
+    def emit(rows, delta, delta_bar, block_valid):
+        fields[0, rows], fields[1, rows] = delta, delta_bar
+        valid[rows] = block_valid
+
+    corrected = correct_normal_map(imgset, init, emit)
+    np.testing.assert_array_equal(valid, corrected.mask)
+    return corrected, fields[0], fields[1]
 
 
 # ---- mirror-ball forward oracles (independent of the calib implementation)

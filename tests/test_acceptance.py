@@ -9,6 +9,7 @@ import numpy as np
 from conftest import (
     A_MATRIX,
     closed_form,
+    correct_collected,
     forward_highlight_point,
     max_angular_error,
     project_point,
@@ -40,7 +41,7 @@ from gradientstage.photometric import (
     recover_minimal,
     recover_wilson,
 )
-from gradientstage.qp import constraint_violation, correct_normal_map
+from gradientstage.qp import constraint_violation
 from gradientstage.sequencer import generate_sequence, image_count
 from gradientstage.stage import (
     LightStage,
@@ -177,7 +178,7 @@ def test_criterion_5_qp_correction():
     imgset = render_set(scene)
     init = recover_wilson(imgset)
     start = time.perf_counter()
-    corrected, delta, delta_bar = correct_normal_map(imgset, init)
+    corrected, delta, delta_bar = correct_collected(imgset, init)
     elapsed = time.perf_counter() - start
     m = corrected.mask
     x_full = np.concatenate(

@@ -291,15 +291,18 @@ def test_reader_matches_the_reference_bitwise(tmp_path, frame, scale, data):
         assert not (img.samples.flags.writeable or img.mask.flags.writeable)
 
 
-@given(FRAMES, st.data())
-@example((1, 6, 1), None)
+@given(FRAMES, st.integers(1, 6), st.data())
+@example((1, 6, 1), 1, None)
+@example((5, 1, 3), 2, None)
 @PROPERTY
-def test_writers_match_the_reference_bitwise(tmp_path, frame, data):
+def test_writers_match_the_reference_bitwise(tmp_path, frame, rows, data):
     """write_masked and write_pfm_array, on float64 samples that include
     NaN, infinities, -0.0, negative values and values beyond the float32
     range, with a random mask; write_pfm_array also on float32 and on
     non-contiguous arrays. write_masked writes no file where a finite
-    value at a valid pixel is beyond the float32 range."""
+    value at a valid pixel is beyond the float32 range. masked_writer fed
+    top-down blocks of `rows` rows, which need not divide the height,
+    writes write_masked's bytes, or raises its ValueError."""
     h, w, channels = frame
     shape = (h, w) if channels == 1 else (h, w, channels)
     elements = st.sampled_from(SPECIAL + [1e300, -1e300]) | st.floats()
@@ -309,18 +312,29 @@ def test_writers_match_the_reference_bitwise(tmp_path, frame, data):
     else:
         values = data.draw(arrays(np.float64, shape, elements=elements))
         mask = data.draw(arrays(bool, (h, w)))
-    ours, theirs = tmp_path / "ours.pfm", tmp_path / "theirs.pfm"
+    ours, theirs, blocked = tmp_path / "ours.pfm", tmp_path / "theirs.pfm", tmp_path / "blocked.pfm"
     ours.unlink(missing_ok=True)  # tmp_path is shared by the examples
+
+    def write_blocks(path):
+        with pfm.masked_writer(path, shape) as write:
+            for top in range(0, h, rows):
+                write(top, values[top : top + rows], mask[top : top + rows])
+
     with np.errstate(over="ignore"):  # the float32 cast of values beyond its range
         lost = np.isfinite(values) & np.isinf(values.astype(np.float32))
         if (lost if channels == 1 else lost.any(axis=2))[mask].any():
-            with pytest.raises(ValueError, match="a valid value lies beyond the float32 range"):
+            with pytest.raises(ValueError, match="a valid value lies beyond the float32 range") as one:
                 pfm.write_masked(ours, values, mask)
             assert not ours.exists()
+            with pytest.raises(ValueError) as blocks:
+                write_blocks(ours)
+            assert str(blocks.value) == str(one.value)
         else:
             pfm.write_masked(ours, values, mask)
             reference_write_masked(theirs, values, mask)
             assert ours.read_bytes() == theirs.read_bytes()
+            write_blocks(blocked)
+            assert blocked.read_bytes() == ours.read_bytes()
         wide = np.concatenate([values, values], axis=1)
         for arr in (values, values.astype(np.float32), wide[:, ::2], wide[::-1, 1::2]):
             pfm.write_pfm_array(ours, arr)

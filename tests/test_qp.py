@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     A_MATRIX,
     closed_form,
+    correct_collected,
     from_components_reference,
     max_angular_error,
     qp_rhs,
@@ -104,7 +105,7 @@ class TestSolve:
 class TestCorrectNormalMap:
     def test_wilson_seed_nearly_unchanged_on_ideal_data(self, sphere_scene, ideal_sphere_set):
         init = recover_wilson(ideal_sphere_set)
-        corrected, delta, delta_bar = correct_normal_map(ideal_sphere_set, init)
+        corrected, delta, delta_bar = correct_collected(ideal_sphere_set, init)
         assert max_angular_error(corrected, init) < 0.1
         assert np.abs(delta).max() < 1e-9
         assert np.abs(delta_bar).max() < 1e-9
@@ -113,7 +114,7 @@ class TestCorrectNormalMap:
         scene, imgset = distorted_set((0.25, 0.25, 0.25))
         ma = recover_ma(imgset)
         wilson = recover_wilson(imgset)
-        corrected, _, _ = correct_normal_map(imgset, ma)
+        corrected, _, _ = correct_collected(imgset, ma)
         before = max_angular_error(ma, wilson)
         after = max_angular_error(corrected, wilson)
         assert after < before
@@ -121,7 +122,7 @@ class TestCorrectNormalMap:
     def test_feasibility_of_all_corrected_pixels(self):
         scene, imgset = distorted_set((0.1, -0.2, 0.05), (0.02, 0.01, 0.0))
         init = recover_ma(imgset)
-        corrected, delta, delta_bar = correct_normal_map(imgset, init)
+        corrected, delta, delta_bar = correct_collected(imgset, init)
         m = corrected.mask
         x = np.concatenate(
             [delta, delta_bar, corrected.normals * corrected.magnitude[..., None]],
@@ -131,7 +132,7 @@ class TestCorrectNormalMap:
 
     def test_ideal_frontal_pixel(self, ideal_sphere_set):
         # there b = (0, 0, 1/3, 0, 0, 2/3): the start (0, 0, n = z) is feasible
-        corrected, delta, delta_bar = correct_normal_map(
+        corrected, delta, delta_bar = correct_collected(
             ideal_sphere_set, recover_wilson(ideal_sphere_set)
         )
         c = corrected.shape[0] // 2
@@ -145,7 +146,7 @@ class TestCorrectNormalMap:
         delta_true, delta_bar_true = (0.1, -0.05, 0.2), (0.03, 0.0, -0.08)
         scene, imgset = distorted_set(delta_true, delta_bar_true)
         n_true = scene.true_normals
-        corrected, delta, delta_bar = correct_normal_map(imgset, n_true)
+        corrected, delta, delta_bar = correct_collected(imgset, n_true)
         m = corrected.mask
         assert m.sum() > 100
         n = n_true.normals[m]
@@ -162,36 +163,36 @@ class TestCorrectNormalMap:
     def test_dark_constant_masked(self, sphere_scene):
         imgs = dict(render_set(sphere_scene).images)
         imgs[Condition.C] = Image(np.zeros(sphere_scene.true_normals.shape), None)
-        corrected, delta, delta_bar = correct_normal_map(
+        corrected, delta, delta_bar = correct_collected(
             GradientImageSet(imgs), sphere_scene.true_normals
         )
         assert not corrected.mask.any()
         assert not delta.any() and not delta_bar.any()
 
     def test_traced_peak_on_a_1024_frame(self):
-        # outputs: two (H, W, 3) fields, the corrected map and the mask,
-        # about 82 MiB; a full-frame vector field adds 24 MiB, a full-frame
-        # right-hand side 48 MiB or more
+        # output: the corrected map and its mask, about 33 MiB, and the
+        # blocks' scratch; a full-frame distortion field adds 24 MiB, and
+        # so does a full-frame vector field
         imgset = render_set(make_sphere_scene(1024, 1024, 500))
         init = recover_wilson(imgset)
         tracemalloc.start()
         try:
-            correct_normal_map(imgset, init)
+            correct_normal_map(imgset, init, lambda *block: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 90 * 2**20
+        assert peak < 45 * 2**20
 
     def test_single_pixel_perturbation_stays_local(self):
         scene, imgset = distorted_set((0.1, 0.1, 0.1))
         init = recover_wilson(imgset)
-        corrected0, _, _ = correct_normal_map(imgset, init)
+        corrected0, _, _ = correct_collected(imgset, init)
         bumped = dict(imgset.images)
         vals = bumped[Condition.X].samples.copy()
         c = vals.shape[0] // 2
         vals[c, c] *= 1.3
         bumped[Condition.X] = Image(vals, imgset[Condition.X].mask)
-        corrected1, _, _ = correct_normal_map(GradientImageSet(bumped), init)
+        corrected1, _, _ = correct_collected(GradientImageSet(bumped), init)
         changed = np.any(corrected0.normals != corrected1.normals, axis=2)
         assert changed[c, c]
         changed[c, c] = False
@@ -203,7 +204,7 @@ class TestCorrectNormalMap:
         assert hole_mask[24, 24]  # the sphere's center
         hole_mask[24, 24] = False
         holed = NormalMap.from_components(init.normals, hole_mask)
-        corrected, _, _ = correct_normal_map(ideal_sphere_set, holed)
+        corrected, _, _ = correct_collected(ideal_sphere_set, holed)
         assert not corrected.mask[24, 24]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(1, 9))
@@ -223,7 +224,7 @@ class TestCorrectNormalMap:
                                          rng.random((h, w)) < 0.9)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_CHUNK_BYTES", 8 * 3 * w * rows)
-            corrected, delta, delta_bar = correct_normal_map(imgset, init)
+            corrected, delta, delta_bar = correct_collected(imgset, init)
 
         s = {c: imgset[c].samples for c in Condition}
         mask = imgset.joint_mask(Condition) & init.mask & (s[Condition.C] > DARK_EPS)
@@ -244,7 +245,7 @@ class TestCorrectNormalMap:
         init = recover_ma(imgset)
 
         def arrays():
-            corrected, delta, delta_bar = correct_normal_map(imgset, init)
+            corrected, delta, delta_bar = correct_collected(imgset, init)
             return [a.tobytes() for a in (corrected.normals, corrected.magnitude, corrected.mask,
                                           delta, delta_bar)]
 
